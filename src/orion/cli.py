@@ -10,6 +10,7 @@ record on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -20,7 +21,14 @@ from .archetypes import KINDS, PolicyResources
 from .config import ConfigError, RunConfig, episode_seed, load_config
 from .corpus import CorpusIndex, build_index
 from .embed import EmbeddingServiceClient, HashEmbedder
-from .engine import EpisodeConfig, Retriever, episode_to_dict, run_batch
+from .engine import (
+    EpisodeConfig,
+    Retriever,
+    episode_from_dict,
+    episode_to_dict,
+    run_batch,
+    targets_for,
+)
 from .metrics import (
     analyze_behavior,
     evaluate_episodes,
@@ -32,7 +40,6 @@ from .rewards import GrpoConfig, collect_grouped_episode, make_training_record
 from .synth import DatasetManifest, assemble_pool, generate_trajectory, sample_sft_dataset
 from .trace import serialize_trace
 from .vocab import TfidfTable
-from .engine import episode_from_dict
 
 log = logging.getLogger("orion")
 
@@ -57,19 +64,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", dest="out_dir", help="output directory")
 
 
-_FLAG_FIELDS = (
-    "corpus", "qrels", "queries", "embeddings", "embed_dim", "policy", "k",
-    "max_turns", "beam_size", "expansion", "group_size", "selection", "zscore",
-    "seed", "workers", "out_dir",
-)
-
-
 def _build_config(args: argparse.Namespace, check_paths: bool = True) -> RunConfig:
     cfg = load_config(args.config, check_paths=False) if args.config else RunConfig()
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name, None)
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, name, value)
+            setattr(cfg, f.name, value)
     cfg.validate(check_paths=check_paths)
     return cfg
 
@@ -194,7 +194,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     kinds = args.archetypes.split(",") if args.archetypes else list(KINDS)
     records = []
     for qid, text in queries:
-        targets = frozenset(d for d, g in qrels.get(qid, {}).items() if g >= 1)
+        targets = targets_for(qrels, qid)
         for kind in kinds:
             arch = ArchetypeConfig(
                 kind=kind, seed=episode_seed(cfg.seed, f"{kind}:{qid}"), params=cfg.policy_params
@@ -231,7 +231,7 @@ def cmd_grpo_collect(args: argparse.Namespace) -> int:
     policy_for = _policy_factory(cfg, retriever, vocab)
     records = []
     for qid, text in queries:
-        targets = frozenset(d for d, g in qrels.get(qid, {}).items() if g >= 1)
+        targets = targets_for(qrels, qid)
         episode_cfg = EpisodeConfig(k=cfg.k, max_turns=cfg.max_turns, target_ids=targets)
         trace, groups = collect_grouped_episode(
             policy_for(qid), retriever, text, episode_cfg, grpo,

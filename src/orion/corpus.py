@@ -2,8 +2,10 @@
 
 The index is the reference retrieval backend: every search is an exact scan
 over the full embedding matrix, scored by cosine similarity, with ties broken
-by ascending document id. It is immutable after construction and safe for
-concurrent readers.
+by ascending document id. `CorpusIndex.search` is the one method that scores a
+query: the top-k and, when targets are given, the best target similarity and
+rank all come from that single score vector. The index is immutable after
+construction and safe for concurrent readers.
 
 Ranks are 0-based everywhere; absence of a document is the ``NOT_FOUND``
 sentinel, not an error.
@@ -46,10 +48,18 @@ class ScoredDoc:
 
 @dataclass(frozen=True)
 class RankedResults:
-    """Top-k retrieval output: entries sorted by score desc, id asc on ties."""
+    """Top-k retrieval output: entries sorted by score desc, id asc on ties.
+
+    When the search was given targets, `target_sim` is the best cosine to any
+    indexed target (None if none is indexed) and `target_rank` the best
+    target's 0-based corpus rank (NOT_FOUND if none is indexed); both are None
+    for a search without targets.
+    """
 
     entries: tuple[ScoredDoc, ...]
     k: int
+    target_sim: float | None = None
+    target_rank: int | None = None
 
     def doc_ids(self) -> list[str]:
         return [e.doc_id for e in self.entries]
@@ -122,41 +132,35 @@ class CorpusIndex:
             raise CorpusError("cosine similarity undefined for zero-norm query")
         return self._unit @ (q / qn)
 
-    def search(self, query_emb: Sequence[float] | np.ndarray, k: int) -> RankedResults:
-        """Exact top-k by cosine similarity; ties broken by ascending doc id."""
+    def search(
+        self,
+        query_emb: Sequence[float] | np.ndarray,
+        k: int,
+        target_ids: Iterable[str] = (),
+    ) -> RankedResults:
+        """Exact top-k by cosine similarity; ties broken by ascending doc id.
+
+        A target's rank is its position in the full ordering: the count of
+        higher scores plus the count of equal scores on smaller ids. The target
+        with the highest score, then the smallest id, has the lowest rank.
+        """
         if k < 1:
             raise CorpusError(f"k must be >= 1, got {k}")
         scores = self._scores(query_emb)
         # rows are id-ascending, so a stable sort gives the id tie-break
         order = np.argsort(-scores, kind="stable")[: min(k, len(self.documents))]
         entries = tuple(ScoredDoc(self._ids[i], float(scores[i])) for i in order)
-        return RankedResults(entries=entries, k=k)
-
-    def full_ranking(self, query_emb: Sequence[float] | np.ndarray) -> list[str]:
-        """All doc ids sorted by similarity descending (id asc on ties)."""
-        scores = self._scores(query_emb)
-        order = np.argsort(-scores, kind="stable")
-        return [self._ids[i] for i in order]
-
-    def rank_of(self, query_emb: Sequence[float] | np.ndarray, target_id: str) -> int:
-        """0-based position of target_id in the full similarity ordering.
-
-        Returns NOT_FOUND when the id is absent from the corpus.
-        """
-        if target_id not in self._row_of:
-            return NOT_FOUND
-        scores = self._scores(query_emb)
-        row = self._row_of[target_id]
-        s = scores[row]
-        better = int(np.count_nonzero(scores > s))
-        # among exact ties, earlier (smaller) ids rank first
-        tied_before = int(np.count_nonzero(scores[:row] == s))
-        return better + tied_before
-
-    def similarity_to(self, query_emb: Sequence[float] | np.ndarray, doc_id: str) -> float:
-        """Cosine similarity between the query and one document's embedding."""
-        scores = self._scores(query_emb)
-        return float(scores[self._row_of[doc_id]])
+        targets = set(target_ids)
+        if not targets:
+            return RankedResults(entries=entries, k=k)
+        rows = sorted(self._row_of[t] for t in targets if t in self._row_of)
+        if not rows:
+            return RankedResults(entries=entries, k=k, target_rank=NOT_FOUND)
+        # argmax takes the first maximum, i.e. the smallest id among tied targets
+        best = rows[int(np.argmax(scores[rows]))]
+        s = scores[best]
+        rank = int(np.count_nonzero(scores > s)) + int(np.count_nonzero(scores[:best] == s))
+        return RankedResults(entries=entries, k=k, target_sim=float(s), target_rank=rank)
 
 
 def build_index(

@@ -28,6 +28,27 @@ class EmbeddingServiceError(RuntimeError):
     """Transport failure or malformed response from the embedding service."""
 
 
+def post_json(
+    url: str, payload: dict, api_key: str | None, timeout: float, error: type[Exception]
+) -> dict:
+    """POST `payload` as JSON and return the decoded reply.
+
+    The API key, when set, goes in a bearer header. Any transport, HTTP-status
+    or JSON-decode failure is re-raised as `error`.
+    """
+    import requests
+
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    try:
+        resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
+        resp.raise_for_status()
+        return resp.json()
+    except requests.RequestException as exc:  # transport, HTTP status, or JSON decode
+        raise error(f"request to {url} failed: {exc}") from exc
+
+
 class HashEmbedder:
     """Signed feature-hashing bag-of-words embedder.
 
@@ -77,17 +98,7 @@ class EmbeddingServiceClient:
         self._post = post or self._requests_post
 
     def _requests_post(self, payload: dict) -> dict:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            resp = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-            resp.raise_for_status()
-            return resp.json()
-        except Exception as exc:  # transport, HTTP status, or JSON decode
-            raise EmbeddingServiceError(f"embedding request failed: {exc}") from exc
+        return post_json(self.endpoint, payload, self.api_key, self.timeout, EmbeddingServiceError)
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         payload = {"input": list(texts), "model": self.model}

@@ -7,7 +7,9 @@ policy's relevance confidence (1/perplexity), pools candidates across beams,
 and keeps the top B; success is checked on the survivors after pruning.
 
 Only the `<search_query>` content is embedded for retrieval; think spans never
-reach the retriever.
+reach the retriever. Each action costs one retrieval: its top-k, the logged
+similarity to target and target rank, and the success check all come from
+the turn's own `RankedResults`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import NOT_FOUND, CorpusIndex, RankedResults
+from .corpus import CorpusIndex, RankedResults
 from .policy import Action, Policy, PolicyError
 from .trace import (
     DEFAULT_SNIPPET_CHARS,
@@ -52,14 +54,8 @@ class Retriever:
         self.embed = embed
         self.snippet_chars = snippet_chars
 
-    def retrieve(self, query: str, k: int) -> RankedResults:
-        return self.index.search(self.embed(query), k)
-
-    def rank_of(self, query: str, target_id: str) -> int:
-        return self.index.rank_of(self.embed(query), target_id)
-
-    def similarity_to(self, query: str, doc_id: str) -> float:
-        return self.index.similarity_to(self.embed(query), doc_id)
+    def retrieve(self, query: str, k: int, target_ids: Iterable[str] = ()) -> RankedResults:
+        return self.index.search(self.embed(query), k, target_ids)
 
     def best_similarity(self, query: str) -> float:
         """Best corpus similarity for a query (greedy_hill's probe signal)."""
@@ -85,11 +81,12 @@ class EpisodeConfig:
 
 @dataclass(frozen=True)
 class Beam:
-    """One live search thread: its state and latest relevance confidence."""
+    """One search thread: its state, latest relevance confidence, and whether
+    its last retrieval put a target in the top-k."""
 
     state: SearchState
     confidence: float  # 1/perplexity of the last assessment; 0.0 for the root
-    alive: bool = True
+    hit: bool = False
 
     def last_query(self) -> str:
         last = self.state.last_turn()
@@ -117,34 +114,17 @@ def check_success(results: RankedResults, target_ids: Iterable[str], k: int) -> 
     return any(e.doc_id in targets for e in results.entries[:k])
 
 
-def _target_metrics(
-    retriever: Retriever, query: str, target_ids: frozenset[str]
-) -> tuple[float | None, int | None]:
-    """Best similarity-to-target and best target corpus rank for one query."""
-    if not target_ids:
-        return None, None
-    sims, ranks = [], []
-    for tid in sorted(target_ids):
-        if tid in retriever.index:
-            sims.append(retriever.similarity_to(query, tid))
-        ranks.append(retriever.rank_of(query, tid))
-    found = [r for r in ranks if r != NOT_FOUND]
-    best_rank = min(found) if found else NOT_FOUND
-    return (max(sims) if sims else None), best_rank
-
-
 def execute_action(
     retriever: Retriever, action: Action, config: EpisodeConfig
 ) -> tuple[Turn, RankedResults]:
     """Retrieve for an action and freeze the completed turn."""
-    results = retriever.retrieve(action.query, config.k)
-    sim, rank = _target_metrics(retriever, action.query, config.target_ids)
+    results = retriever.retrieve(action.query, config.k, config.target_ids)
     turn = Turn(
         think=action.think,
         query=action.query,
         results=snapshot_results(results, retriever.texts_for(results), retriever.snippet_chars),
-        sim_to_target=sim,
-        target_rank=rank,
+        sim_to_target=results.target_sim,
+        target_rank=results.target_rank,
     )
     return turn, results
 
@@ -184,15 +164,6 @@ def run_episode(
     return _result(state, TERMINAL_BUDGET, None, started)
 
 
-def _beam_succeeded(beam: Beam, config: EpisodeConfig) -> bool:
-    last = beam.state.last_turn()
-    if last is None:
-        return False
-    return any(
-        d.doc_id in config.target_ids for d in last.results[: config.k] if d.doc_id is not None
-    )
-
-
 def beam_search(
     policy: Policy,
     retriever: Retriever,
@@ -228,20 +199,21 @@ def beam_search(
                 continue
             for action in actions:
                 try:
-                    turn, _ = execute_action(retriever, action, config)
+                    turn, results = execute_action(retriever, action, config)
                     new_state = append_turn(beam.state, turn, config.max_turns)
                     ppl = policy.relevance_perplexity(new_state, t, action.query, q0)
                 except PolicyError as exc:
                     log.warning("candidate dropped at turn %d: %s", t, exc)
                     continue
-                candidates.append(Beam(state=new_state, confidence=1.0 / ppl))
+                hit = check_success(results, config.target_ids, config.k)
+                candidates.append(Beam(state=new_state, confidence=1.0 / ppl, hit=hit))
         if not candidates:
             best = max(beams, key=lambda b: b.confidence)
             return _result(best.state, TERMINAL_POLICY_ERROR, None, started, sizes)
         candidates.sort(key=lambda b: (-b.confidence, b.last_query()))
         beams = candidates[:beam_size]
         sizes.append(len(beams))
-        winners = [b for b in beams if _beam_succeeded(b, config)]
+        winners = [b for b in beams if b.hit]
         if winners:
             return _result(winners[0].state, TERMINAL_SUCCESS, t, started, sizes)
     return _result(beams[0].state, TERMINAL_BUDGET, None, started, sizes)
@@ -275,6 +247,11 @@ def episode_from_dict(obj: dict) -> tuple[str, EpisodeResult]:
     return obj["query_id"], result
 
 
+def targets_for(qrels: dict[str, dict[str, int]], qid: str) -> frozenset[str]:
+    """A query's targets: its qrels docs with relevance >= 1."""
+    return frozenset(d for d, g in qrels.get(qid, {}).items() if g >= 1)
+
+
 def run_batch(
     queries: Sequence[tuple[str, str]],
     qrels: dict[str, dict[str, int]],
@@ -295,7 +272,7 @@ def run_batch(
 
     def one(item: tuple[str, str]) -> tuple[str, EpisodeResult]:
         qid, text = item
-        targets = frozenset(d for d, g in qrels.get(qid, {}).items() if g >= 1)
+        targets = targets_for(qrels, qid)
         cfg = EpisodeConfig(k=config.k, max_turns=config.max_turns, target_ids=targets)
         policy = policy_for(qid)
         if beam_size is None:

@@ -27,7 +27,8 @@ from typing import Mapping, Protocol, Sequence
 
 from . import archetypes
 from .archetypes import DEFAULT_PARAMS, KINDS, PolicyResources, StepAction
-from .trace import SearchState, render_prompt, serialize_state
+from .embed import post_json
+from .trace import _ALL_TAG_LITERALS, SearchState, render_prompt, serialize_state
 
 API_KEY_ENV = "ORION_API_KEY"
 DEFAULT_MAX_QUERY_CHARS = 300
@@ -217,13 +218,8 @@ def _strip_tags(text: str, closing_tag: str) -> str:
     return text.strip()
 
 
-_TAG_LITERALS = tuple(
-    f"<{t}>" for t in ("user_query", "think", "search_query", "top_k_response")
-) + tuple(f"</{t}>" for t in ("user_query", "think", "search_query", "top_k_response"))
-
-
 def _has_tag_literal(text: str) -> bool:
-    return any(tag in text for tag in _TAG_LITERALS)
+    return any(tag in text for tag in _ALL_TAG_LITERALS)
 
 
 class RemotePolicy:
@@ -264,17 +260,7 @@ class RemotePolicy:
         self._post = post or self._requests_post
 
     def _requests_post(self, payload: dict) -> dict:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            resp = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-            resp.raise_for_status()
-            return resp.json()
-        except Exception as exc:
-            raise PolicyError(f"remote transport failure: {exc}") from exc
+        return post_json(self.endpoint, payload, self.api_key, self.timeout, PolicyError)
 
     def _complete(self, prompt: str, want_logprobs: bool = False) -> tuple[str, list[float] | None]:
         messages = []

@@ -8,6 +8,9 @@ each normalized to [0, 1]:
 * rank: 1 - rank/|C| for a 0-based corpus rank, and 0 when the document is
   absent (NOT_FOUND).
 
+Both signals come from the candidate turn's own retrieval: no candidate is
+scored against the corpus a second time.
+
 Advantages are group-relative: reward minus the group mean, or z-scores under
 the optional normalization mode (guarded to all-zero when the group standard
 deviation vanishes). Candidate selection is argmax by default, with the
@@ -26,8 +29,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import NOT_FOUND
-from .engine import EpisodeConfig, Retriever, execute_action
+from .corpus import NOT_FOUND, RankedResults
+from .engine import EpisodeConfig, Retriever, check_success, execute_action
 from .policy import Policy, PolicyError
 from .trace import (
     TERMINAL_BUDGET,
@@ -202,23 +205,16 @@ class GrpoConfig:
             raise RewardError(f"group size must be >= 2, got {self.group_size}")
 
 
-def candidate_signals(
-    retriever: Retriever, query: str, target_ids: frozenset[str], k: int
-) -> tuple[float, int]:
-    """(similarity, rank) feeding the reward for one candidate query.
+def candidate_signals(results: RankedResults) -> tuple[float, int]:
+    """(similarity, rank) feeding the reward for one candidate's retrieval.
 
-    Similarity is the best retrieved document's score. Rank is the ground-truth
-    target's corpus rank when targets are known; otherwise the literal rank of
-    the best-similarity document (0 under this exact retriever, by definition).
+    Similarity is the best retrieved document's score. Rank is the best
+    ground-truth target's corpus rank when the retrieval was given targets;
+    otherwise the rank of the best-similarity document, which is 0 under this
+    exact retriever by definition.
     """
-    results = retriever.retrieve(query, k)
     sim = results.entries[0].score if results.entries else 0.0
-    if target_ids:
-        ranks = [retriever.rank_of(query, tid) for tid in sorted(target_ids)]
-        found = [r for r in ranks if r != NOT_FOUND]
-        rank = min(found) if found else NOT_FOUND
-    else:
-        rank = retriever.rank_of(query, results.entries[0].doc_id) if results.entries else NOT_FOUND
+    rank = results.target_rank if results.target_rank is not None else 0
     return sim, rank
 
 
@@ -250,7 +246,7 @@ def collect_grouped_episode(
         hit = []
         for action in actions:
             turn, results = execute_action(retriever, action, config)
-            sim, rank = candidate_signals(retriever, action.query, config.target_ids, config.k)
+            sim, rank = candidate_signals(results)
             outcomes.append(
                 CandidateOutcome(
                     think=action.think,
@@ -260,9 +256,7 @@ def collect_grouped_episode(
                 )
             )
             turns.append(turn)
-            hit.append(bool(config.target_ids) and any(
-                d in config.target_ids for d in results.doc_ids()[: config.k]
-            ))
+            hit.append(check_success(results, config.target_ids, config.k))
         rewards = [o.breakdown.reward for o in outcomes]
         advantages = group_advantages(rewards, grpo.advantage_mode)
         selected = select_candidate(rewards, grpo.selection, rng)

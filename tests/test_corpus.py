@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orion.corpus import (
     NOT_FOUND,
@@ -149,24 +151,30 @@ class TestSearch:
 
 
 class TestRankOf:
+    """Target rank and similarity, derived by `search` from its one scan."""
+
     def test_best_match_is_rank_zero(self):
         vectors = {"d1": [1.0, 0.0], "d2": [0.0, 1.0]}
         index = build_index(docs_for(vectors), vectors)
-        assert index.rank_of([0.1, 1.0], "d2") == 0
+        assert index.search([0.1, 1.0], 1, {"d2"}).target_rank == 0
 
     def test_absent_target(self):
         vectors = {"d1": [1.0, 0.0]}
         index = build_index(docs_for(vectors), vectors)
-        assert index.rank_of([1.0, 0.0], "ghost") == NOT_FOUND
+        results = index.search([1.0, 0.0], 1, {"ghost"})
+        assert results.target_rank == NOT_FOUND
+        assert results.target_sim is None
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(21)
         vectors = {f"d{i}": [rng.gauss(0, 1) for _ in range(4)] for i in range(10)}
         index = build_index(docs_for(vectors), vectors)
         query = [rng.gauss(0, 1) for _ in range(4)]
-        oracle = [doc for doc, _ in brute_force_ranking(vectors, query)]
-        for doc_id in vectors:
-            assert index.rank_of(query, doc_id) == oracle.index(doc_id)
+        oracle = brute_force_ranking(vectors, query)
+        for pos, (doc_id, score) in enumerate(oracle):
+            results = index.search(query, 1, {doc_id})
+            assert results.target_rank == pos
+            assert results.target_sim == pytest.approx(score, abs=1e-12)
 
     def test_consistent_with_search(self):
         rng = random.Random(8)
@@ -175,4 +183,43 @@ class TestRankOf:
         query = [rng.gauss(0, 1) for _ in range(4)]
         ids = index.search(query, k=6).doc_ids()
         for pos, doc_id in enumerate(ids):
-            assert index.rank_of(query, doc_id) == pos
+            assert index.search(query, 6, {doc_id}).target_rank == pos
+
+
+@st.composite
+def tie_heavy_case(draw):
+    """Few distinct small-integer rows repeated under shuffled ids, a query,
+    a depth, and a target set that may name ids outside the corpus."""
+    dim = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+    distinct = draw(st.lists(vec, min_size=1, max_size=3))
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations([f"d{i:02d}" for i in range(n)]))
+    vectors = {doc_id: draw(st.sampled_from(distinct)) for doc_id in ids}
+    targets = draw(st.sets(st.sampled_from(ids + ["ghost", "zz"]), max_size=4))
+    return vectors, draw(vec), draw(st.integers(1, n + 1)), targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_case())
+def test_target_metrics_match_a_full_ordering(case):
+    vectors, query, k, targets = case
+    index = build_index(docs_for(vectors), vectors)
+    results = index.search(query, k, targets)
+    assert results.entries == index.search(query, k).entries
+
+    full = index.search(query, len(vectors)).entries
+    for e in full:
+        assert e.score == pytest.approx(cosine_similarity(query, vectors[e.doc_id]), abs=1e-12)
+    ordering = [e.doc_id for e in sorted(full, key=lambda e: (-e.score, e.doc_id))]
+    assert [e.doc_id for e in full] == ordering
+
+    indexed = targets & vectors.keys()
+    if not targets:
+        assert (results.target_sim, results.target_rank) == (None, None)
+    elif not indexed:
+        assert (results.target_sim, results.target_rank) == (None, NOT_FOUND)
+    else:
+        assert results.target_rank == min(ordering.index(t) for t in indexed)
+        best = max(cosine_similarity(query, vectors[t]) for t in indexed)
+        assert results.target_sim == pytest.approx(best, abs=1e-12)

@@ -308,3 +308,45 @@ class TestRemotePolicy:
         assert actions[0].query == "plain text query"
         first = transport.payloads[0]["messages"][-1]["content"]
         assert first.startswith("This is an information retrieval task.")
+
+
+def test_default_transport_sends_bearer_and_types_failures(monkeypatch):
+    import requests
+
+    from orion.embed import EmbeddingServiceClient, EmbeddingServiceError
+
+    bodies = {
+        "http://embed": {"data": [{"embedding": [0.6, 0.8]}]},
+        "http://chat": chat_response("relevant.", logprobs=[math.log(0.5)]),
+    }
+    sent = []
+
+    class Reply:
+        def __init__(self, url):
+            self.url = url
+
+        def raise_for_status(self):
+            pass
+
+        def json(self):
+            return bodies[self.url]
+
+    def accept(url, json, headers, timeout):
+        sent.append((url, headers["Authorization"], timeout))
+        return Reply(url)
+
+    def refuse(url, json, headers, timeout):
+        raise requests.ConnectionError("connection refused")
+
+    embedder = EmbeddingServiceClient("http://embed", "m", api_key="ek", timeout=5.0)
+    policy = RemotePolicy("http://chat", "m", api_key="pk", timeout=7.0)
+    monkeypatch.setattr(requests, "post", accept)
+    assert list(embedder("text")) == [0.6, 0.8]
+    assert policy.relevance_perplexity(state_with_sims([0.5]), 1, "q", "q0") == pytest.approx(2.0)
+    assert sent == [("http://embed", "Bearer ek", 5.0), ("http://chat", "Bearer pk", 7.0)]
+
+    monkeypatch.setattr(requests, "post", refuse)
+    with pytest.raises(EmbeddingServiceError, match="connection refused"):
+        embedder("text")
+    with pytest.raises(PolicyError, match="connection refused"):
+        policy.propose(SearchState(original_query="q"), 1)

@@ -234,7 +234,7 @@ class TestCollectGrouped:
         docs = {"d1": axis(3, 1), "d2": axis(3, 2)}
         queries = {"q": axis(3, 1)}
         retriever = make_stub_retriever(docs, queries)
-        sim, rank = candidate_signals(retriever, "q", frozenset({"d2"}), k=1)
+        sim, rank = candidate_signals(retriever.retrieve("q", 1, frozenset({"d2"})))
         assert sim == pytest.approx(1.0)
         assert rank == 1  # d2 is second in the full ordering
 
@@ -242,5 +242,5 @@ class TestCollectGrouped:
         docs = {"d1": axis(3, 1), "d2": axis(3, 2)}
         queries = {"q": axis(3, 1)}
         retriever = make_stub_retriever(docs, queries)
-        sim, rank = candidate_signals(retriever, "q", frozenset(), k=1)
+        sim, rank = candidate_signals(retriever.retrieve("q", 1))
         assert rank == 0  # best-similarity doc is rank 0 under an exact retriever
