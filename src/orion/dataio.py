@@ -25,9 +25,8 @@ MAGIC = b"ORNE"
 VERSION = 1
 
 
-def read_corpus(path: str | Path) -> list[Document]:
-    """Read a JSON Lines corpus with `_id`, `title`, `text` fields."""
-    docs: list[Document] = []
+def _json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line; bad JSON is a CorpusError."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -37,11 +36,18 @@ def read_corpus(path: str | Path) -> list[Document]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if "_id" not in obj or "text" not in obj:
-                raise CorpusError(f"{path}:{lineno}: corpus line needs `_id` and `text`")
-            docs.append(
-                Document(doc_id=str(obj["_id"]), text=obj["text"], title=obj.get("title") or "")
-            )
+            yield lineno, obj
+
+
+def read_corpus(path: str | Path) -> list[Document]:
+    """Read a JSON Lines corpus with `_id`, `title`, `text` fields."""
+    docs: list[Document] = []
+    for lineno, obj in _json_lines(path):
+        if "_id" not in obj or "text" not in obj:
+            raise CorpusError(f"{path}:{lineno}: corpus line needs `_id` and `text`")
+        docs.append(
+            Document(doc_id=str(obj["_id"]), text=obj["text"], title=obj.get("title") or "")
+        )
     return docs
 
 
@@ -76,15 +82,10 @@ def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
 def read_queries(path: str | Path) -> list[tuple[str, str]]:
     """Read a JSON Lines queries file of `{"_id": ..., "text": ...}` pairs."""
     out: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "_id" not in obj or "text" not in obj:
-                raise CorpusError(f"{path}:{lineno}: query line needs `_id` and `text`")
-            out.append((str(obj["_id"]), obj["text"]))
+    for lineno, obj in _json_lines(path):
+        if "_id" not in obj or "text" not in obj:
+            raise CorpusError(f"{path}:{lineno}: query line needs `_id` and `text`")
+        out.append((str(obj["_id"]), obj["text"]))
     return out
 
 
@@ -120,26 +121,35 @@ def _read_embeddings_binary(path: Path) -> dict[str, np.ndarray]:
             raise CorpusError(f"{path}: unsupported version {version}")
         out: dict[str, np.ndarray] = {}
         for i in range(count):
-            (id_len,) = struct.unpack("<I", fh.read(4))
-            doc_id = fh.read(id_len).decode("utf-8")
+            head = fh.read(4)
+            if len(head) != 4:
+                raise CorpusError(f"{path}: truncated record {i} (id length)")
+            (id_len,) = struct.unpack("<I", head)
+            raw_id = fh.read(id_len)
+            if len(raw_id) != id_len:
+                raise CorpusError(f"{path}: truncated record {i} (id)")
+            try:
+                doc_id = raw_id.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{path}: record {i}: id is not UTF-8: {exc}") from exc
             raw = fh.read(4 * dim)
             if len(raw) != 4 * dim:
                 raise CorpusError(f"{path}: truncated record {i} ({doc_id!r})")
+            if doc_id in out:
+                raise CorpusError(f"{path}: record {i}: duplicate id {doc_id!r}")
             out[doc_id] = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         return out
 
 
 def _read_embeddings_jsonl(path: Path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "id" not in obj or "vector" not in obj:
-                raise CorpusError(f"{path}:{lineno}: embedding line needs `id` and `vector`")
-            out[str(obj["id"])] = as_embedding(obj["vector"])
+    for lineno, obj in _json_lines(path):
+        if "id" not in obj or "vector" not in obj:
+            raise CorpusError(f"{path}:{lineno}: embedding line needs `id` and `vector`")
+        doc_id = str(obj["id"])
+        if doc_id in out:
+            raise CorpusError(f"{path}:{lineno}: duplicate id {doc_id!r}")
+        out[doc_id] = as_embedding(obj["vector"])
     return out
 
 
@@ -160,8 +170,5 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+    for _, obj in _json_lines(path):
+        yield obj

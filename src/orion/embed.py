@@ -3,8 +3,9 @@
 The engine never trains or hosts an embedding model. Corpus vectors normally
 come from precomputed files; for live query embedding there are two backends:
 
-* ``HashEmbedder`` — signed feature-hashing bag of words. Stateless and fully
-  deterministic, which makes desk-scale experiments reproducible bit-for-bit.
+* ``HashEmbedder`` — signed feature-hashing bag of words. Fully deterministic
+  (its only state is a memo of token hashes), which makes desk-scale
+  experiments reproducible bit-for-bit.
 * ``EmbeddingServiceClient`` — POSTs ``{"input": [...texts], "model": name}``
   to a configurable endpoint and expects ``{"data": [{"embedding": [...]}]}``.
   The API key is read from ``ORION_EMBED_API_KEY`` unless given explicitly.
@@ -55,20 +56,35 @@ class HashEmbedder:
     Each token is hashed (sha1, stable across processes) to a bucket and a
     sign; token counts accumulate and the vector is L2-normalized. Signed
     hashing keeps E[collision noise] near zero and produces vectors whose
-    cosines can go negative, exercising both similarity branches downstream.
+    cosines can go negative, exercising both similarity branches downstream
+    (feature hashing, Weinberger et al., arXiv:0902.2206).
+
+    Each instance memoises token -> (bucket, sign), so a token is hashed once
+    per embedder; the memo grows with the vocabulary it has seen. Vectors are
+    unchanged: a bucket sums +-1.0 values, which is exact in any order.
+    Threads may share an instance: a race only hashes a token twice, to the
+    same value.
     """
 
     def __init__(self, dim: int = 384):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
+        self._memo: dict[str, tuple[int, float]] = {}
+
+    def _hash(self, token: str) -> tuple[int, float]:
+        digest = hashlib.sha1(token.encode("utf-8")).digest()
+        bucket = int.from_bytes(digest[:8], "little") % self.dim
+        return bucket, 1.0 if digest[8] % 2 == 0 else -1.0
 
     def __call__(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)
+        memo = self._memo
         for token in _TOKEN_RE.findall(text.lower()):
-            digest = hashlib.sha1(token.encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:8], "little") % self.dim
-            sign = 1.0 if digest[8] % 2 == 0 else -1.0
+            hashed = memo.get(token)
+            if hashed is None:
+                hashed = memo[token] = self._hash(token)
+            bucket, sign = hashed
             vec[bucket] += sign
         if not vec.any():
             # keep zero-information queries embeddable: a fixed fallback bucket

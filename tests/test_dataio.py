@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -91,4 +93,61 @@ def test_truncated_binary(tmp_path):
     dataio.write_embeddings({"a": np.ones(4)}, path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(CorpusError, match="truncated"):
+        dataio.read_embeddings(path)
+
+
+def _orne(records: list[tuple[bytes, list[float]]], dim: int = 2) -> bytes:
+    body = b"".join(
+        struct.pack("<I", len(raw_id)) + raw_id + np.asarray(vec, dtype="<f4").tobytes()
+        for raw_id, vec in records
+    )
+    return b"ORNE" + struct.pack("<IIQ", 1, dim, len(records)) + body
+
+
+@pytest.mark.parametrize(
+    "reader, name",
+    [
+        (dataio.read_queries, "queries.jsonl"),
+        (dataio.read_embeddings, "emb.jsonl"),
+        (lambda path: list(dataio.read_jsonl(path)), "episodes.jsonl"),
+    ],
+)
+def test_invalid_json_line_names_file_and_line(tmp_path, reader, name):
+    path = tmp_path / name
+    path.write_text('{"_id": "q1", "text": "x", "id": "d1", "vector": [1.0]}\n{"_id": oops\n')
+    with pytest.raises(CorpusError, match=rf"{name}:2: invalid JSON"):
+        reader(path)
+
+
+@pytest.mark.parametrize(
+    "cut, what",
+    [(2, r"record 1 \(id length\)"), (6, r"record 1 \(id\)")],
+)
+def test_truncated_binary_id_fields_name_the_record(tmp_path, cut, what):
+    full = _orne([(b"a", [1.0, 2.0]), (b"bcd", [3.0, 4.0])])
+    record_1 = 20 + 4 + 1 + 8
+    path = tmp_path / "emb.orne"
+    path.write_bytes(full[: record_1 + cut])
+    with pytest.raises(CorpusError, match=f"truncated {what}"):
+        dataio.read_embeddings(path)
+
+
+def test_binary_id_that_is_not_utf8_names_the_record(tmp_path):
+    path = tmp_path / "emb.orne"
+    path.write_bytes(_orne([(b"a", [1.0, 2.0]), (b"\xff\xfe", [3.0, 4.0])]))
+    with pytest.raises(CorpusError, match="record 1: id is not UTF-8"):
+        dataio.read_embeddings(path)
+
+
+def test_duplicate_binary_id_is_rejected(tmp_path):
+    path = tmp_path / "emb.orne"
+    path.write_bytes(_orne([(b"a", [1.0, 2.0]), (b"a", [3.0, 4.0])]))
+    with pytest.raises(CorpusError, match="record 1: duplicate id 'a'"):
+        dataio.read_embeddings(path)
+
+
+def test_duplicate_jsonl_embedding_id_is_rejected(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"id": "d1", "vector": [1.0, 2.0]}\n{"id": "d1", "vector": [0.5, -1.0]}\n')
+    with pytest.raises(CorpusError, match="emb.jsonl:2: duplicate id 'd1'"):
         dataio.read_embeddings(path)

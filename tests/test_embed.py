@@ -1,0 +1,37 @@
+from __future__ import annotations
+
+import hashlib
+import re
+
+import numpy as np
+
+from orion.embed import HashEmbedder
+
+
+def _inline_hash_embedding(text: str, dim: int) -> np.ndarray:
+    vec = np.zeros(dim)
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        digest = hashlib.sha1(token.encode("utf-8")).digest()
+        bucket = int.from_bytes(digest[:8], "little") % dim
+        vec[bucket] += 1.0 if digest[8] % 2 == 0 else -1.0
+    if not vec.any():
+        vec[0] = 1.0
+    return vec / np.linalg.norm(vec)
+
+
+def test_hash_memo_leaves_vectors_bitwise_equal():
+    texts = [
+        "Solar panels on the rooftop, solar again",
+        "wind turbines offshore wind wind",
+        "?!",  # no tokens: the fallback bucket
+        "rooftop turbines solar panels",
+    ]
+    for dim in (7, 384):
+        embedder = HashEmbedder(dim)
+        cold = [embedder(t) for t in texts]
+        warm = [embedder(t) for t in texts]
+        fresh = [HashEmbedder(dim)(t) for t in texts]
+        for text, a, b, c in zip(texts, cold, warm, fresh):
+            expected = _inline_hash_embedding(text, dim)
+            for vec in (a, b, c):
+                assert vec.tobytes() == expected.tobytes()

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import math
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from orion.corpus import Document
 from orion.vocab import TfidfTable, head_phrase, tokenize
 
@@ -60,3 +66,106 @@ def test_neighbors_come_from_cooccurring_docs():
     neigh = table.neighbors("solar", 5)
     assert "energy" in neigh
     assert "turbines" not in neigh  # never co-occurs with solar
+
+
+class CounterTable:
+    """Reference: scan every document set and sum a Counter per matching row."""
+
+    def __init__(self, doc_tokens: list[list[str]]):
+        self._doc_tokens = doc_tokens
+        self._doc_sets = [set(toks) for toks in doc_tokens]
+        self.n_docs = len(doc_tokens)
+        df: Counter[str] = Counter()
+        for toks in self._doc_sets:
+            df.update(toks)
+        self._idf = {
+            term: math.log(self.n_docs / (1 + count)) + 1.0 for term, count in df.items()
+        }
+
+    def idf(self, term: str) -> float:
+        return self._idf.get(term, math.log(float(self.n_docs)) + 1.0)
+
+    def _ranked(self, scores: Counter[str], j: int, exclude: set[str]) -> list[str]:
+        ranked = sorted(
+            ((term, s) for term, s in scores.items() if term not in exclude and s > 0),
+            key=lambda kv: (-kv[1], kv[0]),
+        )
+        return [term for term, _ in ranked[:j]]
+
+    def top_terms(self, text: str, j: int, exclude=()) -> list[str]:
+        tf = Counter(tokenize(text))
+        scores = Counter({term: count * self.idf(term) for term, count in tf.items()})
+        return self._ranked(scores, j, set(exclude))
+
+    def expansions(self, query_text: str, j: int, exclude=()) -> list[str]:
+        qtokens = set(tokenize(query_text))
+        if not qtokens:
+            return []
+        rows = [i for i, s in enumerate(self._doc_sets) if qtokens <= s]
+        if not rows:
+            rows = [i for i, s in enumerate(self._doc_sets) if qtokens & s]
+        scores: Counter[str] = Counter()
+        for i in rows:
+            for term, count in Counter(self._doc_tokens[i]).items():
+                scores[term] += count * self.idf(term)
+        return self._ranked(scores, j, qtokens | set(exclude))
+
+    def neighbors(self, term: str, j: int, exclude=()) -> list[str]:
+        rows = [i for i, s in enumerate(self._doc_sets) if term in s]
+        scores: Counter[str] = Counter()
+        for i in rows:
+            for other, count in Counter(self._doc_tokens[i]).items():
+                scores[other] += count * self.idf(other)
+        return self._ranked(scores, j, {term} | set(exclude))
+
+
+# A small vocabulary, so tokens repeat within documents and tf*idf ties are common;
+# "the" and "of" are stopwords, "zz" is never in a document.
+WORDS = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta", "the", "of"]
+texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join)
+queries = st.lists(st.sampled_from(WORDS + ["zz"]), max_size=4).map(" ".join)
+excludes = st.lists(st.sampled_from(WORDS + ["zz"]), max_size=3)
+J_VALUES = (-1, 0, 1, 3, 50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=st.lists(texts, min_size=1, max_size=12), query=queries, exclude=excludes)
+def test_index_matches_the_counter_oracle(docs, query, exclude):
+    documents = [Document(f"d{i}", text) for i, text in enumerate(docs)]
+    table = TfidfTable.from_documents(documents)
+    oracle = CounterTable([tokenize(f"{d.title} {d.text}") for d in documents])
+    # the query's own tokens in the exclude list, as the archetypes pass them
+    overlapping = exclude + tokenize(query)[:1]
+    for word in WORDS + ["zz"]:
+        assert table.idf(word) == oracle.idf(word)
+    for j in J_VALUES:
+        for ex in (exclude, overlapping):
+            assert table.expansions(query, j, ex) == oracle.expansions(query, j, ex)
+            assert table.top_terms(query, j, ex) == oracle.top_terms(query, j, ex)
+        for word in WORDS + ["zz"]:
+            assert table.neighbors(word, j, exclude) == oracle.neighbors(word, j, exclude)
+
+
+def test_index_matches_the_oracle_on_named_cases():
+    docs = [
+        Document("d1", "solar panels rooftop solar"),
+        Document("d2", "wind turbines offshore wind"),
+        Document("d3", "solar wind hybrid"),
+        Document("d4", "rooftop turbines"),
+    ]
+    table = TfidfTable.from_documents(docs)
+    oracle = CounterTable([tokenize(d.text) for d in docs])
+    cases = [
+        ("unknown", "zz yy"),
+        ("stopwords only", "the of and"),
+        ("any-token fallback", "panels offshore"),
+        ("all tokens in one doc", "solar wind"),
+        ("one unknown token", "solar zz"),
+    ]
+    for _, query in cases:
+        for j in J_VALUES:
+            for ex in ((), ("solar",), ("rooftop", "zz")):
+                assert table.expansions(query, j, ex) == oracle.expansions(query, j, ex)
+    assert table.expansions("panels offshore", 50) == oracle.expansions("panels offshore", 50) != []
+    assert table.expansions("zz yy", 3) == table.expansions("the of", 3) == []
+    assert table.neighbors("zz", 3) == []
