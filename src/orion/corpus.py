@@ -1,11 +1,14 @@
 """Document corpus with a flat (exhaustive) cosine-similarity index.
 
 The index is the reference retrieval backend: every search is an exact scan
-over the full embedding matrix, scored by cosine similarity, with ties broken
-by ascending document id. `CorpusIndex.search` is the one method that scores a
-query: the top-k and, when targets are given, the best target similarity and
-rank all come from that single score vector. The index is immutable after
-construction and safe for concurrent readers.
+over the full matrix of unit-normalised embeddings, scored by cosine
+similarity, with ties broken by ascending document id. `CorpusIndex.search` is
+the one method that scores a query: the top-k and, when targets are given, the
+best target similarity and rank all come from that single score vector. The
+top-k is picked by a partial selection (exact flat inner-product search, as in
+FAISS `IndexFlatIP`), widened to every score tied with the k-th, so only the
+selected rows are sorted. The index is immutable after construction and safe
+for concurrent readers.
 
 Ranks are 0-based everywhere; absence of a document is the ``NOT_FOUND``
 sentinel, not an error.
@@ -72,8 +75,15 @@ class RankedResults:
 
 
 def as_embedding(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Validate and coerce a vector to a 1-D float64 array."""
-    vec = np.asarray(values, dtype=np.float64)
+    """Validate and coerce a vector to a 1-D float64 array.
+
+    Raises CorpusError for values numpy cannot convert to float64, for any
+    shape other than a non-empty vector, and for non-finite entries.
+    """
+    try:
+        vec = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CorpusError(f"embedding is not a vector of numbers: {exc}") from exc
     if vec.ndim != 1 or vec.size == 0:
         raise CorpusError(f"embedding must be a non-empty 1-D vector, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
@@ -99,15 +109,15 @@ def cosine_similarity(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.n
 class CorpusIndex:
     """Immutable flat index over a document corpus.
 
-    Internally documents are stored in ascending-id order so that a stable
-    sort on descending similarity yields the deterministic id tie-break for
-    free.
+    Rows are stored in ascending-id order, so ordering by (-score, row) is
+    ordering by score descending, then doc id ascending. The index keeps one
+    matrix, the unit rows, plus each row's norm to give back the embedding.
     """
 
     documents: tuple[Document, ...]
     dim: int
-    _matrix: np.ndarray = field(repr=False)        # (n, dim) float64, id-ascending rows
-    _unit: np.ndarray = field(repr=False)          # row-normalized copy of _matrix
+    _unit: np.ndarray = field(repr=False)          # (n, dim) float64 unit rows, id-ascending
+    _norms: np.ndarray = field(repr=False)         # (n,) float64 norm of each input row
     _row_of: dict[str, int] = field(repr=False)
     _ids: tuple[str, ...] = field(repr=False)
 
@@ -121,7 +131,14 @@ class CorpusIndex:
         return doc_id in self._row_of
 
     def embedding_of(self, doc_id: str) -> np.ndarray:
-        return self._matrix[self._row_of[doc_id]].copy()
+        """The document's embedding, rebuilt as unit row times norm.
+
+        That is within about one ulp of the vector given to `build_index`, and
+        equal to it after a float32 cast (as `dataio.write_embeddings` does)
+        when the input was float32 widened to float64, as ORNE vectors are.
+        """
+        row = self._row_of[doc_id]
+        return self._unit[row] * self._norms[row]
 
     def _scores(self, query_emb: Sequence[float] | np.ndarray) -> np.ndarray:
         q = as_embedding(query_emb)
@@ -147,8 +164,16 @@ class CorpusIndex:
         if k < 1:
             raise CorpusError(f"k must be >= 1, got {k}")
         scores = self._scores(query_emb)
-        # rows are id-ascending, so a stable sort gives the id tie-break
-        order = np.argsort(-scores, kind="stable")[: min(k, len(self.documents))]
+        n = scores.shape[0]
+        kk = min(k, n)
+        if kk < n:
+            # every score tied with the k-th is kept, so the id tie-break
+            # below picks among all of them
+            kth = np.partition(scores, n - kk)[n - kk]
+            rows = np.flatnonzero(scores >= kth)
+        else:
+            rows = np.arange(n)
+        order = rows[np.lexsort((rows, -scores[rows]))][:kk]
         entries = tuple(ScoredDoc(self._ids[i], float(scores[i])) for i in order)
         targets = set(target_ids)
         if not targets:
@@ -170,7 +195,8 @@ def build_index(
     """Build an immutable flat index.
 
     Every document must have exactly one embedding and all embeddings must
-    share one dimension; duplicate ids are rejected.
+    share one dimension; duplicate ids and embeddings for ids that are not in
+    the corpus are rejected.
     """
     docs = sorted(documents, key=lambda d: d.doc_id)
     if not docs:
@@ -180,6 +206,11 @@ def build_index(
         if d.doc_id in seen:
             raise CorpusError(f"duplicate id {d.doc_id!r}")
         seen.add(d.doc_id)
+    unknown = sorted(set(embeddings) - seen)
+    if unknown:
+        raise CorpusError(
+            f"{len(unknown)} embeddings for docs not in the corpus, first {unknown[:3]}"
+        )
 
     vectors: list[np.ndarray] = []
     dim: int | None = None
@@ -201,13 +232,13 @@ def build_index(
     if np.any(norms == 0.0):
         bad = [docs[i].doc_id for i in np.nonzero(norms[:, 0] == 0.0)[0]]
         raise CorpusError(f"zero-norm embedding for docs {bad}")
-    unit = matrix / norms
+    matrix /= norms
 
     return CorpusIndex(
         documents=tuple(docs),
         dim=dim,
-        _matrix=matrix,
-        _unit=unit,
+        _unit=matrix,
+        _norms=norms[:, 0],
         _row_of={d.doc_id: i for i, d in enumerate(docs)},
         _ids=tuple(d.doc_id for d in docs),
     )

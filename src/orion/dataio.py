@@ -13,6 +13,7 @@ Readers auto-detect the flavor from the magic bytes.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -26,17 +27,25 @@ VERSION = 1
 
 
 def _json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line; bad JSON is a CorpusError."""
+    """(line number, object) for each non-blank line. Bad JSON, a line that is
+    not a JSON object, or a file that is not UTF-8 text is a CorpusError."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            yield lineno, obj
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise CorpusError(
+                        f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+                    )
+                yield lineno, obj
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def read_corpus(path: str | Path) -> list[Document]:
@@ -110,6 +119,7 @@ def write_embeddings(embeddings: Mapping[str, np.ndarray], path: str | Path) -> 
 
 def _read_embeddings_binary(path: Path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise CorpusError(f"{path}: bad magic {magic!r}")
@@ -119,15 +129,23 @@ def _read_embeddings_binary(path: Path) -> dict[str, np.ndarray]:
         version, dim, count = struct.unpack("<IIQ", header)
         if version != VERSION:
             raise CorpusError(f"{path}: unsupported version {version}")
+        # checked before reading, so a bad count, dim or id length never
+        # makes a read larger than the file
+        need, left = count * (4 + 4 * dim), size - fh.tell()
+        if need > left:
+            raise CorpusError(
+                f"{path}: truncated: header claims {count} records of dim {dim}, "
+                f"at least {need} bytes, but {left} bytes follow it"
+            )
         out: dict[str, np.ndarray] = {}
         for i in range(count):
             head = fh.read(4)
             if len(head) != 4:
                 raise CorpusError(f"{path}: truncated record {i} (id length)")
             (id_len,) = struct.unpack("<I", head)
-            raw_id = fh.read(id_len)
-            if len(raw_id) != id_len:
+            if id_len > size - fh.tell():
                 raise CorpusError(f"{path}: truncated record {i} (id)")
+            raw_id = fh.read(id_len)
             try:
                 doc_id = raw_id.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -138,6 +156,9 @@ def _read_embeddings_binary(path: Path) -> dict[str, np.ndarray]:
             if doc_id in out:
                 raise CorpusError(f"{path}: record {i}: duplicate id {doc_id!r}")
             out[doc_id] = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        trailing = size - fh.tell()
+        if trailing:
+            raise CorpusError(f"{path}: {trailing} trailing bytes after {count} records")
         return out
 
 
@@ -149,7 +170,10 @@ def _read_embeddings_jsonl(path: Path) -> dict[str, np.ndarray]:
         doc_id = str(obj["id"])
         if doc_id in out:
             raise CorpusError(f"{path}:{lineno}: duplicate id {doc_id!r}")
-        out[doc_id] = as_embedding(obj["vector"])
+        try:
+            out[doc_id] = as_embedding(obj["vector"])
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

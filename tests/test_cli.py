@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 
-from orion.cli import _build_config, build_parser
+import numpy as np
+
+from orion import dataio
+from orion.cli import _build_config, build_parser, main
 from orion.config import RunConfig
+from orion.corpus import Document
 
 
 def test_common_flags_land_on_their_config_fields():
@@ -27,3 +31,17 @@ def test_common_flags_land_on_their_config_fields():
 def test_absent_flags_keep_defaults():
     cfg = _build_config(build_parser().parse_args(["run"]), check_paths=False)
     assert cfg == RunConfig()
+
+
+def test_index_of_an_orne_input_writes_the_same_bytes(tmp_path):
+    rng = np.random.default_rng(11)
+    docs = [Document(f"doc-{i:03d}", f"body {i}") for i in range(200)]
+    dataio.write_corpus(docs, tmp_path / "corpus.jsonl")
+    source = tmp_path / "emb.orne"
+    dataio.write_embeddings(
+        {d.doc_id: rng.normal(size=16) * 10.0 ** rng.integers(-6, 7) for d in docs}, source
+    )
+    argv = ["index", "--corpus", str(tmp_path / "corpus.jsonl"),
+            "--embeddings", str(source), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert (tmp_path / "out" / "index" / "embeddings.orne").read_bytes() == source.read_bytes()

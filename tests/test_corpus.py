@@ -12,6 +12,7 @@ from orion.corpus import (
     NOT_FOUND,
     CorpusError,
     Document,
+    ScoredDoc,
     build_index,
     cosine_similarity,
 )
@@ -35,6 +36,21 @@ def docs_for(vectors: dict[str, list[float]]):
     return [Document(doc_id, f"text {doc_id}") for doc_id in vectors]
 
 
+def argsort_search(index, query, k: int, targets=frozenset()):
+    """Reference selection: a full stable argsort of the index's own score
+    vector, so the result must match `search` bit for bit. Returns
+    (entries, target_sim, target_rank)."""
+    scores = index._scores(query)
+    order = np.argsort(-scores, kind="stable")
+    entries = tuple(ScoredDoc(index._ids[i], float(scores[i])) for i in order[:k])
+    if not targets:
+        return entries, None, None
+    positions = [pos for pos, i in enumerate(order) if index._ids[i] in targets]
+    if not positions:
+        return entries, None, NOT_FOUND
+    return entries, float(scores[order[positions[0]]]), positions[0]
+
+
 class TestBuildIndex:
     def test_count_preserved(self):
         vectors = {"d1": [1, 0, 0, 0], "d2": [0, 1, 0, 0], "d3": [0, 0, 1, 0]}
@@ -55,6 +71,24 @@ class TestBuildIndex:
         vectors = {"d1": [1.0, 0.0], "d2": [1.0, 0.0, 0.0]}
         with pytest.raises(CorpusError, match="dimension mismatch"):
             build_index(docs_for(vectors), vectors)
+
+    def test_embeddings_for_unknown_docs_rejected(self):
+        vectors = {"d1": [1.0, 0.0]}
+        extra = {**vectors, "zz": [1.0, 1.0], "x": [0.0, 1.0], "y": [1.0, 2.0], "w": [2.0, 1.0]}
+        with pytest.raises(CorpusError, match=r"4 embeddings for docs not in the corpus, "
+                                              r"first \['w', 'x', 'y'\]"):
+            build_index(docs_for(vectors), extra)
+
+    def test_embedding_of_gives_back_the_input(self):
+        rng = np.random.default_rng(4)
+        vectors = {f"d{i}": rng.normal(size=6) * 10.0 ** rng.integers(-3, 4) for i in range(30)}
+        widened = {k: v.astype(np.float32).astype(np.float64) for k, v in vectors.items()}
+        index = build_index(docs_for(vectors), vectors)
+        from_f32 = build_index(docs_for(widened), widened)
+        for doc_id, vec in vectors.items():
+            np.testing.assert_array_max_ulp(index.embedding_of(doc_id), vec, maxulp=2)
+            f32 = from_f32.embedding_of(doc_id).astype(np.float32)
+            assert f32.tobytes() == widened[doc_id].astype(np.float32).tobytes()
 
     def test_non_finite_embedding_rejected(self):
         vectors = {"d1": [1.0, float("nan")]}
@@ -141,6 +175,13 @@ class TestSearch:
         index = build_index(docs_for(vectors), vectors)
         assert index.search([1.0, 0.0], k=3).doc_ids() == ["abc", "zed", "mid"]
 
+    def test_top_k_boundary_inside_a_tie_group(self):
+        vectors = {"d": [1, 1], "a": [0, 1], "c": [1, 1], "e": [1, 0], "b": [1, 1]}
+        index = build_index(docs_for(vectors), vectors)
+        full = ["e", "b", "c", "d", "a"]
+        for k in range(1, 7):
+            assert index.search([1, 0], k).doc_ids() == full[:k]
+
     def test_rebuild_determinism(self):
         rng = random.Random(3)
         vectors = {f"d{i}": [rng.gauss(0, 1) for _ in range(6)] for i in range(12)}
@@ -223,3 +264,16 @@ def test_target_metrics_match_a_full_ordering(case):
         assert results.target_rank == min(ordering.index(t) for t in indexed)
         best = max(cosine_similarity(query, vectors[t]) for t in indexed)
         assert results.target_sim == pytest.approx(best, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_case())
+def test_search_matches_a_full_stable_argsort(case):
+    """Every depth from 1 to n + 1, so k = 1, k = n, k > n and each k whose
+    boundary falls inside a tie group are all compared."""
+    vectors, query, _, targets = case
+    index = build_index(docs_for(vectors), vectors)
+    for k in range(1, len(vectors) + 2):
+        results = index.search(query, k, targets)
+        got = (results.entries, results.target_sim, results.target_rank)
+        assert got == argsort_search(index, query, k, targets)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orion import dataio
 from orion.corpus import CorpusError, Document
@@ -124,8 +128,9 @@ def test_invalid_json_line_names_file_and_line(tmp_path, reader, name):
     [(2, r"record 1 \(id length\)"), (6, r"record 1 \(id\)")],
 )
 def test_truncated_binary_id_fields_name_the_record(tmp_path, cut, what):
-    full = _orne([(b"a", [1.0, 2.0]), (b"bcd", [3.0, 4.0])])
-    record_1 = 20 + 4 + 1 + 8
+    # the long first id leaves enough bytes to pass the header's size check
+    full = _orne([(b"a" * 16, [1.0, 2.0]), (b"bcd", [3.0, 4.0])])
+    record_1 = 20 + 4 + 16 + 8
     path = tmp_path / "emb.orne"
     path.write_bytes(full[: record_1 + cut])
     with pytest.raises(CorpusError, match=f"truncated {what}"):
@@ -151,3 +156,120 @@ def test_duplicate_jsonl_embedding_id_is_rejected(tmp_path):
     path.write_text('{"id": "d1", "vector": [1.0, 2.0]}\n{"id": "d1", "vector": [0.5, -1.0]}\n')
     with pytest.raises(CorpusError, match="emb.jsonl:2: duplicate id 'd1'"):
         dataio.read_embeddings(path)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (struct.pack("<IIQ", 1, 2, 3), r"header claims 3 records of dim 2"),
+        (struct.pack("<IIQ", 1, 2**32 - 1, 1), r"header claims 1 records of dim 4294967295"),
+        (struct.pack("<IIQ", 1, 2, 2**64 - 1), r"header claims 18446744073709551615 records"),
+    ],
+    ids=["count", "dim", "max-count"],
+)
+def test_header_claiming_more_than_the_file_holds_is_rejected(tmp_path, header, message):
+    body = _orne([(b"a", [1.0, 2.0]), (b"b", [3.0, 4.0])])[20:]
+    path = tmp_path / "emb.orne"
+    path.write_bytes(b"ORNE" + header + body)
+    with pytest.raises(CorpusError, match=rf"emb.orne: truncated: {message}"):
+        dataio.read_embeddings(path)
+
+
+def test_binary_id_length_beyond_the_file_is_rejected_before_reading(tmp_path):
+    raw = bytearray(_orne([(b"a" * 16, [1.0, 2.0]), (b"b", [3.0, 4.0])]))
+    raw[20:24] = struct.pack("<I", 2**31)
+    path = tmp_path / "emb.orne"
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorpusError, match=r"truncated record 0 \(id\)"):
+            dataio.read_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # no buffer sized by the bad id length
+
+
+@pytest.mark.parametrize(
+    "extra, count", [(b"\x00", 1), (_orne([(b"c", [5.0, 6.0])])[20:], 13)], ids=["byte", "record"]
+)
+def test_trailing_bytes_after_the_last_record_are_rejected(tmp_path, extra, count):
+    path = tmp_path / "emb.orne"
+    path.write_bytes(_orne([(b"a", [1.0, 2.0]), (b"b", [3.0, 4.0])]) + extra)
+    with pytest.raises(CorpusError, match=rf"emb.orne: {count} trailing bytes after 2 records"):
+        dataio.read_embeddings(path)
+
+
+@pytest.mark.parametrize(
+    "vector",
+    ['"abc"', '{"a": 1}', "[1, [2]]", '[1, "x"]', "[" + "9" * 400 + "]", "null", "[]", "[[1.0]]",
+     "[NaN]", "[1e999]"],
+    ids=["string", "object", "ragged", "mixed", "overflow", "null", "empty", "matrix", "nan", "inf"],
+)
+def test_bad_jsonl_vector_names_file_and_line(tmp_path, vector):
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"id": "d1", "vector": [1.0]}\n{"id": "d2", "vector": ' + vector + "}\n")
+    with pytest.raises(CorpusError, match=r"emb.jsonl:2: embedding "):
+        dataio.read_embeddings(path)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "7", '"text"', "null"])
+def test_json_line_that_is_not_an_object_names_file_and_line(tmp_path, line):
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"id": "d1", "vector": [1.0]}\n' + line + "\n")
+    with pytest.raises(CorpusError, match=r"emb.jsonl:2: expected a JSON object"):
+        dataio.read_embeddings(path)
+
+
+def test_jsonl_file_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_bytes(b'{"id": "d1", "vector": [1.0]}\n{"id": "\xff"}\n')
+    with pytest.raises(CorpusError, match=r"emb.jsonl: not UTF-8 text"):
+        dataio.read_embeddings(path)
+
+
+def _assert_read_back_or_typed_error(path) -> None:
+    """The reader either returns 1-D float64 vectors of one length or raises CorpusError."""
+    try:
+        loaded = dataio.read_embeddings(path)
+    except CorpusError:
+        return
+    assert all(isinstance(doc_id, str) for doc_id in loaded)
+    assert all(vec.dtype == np.float64 and vec.ndim == 1 for vec in loaded.values())
+    assert len({vec.shape[0] for vec in loaded.values()}) <= 1
+
+
+_orne_records = st.lists(
+    st.tuples(st.text(min_size=1, max_size=6), st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)),
+    min_size=1, max_size=4, unique_by=lambda r: r[0],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=_orne_records, data=st.data())
+def test_fuzzed_binary_embeddings_read_back_or_raise_corpus_error(tmp_path_factory, records, data):
+    raw = bytearray(_orne([(doc_id.encode("utf-8"), vec) for doc_id, vec in records], dim=3))
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        raw[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path = tmp_path_factory.mktemp("fuzz") / "emb.orne"
+    path.write_bytes(bytes(raw))
+    _assert_read_back_or_typed_error(path)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector=_json_values, whole_line=st.booleans())
+def test_fuzzed_jsonl_vectors_read_back_or_raise_corpus_error(tmp_path_factory, vector, whole_line):
+    line = json.dumps(vector if whole_line else {"id": "d1", "vector": vector})
+    path = tmp_path_factory.mktemp("fuzz") / "emb.jsonl"
+    path.write_text(line + "\n")
+    _assert_read_back_or_typed_error(path)
