@@ -217,7 +217,10 @@ def build_index(
     for d in docs:
         if d.doc_id not in embeddings:
             raise CorpusError(f"missing embedding for doc {d.doc_id!r}")
-        vec = as_embedding(embeddings[d.doc_id])
+        try:
+            vec = as_embedding(embeddings[d.doc_id])
+        except CorpusError as exc:
+            raise CorpusError(f"doc {d.doc_id!r}: {exc}") from exc
         if dim is None:
             dim = vec.shape[0]
         elif vec.shape[0] != dim:

@@ -26,36 +26,51 @@ MAGIC = b"ORNE"
 VERSION = 1
 
 
-def _json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line. Bad JSON, a line that is
-    not a JSON object, or a file that is not UTF-8 text is a CorpusError."""
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line; a file that is not UTF-8 text is a CorpusError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise CorpusError(
-                        f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
-                    )
-                yield lineno, obj
+            yield from enumerate(fh, 1)
         except UnicodeDecodeError as exc:
             raise CorpusError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def _json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line. Bad JSON, a line that is
+    not a JSON object, or a file that is not UTF-8 text is a CorpusError."""
+    for lineno, line in _lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+        yield lineno, obj
+
+
+def _text(path: str | Path, lineno: int, key: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise CorpusError(f"{path}:{lineno}: `{key}` must be a string, got {type(value).__name__}")
+    return value
+
+
 def read_corpus(path: str | Path) -> list[Document]:
-    """Read a JSON Lines corpus with `_id`, `title`, `text` fields."""
+    """Read a JSON Lines corpus with `_id`, `title`, `text` fields; a missing
+    or null title is empty."""
     docs: list[Document] = []
     for lineno, obj in _json_lines(path):
         if "_id" not in obj or "text" not in obj:
             raise CorpusError(f"{path}:{lineno}: corpus line needs `_id` and `text`")
+        title = obj.get("title")
         docs.append(
-            Document(doc_id=str(obj["_id"]), text=obj["text"], title=obj.get("title") or "")
+            Document(
+                doc_id=str(obj["_id"]),
+                text=_text(path, lineno, "text", obj["text"]),
+                title=_text(path, lineno, "title", "" if title is None else title),
+            )
         )
     return docs
 
@@ -69,22 +84,21 @@ def write_corpus(docs: Iterable[Document], path: str | Path) -> None:
 def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
     """Read tab-separated qrels `query-id<TAB>doc-id<TAB>score`; header optional."""
     qrels: dict[str, dict[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
+    for lineno, line in _lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise CorpusError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        qid, did, score = parts
+        try:
+            grade = int(score)
+        except ValueError:
+            if lineno == 1:  # header row
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise CorpusError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            qid, did, score = parts
-            try:
-                grade = int(score)
-            except ValueError:
-                if lineno == 1:  # header row
-                    continue
-                raise CorpusError(f"{path}:{lineno}: non-integer score {score!r}")
-            qrels.setdefault(qid, {})[did] = grade
+            raise CorpusError(f"{path}:{lineno}: non-integer score {score!r}")
+        qrels.setdefault(qid, {})[did] = grade
     return qrels
 
 
@@ -94,7 +108,7 @@ def read_queries(path: str | Path) -> list[tuple[str, str]]:
     for lineno, obj in _json_lines(path):
         if "_id" not in obj or "text" not in obj:
             raise CorpusError(f"{path}:{lineno}: query line needs `_id` and `text`")
-        out.append((str(obj["_id"]), obj["text"]))
+        out.append((str(obj["_id"]), _text(path, lineno, "text", obj["text"])))
     return out
 
 

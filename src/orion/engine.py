@@ -9,11 +9,15 @@ and keeps the top B; success is checked on the survivors after pruning.
 Only the `<search_query>` content is embedded for retrieval; think spans never
 reach the retriever. Each action costs one retrieval: its top-k, the logged
 similarity to target and target rank, and the success check all come from
-the turn's own `RankedResults`.
+the turn's own `RankedResults`. A retrieval repeated within the last
+`RETRIEVE_MEMO_SIZE` distinct ones (a GRPO group or beam turn whose
+candidates issue the same query, archetypes that open with the user's query)
+is answered from `Retriever`'s memo without a new embedding or scan.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -41,8 +45,20 @@ from .trace import (
 log = logging.getLogger(__name__)
 
 
+# Distinct (query, k, targets) retrievals a Retriever remembers.
+RETRIEVE_MEMO_SIZE = 64
+
+
 class Retriever:
-    """An index paired with the query embedder; one retrieval surface."""
+    """An index paired with the query embedder; one retrieval surface.
+
+    `retrieve` keeps the results of the last `RETRIEVE_MEMO_SIZE` distinct
+    (query, k, target set) keys in an LRU memo, so a repeated query costs
+    neither an embedding nor a scan. The memo assumes `embed` is a pure
+    function of the text. It is safe to share across threads: two threads
+    missing on one key both compute it, with equal results, and an exception
+    is never stored, so a failed embedding is retried on the next call.
+    """
 
     def __init__(
         self,
@@ -54,8 +70,16 @@ class Retriever:
         self.embed = embed
         self.snippet_chars = snippet_chars
 
+        # a closure, not a bound method, so the memo holds no reference back
+        # to the Retriever and a dropped Retriever frees its index at once
+        @functools.lru_cache(maxsize=RETRIEVE_MEMO_SIZE)
+        def search(query: str, k: int, targets: frozenset[str]) -> RankedResults:
+            return index.search(embed(query), k, targets)
+
+        self._search = search
+
     def retrieve(self, query: str, k: int, target_ids: Iterable[str] = ()) -> RankedResults:
-        return self.index.search(self.embed(query), k, target_ids)
+        return self._search(query, k, frozenset(target_ids))
 
     def best_similarity(self, query: str) -> float:
         """Best corpus similarity for a query (greedy_hill's probe signal)."""

@@ -44,6 +44,7 @@ from .trace import (
 )
 
 ZSCORE_GUARD = 1e-8
+COSINE_ROUNDING = 1e-9  # how far past [-1, 1] a computed cosine may round
 DEFAULT_BETA = 0.1  # KL coefficient echoed for the external trainer
 DEFAULT_GROUP_SIZE = 4
 
@@ -53,9 +54,15 @@ class RewardError(ValueError):
 
 
 def normalize_similarity(sim: float) -> float:
-    """Map a cosine similarity in [-1, 1] to [0, 1]."""
-    if not -1.0 <= sim <= 1.0 or not math.isfinite(sim):
+    """Map a cosine similarity in [-1, 1] to [0, 1].
+
+    A float64 cosine of two parallel vectors can round to a few ulps past
+    +-1 (a query equal to a document scores 1.0000000000000002); values within
+    `COSINE_ROUNDING` of the range are clamped to it.
+    """
+    if not -1.0 - COSINE_ROUNDING <= sim <= 1.0 + COSINE_ROUNDING or not math.isfinite(sim):
         raise RewardError(f"similarity {sim} outside [-1, 1]")
+    sim = min(max(sim, -1.0), 1.0)
     return sim if sim >= 0.0 else (sim + 1.0) / 2.0
 
 

@@ -307,7 +307,10 @@ def _parse_results(content: str) -> tuple[RetrievedDoc, ...]:
     docs: list[RetrievedDoc] = []
     for i, line in enumerate(content[1:-1].split("\n"), 1):
         m = _RESULT_LINE_RE.fullmatch(line)
-        if not m or int(m.group(1)) != i:
+        # compared as text: int() of a digit string past CPython's length
+        # limit raises a bare ValueError, and "01" or non-ASCII digits are not
+        # what the serializer writes
+        if not m or m.group(1) != str(i):
             raise TraceParseError(f"malformed result line {i}: {line[:40]!r}")
         docs.append(RetrievedDoc(text=m.group(2)))
     return tuple(docs)

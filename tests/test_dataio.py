@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orion import dataio
-from orion.corpus import CorpusError, Document
+from orion.corpus import CorpusError, Document, build_index
 
 
 def test_corpus_round_trip(tmp_path):
@@ -226,6 +226,47 @@ def test_jsonl_file_that_is_not_utf8_names_the_file(tmp_path):
     path.write_bytes(b'{"id": "d1", "vector": [1.0]}\n{"id": "\xff"}\n')
     with pytest.raises(CorpusError, match=r"emb.jsonl: not UTF-8 text"):
         dataio.read_embeddings(path)
+
+
+def test_qrels_file_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "qrels.tsv"
+    path.write_bytes(b"q1\td1\t1\nq\xff\td2\t1\n")
+    with pytest.raises(CorpusError, match=r"qrels.tsv: not UTF-8 text"):
+        dataio.read_qrels(path)
+
+
+@pytest.mark.parametrize(
+    "reader, line, key",
+    [
+        (dataio.read_corpus, {"_id": "a", "text": 5}, "text"),
+        (dataio.read_corpus, {"_id": "a", "text": ["body"]}, "text"),
+        (dataio.read_corpus, {"_id": "a", "text": None}, "text"),
+        (dataio.read_corpus, {"_id": "a", "text": "body", "title": 5}, "title"),
+        (dataio.read_corpus, {"_id": "a", "text": "body", "title": False}, "title"),
+        (dataio.read_queries, {"_id": "q", "text": 5}, "text"),
+        (dataio.read_queries, {"_id": "q", "text": {"t": "x"}}, "text"),
+    ],
+)
+def test_non_string_text_or_title_names_file_and_line(tmp_path, reader, line, key):
+    path = tmp_path / "lines.jsonl"
+    path.write_text('{"_id": "ok", "text": "fine"}\n' + json.dumps(line) + "\n")
+    with pytest.raises(CorpusError, match=rf"lines.jsonl:2: `{key}` must be a string"):
+        reader(path)
+
+
+def test_missing_or_null_title_reads_as_empty(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"_id": "a", "text": "x"}\n{"_id": "b", "text": "y", "title": null}\n')
+    assert [d.title for d in dataio.read_corpus(path)] == ["", ""]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_orne_vector_names_the_doc(tmp_path, bad):
+    path = tmp_path / "emb.orne"
+    path.write_bytes(_orne([(b"a", [1.0, 2.0]), (b"b", [bad, 1.0])]))
+    docs = [Document("a", "first"), Document("b", "second")]
+    with pytest.raises(CorpusError, match=r"doc 'b': embedding contains non-finite values"):
+        build_index(docs, dataio.read_embeddings(path))
 
 
 def _assert_read_back_or_typed_error(path) -> None:

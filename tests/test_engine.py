@@ -1,19 +1,27 @@
 from __future__ import annotations
 
+import gc
 import math
+import sys
+import weakref
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from orion.corpus import NOT_FOUND, RankedResults, ScoredDoc
 from orion.engine import (
+    RETRIEVE_MEMO_SIZE,
     Beam,
     EpisodeConfig,
+    Retriever,
     beam_search,
     check_success,
     run_batch,
     run_episode,
 )
-from orion.policy import Action, ArchetypeConfig, PolicyError, ScriptedPolicy
+from orion.policy import Action, ArchetypeConfig, PolicyError, ScriptedPolicy, derive_rng
+from orion.rewards import GrpoConfig, collect_grouped_episode
 from orion.trace import serialize_trace
 
 from conftest import TREE_QUERY, axis, make_stub_retriever, mix
@@ -315,3 +323,120 @@ def test_not_found_rank_recorded_for_absent_target():
     cfg = EpisodeConfig(k=1, max_turns=1, target_ids=frozenset({"ghost"}))
     result = run_episode(ConstantPolicy("find"), retriever, "find", cfg)
     assert result.per_turn_ranks == (NOT_FOUND,)
+
+
+# --- the retrieval memo ------------------------------------------------------------
+
+
+class CountingEmbedder:
+    """Wraps an embedder and counts its calls per text; can fail on chosen calls."""
+
+    def __init__(self, inner, fail_calls: int = 0):
+        self.inner = inner
+        self.calls: Counter[str] = Counter()
+        self.fail_calls = fail_calls
+
+    def __call__(self, text: str):
+        self.calls[text] += 1
+        if self.fail_calls:
+            self.fail_calls -= 1
+            raise ConnectionError("embedding service unavailable")
+        return self.inner(text)
+
+
+def counting_retriever(tree_retriever, fail_calls: int = 0) -> tuple[Retriever, CountingEmbedder]:
+    embed = CountingEmbedder(tree_retriever.embed, fail_calls)
+    return Retriever(tree_retriever.index, embed), embed
+
+
+class TestRetrieverMemo:
+    def test_grouped_candidates_repeating_q0_embed_it_once(self, tree_retriever, tree_resources):
+        retriever, embed = counting_retriever(tree_retriever)
+        policy = ScriptedPolicy(ArchetypeConfig(kind="adaptive_context", seed=3), tree_resources)
+        cfg = EpisodeConfig(k=5, max_turns=1, target_ids=frozenset({"t3b"}))
+        _, groups = collect_grouped_episode(
+            policy, retriever, TREE_QUERY, cfg, GrpoConfig(group_size=4), derive_rng(0, "memo")
+        )
+        assert [c.query for c in groups[0].candidates] == [TREE_QUERY] * 4
+        assert embed.calls == {TREE_QUERY: 1}
+
+    def test_beam_embeds_each_distinct_query_once_per_turn(self, tree_retriever):
+        retriever, embed = counting_retriever(tree_retriever)
+        a, b = "machine learning neural", "machine learning transformers"
+        c, d = "neural transformers attention", "transformers attention heads"
+        # both survivors of turn 1 propose the same two queries at turn 2
+        policy = TablePolicy({(1, ""): [a, b], (2, a): [c, d], (2, b): [c, d]})
+        cfg = EpisodeConfig(k=2, max_turns=2)
+        result = beam_search(policy, retriever, "root", 2, 2, cfg)
+        assert result.beam_sizes == (2, 2)
+        assert embed.calls == {a: 1, b: 1, c: 1, d: 1}
+
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    @pytest.mark.parametrize("targets", [(), ("t2",), ("t3a", "o1", "missing")])
+    def test_a_hit_equals_a_fresh_search(self, tree_retriever, k, targets):
+        retriever, embed = counting_retriever(tree_retriever)
+        first = retriever.retrieve(TREE_QUERY, k, targets)
+        hit = retriever.retrieve(TREE_QUERY, k, list(reversed(targets)))
+        fresh = tree_retriever.index.search(embed.inner(TREE_QUERY), k, targets)
+        assert embed.calls[TREE_QUERY] == 1
+        assert hit is first
+        assert (hit.entries, hit.target_sim, hit.target_rank) == (
+            fresh.entries, fresh.target_sim, fresh.target_rank
+        )
+
+    def test_k_and_target_set_are_part_of_the_key(self, tree_retriever):
+        retriever, embed = counting_retriever(tree_retriever)
+        plain = retriever.retrieve(TREE_QUERY, 5)
+        top1 = retriever.retrieve(TREE_QUERY, 1)
+        targeted = retriever.retrieve(TREE_QUERY, 5, frozenset({"t2"}))
+        other = retriever.retrieve(TREE_QUERY, 5, ["o1"])
+        assert embed.calls[TREE_QUERY] == 4
+        assert len(plain) == 5 and len(top1) == 1
+        assert plain.target_rank is None and targeted.target_rank is not None
+        assert (targeted.target_rank, other.target_rank) == (6, 5)
+        assert retriever.retrieve(TREE_QUERY, 5, ("t2", "t2")) is targeted
+        assert embed.calls[TREE_QUERY] == 4
+
+    @pytest.mark.parametrize("distinct, embeds", [(RETRIEVE_MEMO_SIZE, 1), (RETRIEVE_MEMO_SIZE + 1, 2)])
+    def test_the_least_recent_query_is_evicted_past_the_bound(self, tree_retriever, distinct, embeds):
+        retriever, embed = counting_retriever(tree_retriever)
+        queries = [f"machine learning {i}" for i in range(distinct)]
+        for q in queries:
+            retriever.retrieve(q, 5)
+        retriever.retrieve(queries[0], 5)
+        assert embed.calls[queries[0]] == embeds
+
+    def test_a_failed_embedding_is_retried(self, tree_retriever):
+        retriever, embed = counting_retriever(tree_retriever, fail_calls=1)
+        with pytest.raises(ConnectionError):
+            retriever.retrieve(TREE_QUERY, 5)
+        assert retriever.retrieve(TREE_QUERY, 5) == tree_retriever.retrieve(TREE_QUERY, 5)
+        assert embed.calls[TREE_QUERY] == 2
+
+    def test_threads_sharing_the_memo_get_fresh_search_results(self, tree_retriever):
+        # more distinct queries than the memo holds, so threads also race on evictions
+        queries = [f"machine learning {i % (RETRIEVE_MEMO_SIZE + 16)}" for i in range(1600)]
+        index, embed = tree_retriever.index, tree_retriever.embed
+        expected = {q: index.search(embed(q), 3, ("t2",)) for q in set(queries)}
+        retriever = Retriever(index, embed)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(retriever.retrieve, q, 3, ("t2",)) for q in queries]
+                got = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [expected[q] for q in queries]
+        assert retriever._search.cache_info().currsize == RETRIEVE_MEMO_SIZE
+
+    def test_a_dropped_retriever_is_freed_without_the_cycle_collector(self, tree_retriever):
+        retriever, _ = counting_retriever(tree_retriever)
+        retriever.retrieve(TREE_QUERY, 5)
+        ref = weakref.ref(retriever)
+        gc.disable()
+        try:
+            del retriever
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -39,6 +39,20 @@ class TestNormalizers:
     def test_similarity_out_of_range(self):
         with pytest.raises(RewardError):
             normalize_similarity(1.5)
+        with pytest.raises(RewardError):
+            normalize_similarity(-1.0 - 1e-6)
+
+    def test_similarity_rounded_past_the_range_is_clamped(self):
+        assert normalize_similarity(1.0 + 2**-52) == 1.0
+        assert normalize_similarity(-1.0 - 2**-52) == 0.0
+
+    def test_a_query_equal_to_a_document_gets_a_reward(self):
+        # this pair's float64 cosine rounds to 1.0000000000000002
+        vec = [0.1, 0.1, 3.0]
+        retriever = make_stub_retriever({"d": vec}, {"q": vec})
+        sim, rank = candidate_signals(retriever.retrieve("q", 1))
+        assert sim > 1.0
+        assert turn_reward(sim, rank, 1).reward == pytest.approx(1.0)
 
     def test_rank_top_position(self):
         assert normalize_rank(0, 1000) == 1.0

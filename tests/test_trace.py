@@ -121,6 +121,16 @@ class TestParse:
         with pytest.raises(TraceParseError, match="result line"):
             parse_trace(text)
 
+    @pytest.mark.parametrize("number", ["1" * 5000, "01", "\u0661"], ids=["huge", "zero", "arabic"])
+    def test_result_number_not_written_by_the_serializer_rejected(self, number):
+        text = (
+            "<user_query>Q</user_query>\n\n<think>T</think>\n\n"
+            "<search_query>S</search_query>\n\n"
+            f"<top_k_response>\n{number}. a\n</top_k_response>"
+        )
+        with pytest.raises(TraceParseError, match="result line 1"):
+            parse_trace(text)
+
     def test_whitespace_inside_spans_is_verbatim(self):
         trace = TraceDocument(
             state=SearchState(
@@ -273,3 +283,62 @@ def test_json_codec_keeps_metadata():
     back = trace_from_dict(trace_to_dict(trace))
     assert back == trace
     assert back.state.history[0].results[0].score == 0.75
+
+
+# --- parser fuzzing: any text either parses or raises TraceError ------------------
+
+
+def _parses_or_raises_trace_error(text: str) -> None:
+    try:
+        parse_trace(text)
+    except TraceError:
+        pass
+
+
+# pieces of the grammar, spliced into mutated traces
+_grammar_pieces = st.sampled_from(
+    [f"<{t}>" for t in ("user_query", "think", "search_query", "top_k_response")]
+    + [f"</{t}>" for t in ("user_query", "think", "search_query", "top_k_response")]
+    + ["\n\n", "\n", " ", "1. ", "01. ", "\u0662. ", "1" * 4400 + ". "]
+)
+_result_numbers = st.integers(0, 4).map(str) | st.sampled_from(["01", "\u0661", "1" * 4400])
+_span_text = st.text(max_size=8) | _grammar_pieces
+
+
+@st.composite
+def trace_shaped_text(draw) -> str:
+    """Spans in grammar order with arbitrary contents, result numbers and separators."""
+    spans = [f"<user_query>{draw(_span_text)}</user_query>"]
+    for _ in range(draw(st.integers(0, 3))):
+        lines = draw(st.lists(st.tuples(_result_numbers, _span_text), max_size=3))
+        spans += [
+            f"<think>{draw(_span_text)}</think>",
+            f"<search_query>{draw(_span_text)}</search_query>",
+            "<top_k_response>\n" + "".join(f"{n}. {t}\n" for n, t in lines) + "</top_k_response>",
+        ]
+    return draw(st.sampled_from(["\n\n", "\n", ""])).join(spans)
+
+
+@given(st.text() | trace_shaped_text())
+@settings(max_examples=500, deadline=None)
+def test_fuzzed_text_parses_or_raises_trace_error(text):
+    _parses_or_raises_trace_error(text)
+
+
+@given(trace=text_traces, data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_byte_mutated_traces_parse_or_raise_trace_error(trace, data):
+    raw = bytearray(serialize_trace(trace).encode("utf-8"))
+    for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        op = data.draw(st.sampled_from(["flip", "delete", "insert", "truncate"]), label="op")
+        if op == "flip" and at < len(raw):
+            raw[at] ^= data.draw(st.integers(1, 255), label="xor")
+        elif op == "delete":
+            del raw[at : at + data.draw(st.integers(1, 8), label="span")]
+        elif op == "insert":
+            piece = st.binary(min_size=1, max_size=8) | _grammar_pieces.map(str.encode)
+            raw[at:at] = data.draw(piece, label="bytes")
+        elif op == "truncate":
+            del raw[at:]
+    _parses_or_raises_trace_error(raw.decode("utf-8", errors="replace"))
