@@ -5,6 +5,11 @@ mirror the config-file fields; a `--config` file provides defaults and flags
 override it. Every output file starts with a meta record carrying the config
 hash and engine version. Failures exit nonzero with a machine-readable error
 record on stderr.
+
+run, beam, generate and grpo-collect run one job per query on `--workers`
+threads and log in input order. A query whose job raises gets its own error
+record (with its `query_id`) and is left out of the log; the rest is still
+written, and the command exits 1.
 """
 
 from __future__ import annotations
@@ -24,9 +29,11 @@ from .embed import EmbeddingServiceClient, HashEmbedder
 from .engine import (
     EpisodeConfig,
     Retriever,
+    beam_search,
     episode_from_dict,
     episode_to_dict,
-    run_batch,
+    ordered_map,
+    run_episode,
     targets_for,
 )
 from .metrics import (
@@ -60,7 +67,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--selection", choices=["argmax", "proportional"])
     p.add_argument("--zscore", action="store_true", default=None)
     p.add_argument("--seed", type=int, help="root RNG seed")
-    p.add_argument("--workers", type=int, help="episode worker pool size")
+    p.add_argument("--workers", type=int, help="query worker threads (every batch command)")
     p.add_argument("--out", dest="out_dir", help="output directory")
 
 
@@ -149,22 +156,49 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_episodes(args: argparse.Namespace, beam: bool) -> int:
-    cfg = _build_config(args)
-    retriever, vocab = _retriever(cfg)
+def _error_record(exc: Exception, command: str, **extra: str) -> str:
+    return json.dumps({"error": str(exc), "type": type(exc).__name__, "command": command, **extra})
+
+
+def _each_query(cfg: RunConfig, command: str, job) -> tuple[list, int]:
+    """The batch driver: `job(qid, text, episode_config)` for every query.
+
+    Jobs run on `cfg.workers` threads; results keep the input order. A job
+    that raises prints one error record to stderr and is left out. Returns
+    the results and the exit status, 1 if any job failed.
+    """
     queries = dataio.read_queries(cfg.queries)
     qrels = dataio.read_qrels(cfg.qrels) if cfg.qrels else {}
-    episode_cfg = EpisodeConfig(k=cfg.k, max_turns=cfg.max_turns)
-    results = run_batch(
-        queries,
-        qrels,
-        _policy_factory(cfg, retriever, vocab),
-        retriever,
-        episode_cfg,
-        beam_size=cfg.beam_size if beam else None,
-        expansion=cfg.expansion if beam else 1,
-        workers=cfg.workers,
-    )
+
+    def attempt(item: tuple[str, str]):
+        qid, text = item
+        try:
+            episode_cfg = EpisodeConfig(cfg.k, cfg.max_turns, targets_for(qrels, qid))
+            return job(qid, text, episode_cfg), None
+        except Exception as exc:  # one failed query must not lose the batch
+            log.debug("query %s failed", qid, exc_info=exc)
+            return None, _error_record(exc, command, query_id=qid)
+
+    done = ordered_map(attempt, queries, cfg.workers)
+    for _, error in done:
+        if error:
+            print(error, file=sys.stderr)
+    return [value for value, error in done if not error], int(any(e for _, e in done))
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """`run` (greedy) and `beam`: one episode per query, logged to episodes.jsonl."""
+    cfg = _build_config(args)
+    retriever, vocab = _retriever(cfg)
+    policy_for = _policy_factory(cfg, retriever, vocab)
+
+    def job(qid: str, text: str, episode_cfg: EpisodeConfig):
+        policy = policy_for(qid)
+        if args.command == "beam":
+            return qid, beam_search(policy, retriever, text, cfg.beam_size, cfg.expansion, episode_cfg)
+        return qid, run_episode(policy, retriever, text, episode_cfg)
+
+    results, status = _each_query(cfg, args.command, job)
     out = _out_dir(cfg)
     _write_log(out / "episodes.jsonl", cfg, [episode_to_dict(q, r) for q, r in results])
     rendered = [
@@ -174,37 +208,29 @@ def _run_episodes(args: argparse.Namespace, beam: bool) -> int:
     (out / "episodes.txt").write_text("\n".join(rendered))
     wins = sum(1 for _, r in results if r.succeeded)
     print(f"{len(results)} episodes, {wins} successful -> {out / 'episodes.jsonl'}")
-    return 0
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    return _run_episodes(args, beam=False)
-
-
-def cmd_beam(args: argparse.Namespace) -> int:
-    return _run_episodes(args, beam=True)
+    return status
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     retriever, vocab = _retriever(cfg)
     resources = PolicyResources(vocab=vocab, probe=retriever.best_similarity)
-    queries = dataio.read_queries(cfg.queries)
-    qrels = dataio.read_qrels(cfg.qrels) if cfg.qrels else {}
     kinds = args.archetypes.split(",") if args.archetypes else list(KINDS)
-    records = []
-    for qid, text in queries:
-        targets = targets_for(qrels, qid)
-        for kind in kinds:
-            arch = ArchetypeConfig(
-                kind=kind, seed=episode_seed(cfg.seed, f"{kind}:{qid}"), params=cfg.policy_params
+
+    def job(qid: str, text: str, episode_cfg: EpisodeConfig):
+        return [
+            generate_trajectory(
+                ArchetypeConfig(
+                    kind=kind, seed=episode_seed(cfg.seed, f"{kind}:{qid}"), params=cfg.policy_params
+                ),
+                text, retriever, resources, episode_cfg.target_ids,
+                k=cfg.k, max_turns=cfg.max_turns, max_query_chars=cfg.max_query_chars,
             )
-            records.append(
-                generate_trajectory(
-                    arch, text, retriever, resources, targets, k=cfg.k, max_turns=cfg.max_turns
-                )
-            )
-    pool = assemble_pool(records)
+            for kind in kinds
+        ]
+
+    per_query, status = _each_query(cfg, args.command, job)
+    pool = assemble_pool(r for records in per_query for r in records)
     out = _out_dir(cfg)
     _write_log(out / "pool.jsonl", cfg, [r.to_dict() for r in pool.records])
     print(f"pool of {len(pool)} trajectories -> {out / 'pool.jsonl'}")
@@ -214,14 +240,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
         sft = sample_sft_dataset(pool, manifest, seed=cfg.seed)
         _write_log(out / "sft.jsonl", cfg, [r.to_dict() for r in sft])
         print(f"sft dataset of {len(sft)} records -> {out / 'sft.jsonl'}")
-    return 0
+    return status
 
 
 def cmd_grpo_collect(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     retriever, vocab = _retriever(cfg)
-    queries = dataio.read_queries(cfg.queries)
-    qrels = dataio.read_qrels(cfg.qrels) if cfg.qrels else {}
     grpo = GrpoConfig(
         group_size=cfg.group_size,
         selection=cfg.selection,
@@ -229,19 +253,19 @@ def cmd_grpo_collect(args: argparse.Namespace) -> int:
         beta=cfg.beta,
     )
     policy_for = _policy_factory(cfg, retriever, vocab)
-    records = []
-    for qid, text in queries:
-        targets = targets_for(qrels, qid)
-        episode_cfg = EpisodeConfig(k=cfg.k, max_turns=cfg.max_turns, target_ids=targets)
+
+    def job(qid: str, text: str, episode_cfg: EpisodeConfig):
         trace, groups = collect_grouped_episode(
             policy_for(qid), retriever, text, episode_cfg, grpo,
             derive_rng(cfg.seed, "grpo-select", qid),
         )
-        records.append(make_training_record(trace, groups, grpo).to_dict())
+        return make_training_record(trace, groups, grpo).to_dict()
+
+    records, status = _each_query(cfg, args.command, job)
     out = _out_dir(cfg)
     _write_log(out / "training_records.jsonl", cfg, records)
     print(f"{len(records)} training records -> {out / 'training_records.jsonl'}")
-    return 0
+    return status
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -282,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     specs = {
         "index": (cmd_index, "build and persist an index"),
         "run": (cmd_run, "run greedy multi-turn episodes"),
-        "beam": (cmd_beam, "run beam-search episodes"),
+        "beam": (cmd_run, "run beam-search episodes"),
         "generate": (cmd_generate, "generate synthetic trajectory pool / SFT data"),
         "grpo-collect": (cmd_grpo_collect, "collect grouped samples with rewards"),
         "eval": (cmd_eval, "IR metrics over an episode log"),
@@ -310,10 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except Exception as exc:
-        print(
-            json.dumps({"error": str(exc), "type": type(exc).__name__, "command": args.command}),
-            file=sys.stderr,
-        )
+        print(_error_record(exc, args.command), file=sys.stderr)
         return 1
 
 

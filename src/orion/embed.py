@@ -91,10 +91,6 @@ class HashEmbedder:
             vec[0] = 1.0
         return vec / np.linalg.norm(vec)
 
-    def embed_map(self, texts: dict[str, str]) -> dict[str, np.ndarray]:
-        """Embed a mapping of id -> text (e.g. a whole corpus)."""
-        return {key: self(text) for key, text in texts.items()}
-
 
 class EmbeddingServiceClient:
     """Client for the prevailing embeddings wire convention."""

@@ -1,10 +1,14 @@
-"""Multi-turn episode execution: the greedy runner and beam search.
+"""Multi-turn episode execution: one turn step, beam search and the greedy runner.
 
 An episode repeats think/query/retrieve cycles until a target document lands
-in the top-k or the turn budget runs out. Beam search expands every live beam
-into M candidate continuations per turn, scores each candidate's state by the
+in the top-k or the turn budget runs out. `expand_turn` is the one turn step;
+beam search and grouped collection (`rewards`) differ only in how they score
+and select its candidates. Beam search scores each candidate's state by the
 policy's relevance confidence (1/perplexity), pools candidates across beams,
-and keeps the top B; success is checked on the survivors after pruning.
+and keeps the top B; success is checked on the survivors after pruning. The
+greedy runner is beam search with B = M = 1. Relevance is asked only when a
+turn has more than one candidate, so a greedy run, remote or scripted, never
+asks it.
 
 Only the `<search_query>` content is embedded for retrieval; think spans never
 reach the retriever. Each action costs one retrieval: its top-k, the logged
@@ -19,9 +23,8 @@ from __future__ import annotations
 
 import functools
 import logging
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent import futures
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -105,12 +108,13 @@ class EpisodeConfig:
 
 @dataclass(frozen=True)
 class Beam:
-    """One search thread: its state, latest relevance confidence, and whether
-    its last retrieval put a target in the top-k."""
+    """One search thread: its state, latest relevance confidence, and its last
+    turn's results and whether they put a target in the top-k."""
 
     state: SearchState
-    confidence: float  # 1/perplexity of the last assessment; 0.0 for the root
+    confidence: float = 0.0  # 1/perplexity of the last assessment; 0.0 until scored
     hit: bool = False
+    results: RankedResults | None = None  # None for the root
 
     def last_query(self) -> str:
         last = self.state.last_turn()
@@ -122,7 +126,6 @@ class EpisodeResult:
     trace: TraceDocument
     success_turn: int | None  # 1-based; set iff terminal_reason == success
     per_turn_ranks: tuple[int | None, ...]
-    wall_clock: float
     beam_sizes: tuple[int, ...] = ()  # per-turn survivor counts (beam runs only)
 
     @property
@@ -153,18 +156,37 @@ def execute_action(
     return turn, results
 
 
+def expand_turn(
+    policy: Policy, retriever: Retriever, states: Sequence[SearchState], n: int, config: EpisodeConfig
+) -> list[Beam]:
+    """The turn step: propose `n` actions per state and retrieve each once.
+
+    Each candidate is an unscored beam whose state ends with its new turn, in
+    state order, then action order; a state whose `propose` raises
+    `PolicyError` contributes none.
+    """
+    candidates = []
+    for state in states:
+        try:
+            actions = policy.propose(state, n)
+        except PolicyError as exc:
+            log.warning("expansion failed at turn %d: %s", len(state.history) + 1, exc)
+            continue
+        for action in actions:
+            turn, results = execute_action(retriever, action, config)
+            hit = check_success(results, config.target_ids, config.k)
+            state_after = append_turn(state, turn, config.max_turns)
+            candidates.append(Beam(state=state_after, hit=hit, results=results))
+    return candidates
+
+
 def _result(
-    state: SearchState,
-    reason: str,
-    success_turn: int | None,
-    started: float,
-    beam_sizes: Sequence[int] = (),
+    state: SearchState, reason: str, success_turn: int | None, beam_sizes: Sequence[int]
 ) -> EpisodeResult:
     return EpisodeResult(
         trace=TraceDocument(state=state, terminal_reason=reason),
         success_turn=success_turn,
         per_turn_ranks=tuple(t.target_rank for t in state.history),
-        wall_clock=time.perf_counter() - started,
         beam_sizes=tuple(beam_sizes),
     )
 
@@ -172,20 +194,9 @@ def _result(
 def run_episode(
     policy: Policy, retriever: Retriever, q0: str, config: EpisodeConfig
 ) -> EpisodeResult:
-    """Greedy multi-turn episode: one action per turn, stop on success."""
-    started = time.perf_counter()
-    state = SearchState(original_query=q0)
-    for t in range(1, config.max_turns + 1):
-        try:
-            action = policy.propose(state, 1)[0]
-        except PolicyError as exc:
-            log.warning("policy error at turn %d: %s", t, exc)
-            return _result(state, TERMINAL_POLICY_ERROR, None, started)
-        turn, results = execute_action(retriever, action, config)
-        state = append_turn(state, turn, config.max_turns)
-        if check_success(results, config.target_ids, config.k):
-            return _result(state, TERMINAL_SUCCESS, t, started)
-    return _result(state, TERMINAL_BUDGET, None, started)
+    """Greedy multi-turn episode: beam search with one beam and one candidate
+    per turn, stopping on success. Its result carries no beam sizes."""
+    return replace(beam_search(policy, retriever, q0, 1, 1, config), beam_sizes=())
 
 
 def beam_search(
@@ -205,50 +216,41 @@ def beam_search(
     the search returns the best successful survivor immediately, else the
     highest-confidence beam at the budget.
 
-    A policy error on a candidate removes only that candidate; if a whole
-    turn yields no candidates the episode ends as policy_error.
+    A lone candidate is not scored. A policy error on a candidate removes
+    only that candidate; if a whole turn yields none, the episode ends as
+    policy_error.
     """
     if beam_size < 1 or expansion < 1:
         raise ValueError("beam_size and expansion must be >= 1")
-    started = time.perf_counter()
-    beams = [Beam(state=SearchState(original_query=q0), confidence=0.0)]
+    beams = [Beam(state=SearchState(original_query=q0))]
     sizes: list[int] = []
     for t in range(1, config.max_turns + 1):
-        candidates: list[Beam] = []
-        for beam in beams:
-            try:
-                actions = policy.propose(beam.state, expansion)
-            except PolicyError as exc:
-                log.warning("beam expansion failed at turn %d: %s", t, exc)
-                continue
-            for action in actions:
+        candidates = expand_turn(policy, retriever, [b.state for b in beams], expansion, config)
+        if len(candidates) > 1:
+            scored = []
+            for c in candidates:
                 try:
-                    turn, results = execute_action(retriever, action, config)
-                    new_state = append_turn(beam.state, turn, config.max_turns)
-                    ppl = policy.relevance_perplexity(new_state, t, action.query, q0)
+                    ppl = policy.relevance_perplexity(c.state, t, c.last_query(), q0)
                 except PolicyError as exc:
                     log.warning("candidate dropped at turn %d: %s", t, exc)
                     continue
-                hit = check_success(results, config.target_ids, config.k)
-                candidates.append(Beam(state=new_state, confidence=1.0 / ppl, hit=hit))
+                scored.append(replace(c, confidence=1.0 / ppl))
+            candidates = sorted(scored, key=lambda b: (-b.confidence, b.last_query()))
         if not candidates:
             best = max(beams, key=lambda b: b.confidence)
-            return _result(best.state, TERMINAL_POLICY_ERROR, None, started, sizes)
-        candidates.sort(key=lambda b: (-b.confidence, b.last_query()))
+            return _result(best.state, TERMINAL_POLICY_ERROR, None, sizes)
         beams = candidates[:beam_size]
         sizes.append(len(beams))
         winners = [b for b in beams if b.hit]
         if winners:
-            return _result(winners[0].state, TERMINAL_SUCCESS, t, started, sizes)
-    return _result(beams[0].state, TERMINAL_BUDGET, None, started, sizes)
+            return _result(winners[0].state, TERMINAL_SUCCESS, t, sizes)
+    return _result(beams[0].state, TERMINAL_BUDGET, None, sizes)
 
 
 # --- batch running and the episode log ----------------------------------------
 
 
 def episode_to_dict(query_id: str, result: EpisodeResult) -> dict:
-    # wall_clock is deliberately not serialized: logs must be byte-identical
-    # across reruns of the same (config, seed, corpus)
     return {
         "query_id": query_id,
         "terminal_reason": result.trace.terminal_reason,
@@ -265,7 +267,6 @@ def episode_from_dict(obj: dict) -> tuple[str, EpisodeResult]:
         trace=trace,
         success_turn=obj.get("success_turn"),
         per_turn_ranks=tuple(obj.get("per_turn_ranks", [])),
-        wall_clock=0.0,
         beam_sizes=tuple(obj.get("beam_sizes", [])),
     )
     return obj["query_id"], result
@@ -274,6 +275,15 @@ def episode_from_dict(obj: dict) -> tuple[str, EpisodeResult]:
 def targets_for(qrels: dict[str, dict[str, int]], qid: str) -> frozenset[str]:
     """A query's targets: its qrels docs with relevance >= 1."""
     return frozenset(d for d, g in qrels.get(qid, {}).items() if g >= 1)
+
+
+def ordered_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
+    """`[fn(x) for x in items]`, on `workers` threads when workers > 1; results
+    keep the input order and the first exception in input order propagates."""
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def run_batch(
@@ -303,7 +313,4 @@ def run_batch(
             return qid, run_episode(policy, retriever, text, cfg)
         return qid, beam_search(policy, retriever, text, beam_size, expansion, cfg)
 
-    if workers <= 1:
-        return [one(q) for q in queries]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, queries))
+    return ordered_map(one, queries, workers)

@@ -30,15 +30,16 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import NOT_FOUND, RankedResults
-from .engine import EpisodeConfig, Retriever, check_success, execute_action
-from .policy import Policy, PolicyError
+from .engine import EpisodeConfig, Retriever, expand_turn
+from .engine import execute_action  # not called here; perfbench/tracer.py patches it
+from .policy import Policy
 from .trace import (
     TERMINAL_BUDGET,
     TERMINAL_POLICY_ERROR,
     TERMINAL_SUCCESS,
     SearchState,
     TraceDocument,
-    append_turn,
+    append_turn,  # not called here; perfbench/tracer.py patches it
     serialize_spans,
     serialize_trace,
 )
@@ -236,34 +237,26 @@ def collect_grouped_episode(
     """Grouped sampling: per turn, score G candidates and advance one.
 
     The selected candidate's turn extends the context; the episode stops when
-    its retrieval succeeds or the budget runs out.
+    its retrieval succeeds, the budget runs out or the policy cannot propose.
     """
     state = SearchState(original_query=q0)
     groups: list[GroupSample] = []
     corpus_size = len(retriever.index)
     reason = TERMINAL_BUDGET
     for _t in range(1, config.max_turns + 1):
-        try:
-            actions = policy.propose(state, grpo.group_size)
-        except PolicyError:
+        candidates = expand_turn(policy, retriever, [state], grpo.group_size, config)
+        if not candidates:
             reason = TERMINAL_POLICY_ERROR
             break
-        outcomes: list[CandidateOutcome] = []
-        turns = []
-        hit = []
-        for action in actions:
-            turn, results = execute_action(retriever, action, config)
-            sim, rank = candidate_signals(results)
-            outcomes.append(
-                CandidateOutcome(
-                    think=action.think,
-                    query=action.query,
-                    result_ids=tuple(results.doc_ids()),
-                    breakdown=turn_reward(sim, rank, corpus_size),
-                )
+        outcomes = [
+            CandidateOutcome(
+                think=c.state.last_turn().think,
+                query=c.last_query(),
+                result_ids=tuple(c.results.doc_ids()),
+                breakdown=turn_reward(*candidate_signals(c.results), corpus_size),
             )
-            turns.append(turn)
-            hit.append(check_success(results, config.target_ids, config.k))
+            for c in candidates
+        ]
         rewards = [o.breakdown.reward for o in outcomes]
         advantages = group_advantages(rewards, grpo.advantage_mode)
         selected = select_candidate(rewards, grpo.selection, rng)
@@ -274,8 +267,8 @@ def collect_grouped_episode(
                 selected=selected,
             )
         )
-        state = append_turn(state, turns[selected], config.max_turns)
-        if hit[selected]:
+        state = candidates[selected].state
+        if candidates[selected].hit:
             reason = TERMINAL_SUCCESS
             break
     return TraceDocument(state=state, terminal_reason=reason), groups
@@ -328,16 +321,3 @@ def make_training_record(
             "selection": grpo.selection,
         },
     )
-
-
-def export_training_records(
-    episodes: Sequence[TraceDocument | tuple[TraceDocument, Sequence[GroupSample]]],
-    grpo: GrpoConfig | None = None,
-):
-    """Yield trainer-ready records for traces (with optional group data)."""
-    for item in episodes:
-        if isinstance(item, TraceDocument):
-            yield make_training_record(item, (), grpo)
-        else:
-            trace, groups = item
-            yield make_training_record(trace, groups, grpo)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .archetypes import PolicyResources
 from .corpus import NOT_FOUND
 from .engine import EpisodeConfig, EpisodeResult, Retriever, run_episode
-from .policy import ArchetypeConfig, ScriptedPolicy, derive_rng
+from .policy import DEFAULT_MAX_QUERY_CHARS, ArchetypeConfig, ScriptedPolicy, derive_rng
 from .rewards import GrpoConfig, TrainingRecord, make_training_record
 from .trace import RetrievedDoc, SearchState, TraceDocument, Turn
 
@@ -145,27 +145,22 @@ def generate_trajectory(
     target_ids: Iterable[str],
     k: int = 5,
     max_turns: int = MAX_POOL_TURNS,
+    max_query_chars: int = DEFAULT_MAX_QUERY_CHARS,
 ) -> PoolRecord:
     """Run one scripted episode and project it to a pool record."""
     config = EpisodeConfig(
         k=k, max_turns=min(max_turns, MAX_POOL_TURNS), target_ids=frozenset(target_ids)
     )
-    policy = ScriptedPolicy(archetype, resources)
+    policy = ScriptedPolicy(archetype, resources, max_query_chars=max_query_chars)
     result = run_episode(policy, retriever, q0, config)
     return record_from_episode(q0, archetype.kind, result)
 
 
 @dataclass
 class Pool:
-    """Deduplicated trace pool, indexed by original query."""
+    """Deduplicated trace pool."""
 
     records: list[PoolRecord] = field(default_factory=list)
-
-    def by_query(self) -> dict[str, list[PoolRecord]]:
-        grouped: dict[str, list[PoolRecord]] = {}
-        for rec in self.records:
-            grouped.setdefault(rec.q0, []).append(rec)
-        return grouped
 
     def by_source(self) -> dict[str, list[PoolRecord]]:
         grouped: dict[str, list[PoolRecord]] = {}

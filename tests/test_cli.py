@@ -10,6 +10,7 @@ from orion import dataio
 from orion.cli import _build_config, build_parser, main
 from orion.config import RunConfig
 from orion.corpus import Document
+from orion.embed import HashEmbedder
 
 
 def test_common_flags_land_on_their_config_fields():
@@ -70,6 +71,15 @@ def _seeded_inputs(tmp_path) -> list[str]:
             "--qrels", str(tmp_path / "qrels.tsv"), "--embed-dim", "64", "--seed", "3"]
 
 
+# the log each batch command writes
+LOGS = {
+    "run": "episodes.jsonl",
+    "beam": "episodes.jsonl",
+    "generate": "pool.jsonl",
+    "grpo-collect": "training_records.jsonl",
+}
+
+
 def _records_after_meta(path) -> bytes:
     lines = path.read_bytes().splitlines(keepends=True)
     assert json.loads(lines[0])["record"] == "meta"
@@ -91,11 +101,11 @@ def test_reruns_write_identical_records(tmp_path, command, log, extra):
     for rerun in ("a", "b"):
         out = tmp_path / rerun
         assert main([command, *inputs, *extra, "--out", str(out)]) == 0
-        written.append(_records_after_meta(out / log))
+        written.append(_records_after_meta(out / LOGS[command]))
     assert written[0] and written[0] == written[1]
 
 
-@pytest.mark.parametrize("command", ["run", "beam"])
+@pytest.mark.parametrize("command", list(LOGS))
 def test_worker_pool_writes_the_serial_records(tmp_path, command):
     inputs = _seeded_inputs(tmp_path)
     written = []
@@ -103,5 +113,51 @@ def test_worker_pool_writes_the_serial_records(tmp_path, command):
         out = tmp_path / f"w{workers}"
         argv = [command, *inputs, "--policy", "adaptive_context", "--workers", workers, "--out", str(out)]
         assert main(argv) == 0
-        written.append(_records_after_meta(out / "episodes.jsonl"))
+        written.append(_records_after_meta(out / LOGS[command]))
     assert written[0] and written[0] == written[1]
+
+
+# "zulu" is in no document, so no other query's episode ever issues this text;
+# adaptive_context (also one of generate's kinds) opens with the user's query
+BAD_QUERY = "coral zulu"
+
+
+@pytest.mark.parametrize("command", list(LOGS))
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_failing_query_leaves_the_rest_of_the_batch_logged(
+    tmp_path, monkeypatch, capsys, command, workers
+):
+    inputs = _seeded_inputs(tmp_path)
+    argv = [command, *inputs, "--policy", "adaptive_context", "--workers", workers]
+    assert main([*argv, "--out", str(tmp_path / "clean")]) == 0
+    queries = (tmp_path / "queries.jsonl").read_text().splitlines(keepends=True)
+    queries.insert(3, json.dumps({"_id": "q-bad", "text": BAD_QUERY}) + "\n")
+    (tmp_path / "queries.jsonl").write_text("".join(queries))
+    embed = HashEmbedder.__call__
+
+    def failing_embed(self, text):
+        if text == BAD_QUERY:
+            raise ConnectionError("embedding service unavailable")
+        return embed(self, text)
+
+    monkeypatch.setattr(HashEmbedder, "__call__", failing_embed)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "bad")]) == 1
+    clean = _records_after_meta(tmp_path / "clean" / LOGS[command])
+    assert clean and _records_after_meta(tmp_path / "bad" / LOGS[command]) == clean
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert errors == [{
+        "error": "embedding service unavailable", "type": "ConnectionError",
+        "command": command, "query_id": "q-bad",
+    }]
+
+
+def test_generate_clips_queries_to_the_configured_length(tmp_path):
+    inputs = _seeded_inputs(tmp_path)
+    (tmp_path / "clip.json").write_text(json.dumps({"max_query_chars": 25}))
+    lengths = {}
+    for name, extra in (("default", []), ("clipped", ["--config", str(tmp_path / "clip.json")])):
+        assert main(["generate", *inputs, *extra, "--out", str(tmp_path / name)]) == 0
+        records = (tmp_path / name / "pool.jsonl").read_text().splitlines()[1:]
+        lengths[name] = max(len(t["query"]) for r in records for t in json.loads(r)["turns"])
+    assert lengths["default"] > 25 >= lengths["clipped"]

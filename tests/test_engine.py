@@ -8,7 +8,10 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orion.archetypes import KINDS
 from orion.corpus import NOT_FOUND, RankedResults, ScoredDoc
 from orion.engine import (
     RETRIEVE_MEMO_SIZE,
@@ -17,14 +20,15 @@ from orion.engine import (
     Retriever,
     beam_search,
     check_success,
+    execute_action,
     run_batch,
     run_episode,
 )
 from orion.policy import Action, ArchetypeConfig, PolicyError, ScriptedPolicy, derive_rng
 from orion.rewards import GrpoConfig, collect_grouped_episode
-from orion.trace import serialize_trace
+from orion.trace import SearchState, TraceDocument, append_turn, serialize_trace
 
-from conftest import TREE_QUERY, axis, make_stub_retriever, mix
+from conftest import TREE_DOCS, TREE_QUERY, axis, make_stub_retriever, mix
 
 
 class ConstantPolicy:
@@ -68,6 +72,43 @@ class FailAtTurnPolicy(ConstantPolicy):
         if len(state.history) + 1 >= self.fail_turn:
             raise PolicyError("scripted failure")
         return super().propose(state, n)
+
+
+class CountingRelevance:
+    """Delegates to a policy and counts relevance calls, failing them if asked."""
+
+    def __init__(self, inner, fail: bool = False):
+        self.inner = inner
+        self.fail = fail
+        self.calls = 0
+
+    def propose(self, state, n):
+        return self.inner.propose(state, n)
+
+    def relevance_perplexity(self, state, t, query, q0):
+        self.calls += 1
+        if self.fail:
+            raise PolicyError("no confidence for this candidate")
+        return self.inner.relevance_perplexity(state, t, query, q0)
+
+
+def reference_greedy(policy, retriever, q0, config):
+    """The greedy loop written out: (trace, success_turn, per_turn_ranks)."""
+    state = SearchState(original_query=q0)
+    reason, success_turn = "budget_exhausted", None
+    for t in range(1, config.max_turns + 1):
+        try:
+            action = policy.propose(state, 1)[0]
+        except PolicyError:
+            reason = "policy_error"
+            break
+        turn, results = execute_action(retriever, action, config)
+        state = append_turn(state, turn, config.max_turns)
+        if check_success(results, config.target_ids, config.k):
+            reason, success_turn = "success", t
+            break
+    ranks = tuple(t.target_rank for t in state.history)
+    return TraceDocument(state=state, terminal_reason=reason), success_turn, ranks
 
 
 def results_with_ranks(ids):
@@ -245,6 +286,44 @@ class TestBeamSearch:
         assert beamed.trace == greedy.trace
         assert serialize_trace(beamed.trace) == serialize_trace(greedy.trace)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**16),
+        target=st.sampled_from([d.doc_id for d in TREE_DOCS] + ["ghost"]),
+        k=st.integers(1, 5),
+        max_turns=st.integers(1, 5),
+    )
+    def test_one_beam_one_candidate_is_the_greedy_loop(
+        self, tree_retriever, tree_resources, kind, seed, target, k, max_turns
+    ):
+        policy = ScriptedPolicy(ArchetypeConfig(kind=kind, seed=seed), tree_resources)
+        cfg = EpisodeConfig(k=k, max_turns=max_turns, target_ids=frozenset({target}))
+        want = reference_greedy(policy, tree_retriever, TREE_QUERY, cfg)
+        greedy = run_episode(policy, tree_retriever, TREE_QUERY, cfg)
+        beamed = beam_search(policy, tree_retriever, TREE_QUERY, 1, 1, cfg)
+        for result in (greedy, beamed):
+            assert (result.trace, result.success_turn, result.per_turn_ranks) == want
+        assert greedy.beam_sizes == ()
+        assert beamed.beam_sizes == (1,) * len(beamed.per_turn_ranks)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_a_lone_candidate_is_never_scored(self, tree_retriever, tree_resources, fail):
+        inner = ScriptedPolicy(ArchetypeConfig(kind="depth_first", seed=1), tree_resources)
+        cfg = EpisodeConfig(k=5, max_turns=5, target_ids=frozenset({"t3b"}))
+        plain = run_episode(inner, tree_retriever, TREE_QUERY, cfg)
+        counting = CountingRelevance(inner, fail)
+        assert run_episode(counting, tree_retriever, TREE_QUERY, cfg) == plain
+        assert beam_search(counting, tree_retriever, TREE_QUERY, 3, 1, cfg).trace == plain.trace
+        assert counting.calls == 0
+
+    def test_every_candidate_is_scored_when_there_are_several(self, tree_retriever, tree_resources):
+        inner = ScriptedPolicy(ArchetypeConfig(kind="depth_first", seed=1), tree_resources)
+        counting = CountingRelevance(inner)
+        cfg = EpisodeConfig(k=5, max_turns=3, target_ids=frozenset({"ghost"}))
+        result = beam_search(counting, tree_retriever, TREE_QUERY, 1, 2, cfg)
+        assert counting.calls == 2 * len(result.beam_sizes) == 6
+
     def test_candidate_failure_removes_only_that_candidate(self):
         retriever, policy, cfg = two_branch_fixture()
 
@@ -310,8 +389,6 @@ class TestRunBatch:
 
 
 def test_beam_dataclass_tracks_last_query():
-    from orion.trace import SearchState
-
     beam = Beam(state=SearchState(original_query="q0"), confidence=0.0)
     assert beam.last_query() == "q0"
 
@@ -323,6 +400,17 @@ def test_not_found_rank_recorded_for_absent_target():
     cfg = EpisodeConfig(k=1, max_turns=1, target_ids=frozenset({"ghost"}))
     result = run_episode(ConstantPolicy("find"), retriever, "find", cfg)
     assert result.per_turn_ranks == (NOT_FOUND,)
+
+
+@pytest.mark.parametrize("fail_turn", [1, 2])
+def test_grouped_collection_ends_as_policy_error_when_propose_fails(tree_retriever, fail_turn):
+    cfg = EpisodeConfig(k=5, max_turns=5, target_ids=frozenset({"ghost"}))
+    trace, groups = collect_grouped_episode(
+        FailAtTurnPolicy(TREE_QUERY, fail_turn), tree_retriever, TREE_QUERY, cfg,
+        GrpoConfig(group_size=3), derive_rng(0, "fail"),
+    )
+    assert trace.terminal_reason == "policy_error"
+    assert len(groups) == len(trace.state.history) == fail_turn - 1
 
 
 # --- the retrieval memo ------------------------------------------------------------

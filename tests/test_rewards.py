@@ -13,7 +13,6 @@ from orion.rewards import (
     GrpoConfig,
     RewardError,
     collect_grouped_episode,
-    export_training_records,
     group_advantages,
     make_training_record,
     mask_spans,
@@ -205,12 +204,6 @@ class TestTrainingRecords:
             "selection": "argmax",
         }
         assert all(len(span) == 3 for span in obj["spans"])
-
-    def test_export_stream_accepts_both_shapes(self):
-        trace = one_turn_trace()
-        records = list(export_training_records([trace, (trace, [])]))
-        assert len(records) == 2
-        assert records[0].text == records[1].text
 
 
 # --- grouped collection ------------------------------------------------------------

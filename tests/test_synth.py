@@ -128,7 +128,7 @@ class TestAssemblePool:
         records = [make_record(source=f"model-{i}") for i in range(8)]
         pool = assemble_pool(records)
         assert len(pool) == 8
-        assert len(pool.by_query()["question"]) == 8
+        assert [r.q0 for r in pool.records] == ["question"] * 8
 
     def test_empty_input(self):
         assert len(assemble_pool([])) == 0
