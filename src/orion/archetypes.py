@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .trace import SearchState
+from .trace import Action, SearchState
 from .vocab import TfidfTable, head_phrase, tokenize
 
 KINDS = (
@@ -50,12 +50,6 @@ FAILURE_MARKER = "getting worse"
 
 
 @dataclass(frozen=True)
-class StepAction:
-    think: str
-    query: str
-
-
-@dataclass(frozen=True)
 class PolicyResources:
     """Corpus-derived context the behaviors draw on.
 
@@ -67,8 +61,8 @@ class PolicyResources:
     probe: Callable[[str], float] | None = None
 
 
-def _fallback(q0: str, reason: str) -> StepAction:
-    return StepAction(
+def _fallback(q0: str, reason: str) -> Action:
+    return Action(
         think=f"Hit a dead end ({reason}); restarting from the original question.",
         query=q0,
     )
@@ -98,7 +92,7 @@ def _pick(items: list[str], variant: int) -> str | None:
 
 def step_adaptive_context(
     cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> StepAction:
+) -> Action:
     """Adopt the top tf*idf keywords of the last results into the query.
 
     Turn 1 issues the original query; later turns append the `adopt_terms`
@@ -106,7 +100,7 @@ def step_adaptive_context(
     window down the ranking).
     """
     if not state.history:
-        return StepAction(
+        return Action(
             think=f"Probe the corpus with the user's own wording for '{state.original_query}' "
             "and learn keywords from whatever comes back.",
             query=state.original_query,
@@ -117,7 +111,7 @@ def step_adaptive_context(
     terms = ranked[variant : variant + j] or ranked[-j:]
     if not terms:
         return _fallback(state.original_query, "no new keywords in the results")
-    return StepAction(
+    return Action(
         think=f"The retrieved passages emphasize {', '.join(repr(t) for t in terms)}; "
         "adding those keywords to steer closer.",
         query=f"{prev} {' '.join(terms)}",
@@ -126,14 +120,14 @@ def step_adaptive_context(
 
 def step_random_walk(
     cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> StepAction:
+) -> Action:
     """Swap one random query token for a corpus-vocabulary neighbor.
 
     The query is rebuilt from its content tokens; the replaced position and
     the neighbor are drawn from the per-call seeded generator.
     """
     if not state.history:
-        return StepAction(
+        return Action(
             think="No firm plan; start from the given query and wander from there.",
             query=state.original_query,
         )
@@ -147,7 +141,7 @@ def step_random_walk(
         return _fallback(state.original_query, f"no neighbors for '{tokens[idx]}'")
     new = rng.choice(cands)
     old, tokens[idx] = tokens[idx], new
-    return StepAction(
+    return Action(
         think=f"Wandering: swapping '{old}' for the related term '{new}' to see "
         "where that leads.",
         query=" ".join(tokens),
@@ -156,7 +150,7 @@ def step_random_walk(
 
 def step_breadth_first(
     cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> StepAction:
+) -> Action:
     """Survey sibling subtopics of the original query before deepening.
 
     Siblings are the top `fanout` expansions of q0. Turn 1 issues q0, the
@@ -166,7 +160,7 @@ def step_breadth_first(
     fanout = int(cfg.params["fanout"])
     q0 = state.original_query
     if not state.history:
-        return StepAction(
+        return Action(
             think="Map the territory first: issue the original query, then cover each "
             "sibling subtopic before drilling into any of them.",
             query=q0,
@@ -177,7 +171,7 @@ def step_breadth_first(
     t = len(state.history) + 1
     if t - 2 < len(siblings):
         sib = siblings[(t - 2 + variant) % len(siblings)]
-        return StepAction(
+        return Action(
             think=f"Still covering breadth: sibling subtopic '{sib}' comes next.",
             query=f"{q0} {sib}",
         )
@@ -188,7 +182,7 @@ def step_breadth_first(
     term = _pick(deeper, variant)
     if term is None:
         return _fallback(q0, "no deeper term under the best branch")
-    return StepAction(
+    return Action(
         think=f"All branches visited; '{base}' scored best, so deepening it with '{term}'.",
         query=f"{base} {term}",
     )
@@ -196,7 +190,7 @@ def step_breadth_first(
 
 def step_depth_first(
     cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> StepAction:
+) -> Action:
     """Drill one specialization deeper per turn; back up one level on a drop.
 
     Turn 1 issues the head phrase of q0 plus its first corpus expansion. While
@@ -213,7 +207,7 @@ def step_depth_first(
         exp = _pick(res.vocab.expansions(base, 1 + variant), variant)
         if exp is None:
             return _fallback(q0, "no expansion for the head phrase")
-        return StepAction(
+        return Action(
             think=f"Commit to one line of attack: start from '{base}' and keep "
             f"specializing, first with '{exp}'.",
             query=f"{base} {exp}",
@@ -226,7 +220,7 @@ def step_depth_first(
         exp = _pick(res.vocab.expansions(prev, 1 + variant, exclude=used), variant)
         if exp is None:
             return _fallback(q0, "branch exhausted")
-        return StepAction(
+        return Action(
             think=f"Similarity held up; drilling further down with '{exp}'.",
             query=f"{prev} {exp}",
         )
@@ -237,7 +231,7 @@ def step_depth_first(
     exp = _pick(res.vocab.expansions(parent, 1 + variant, exclude=used), variant)
     if exp is None:
         return _fallback(q0, "no sibling branch after backtracking")
-    return StepAction(
+    return Action(
         think=f"That branch lost ground; backing up one level to '{parent}' and "
         f"taking the '{exp}' branch instead.",
         query=f"{parent} {exp}",
@@ -246,7 +240,7 @@ def step_depth_first(
 
 def step_wrong_direction(
     cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> StepAction:
+) -> Action:
     """Drift onto tangents, then diagnose the failure when similarity falls.
 
     While scores are not falling the query chases a weak expansion (the
@@ -255,7 +249,7 @@ def step_wrong_direction(
     """
     q0 = state.original_query
     if not state.history:
-        return StepAction(
+        return Action(
             think="Follow whatever looks interesting and stay alert for signs the "
             "search is going wrong.",
             query=q0,
@@ -270,7 +264,7 @@ def step_wrong_direction(
             exclude=tokenize(q0),
         )
         term = _pick(anchor, variant)
-        return StepAction(
+        return Action(
             think=f"These results are {FAILURE_MARKER}: '{prev}' drifted away from what "
             f"'{q0}' is actually asking, so the last reformulation was a wrong turn. "
             "Re-anchoring to the original question.",
@@ -281,7 +275,7 @@ def step_wrong_direction(
     if not exps:
         return _fallback(q0, "no tangent available")
     term = exps[-1]
-    return StepAction(
+    return Action(
         think=f"Curious about the side thread '{term}'; chasing it even though it may "
         "not serve the original question.",
         query=f"{prev} {term}",
@@ -290,7 +284,7 @@ def step_wrong_direction(
 
 def step_early_success(
     cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> StepAction:
+) -> Action:
     """Recognize when results already work and refine only minimally.
 
     Turn 1 validates q0 as-is. Afterwards, if the best similarity is rising
@@ -300,7 +294,7 @@ def step_early_success(
     """
     q0 = state.original_query
     if not state.history:
-        return StepAction(
+        return Action(
             think="Try the original query first; if the results already look successful "
             "there is no reason to change course, only to refine lightly.",
             query=q0,
@@ -326,12 +320,12 @@ def step_early_success(
             f"The detour underperformed; returning to the successful query "
             f"'{base_turn.query}' and nudging it with '{term}'."
         )
-    return StepAction(think=think, query=f"{base_turn.query} {term}")
+    return Action(think=think, query=f"{base_turn.query} {term}")
 
 
 def step_exploitation_heavy(
     cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> StepAction:
+) -> Action:
     """Never explore: always re-optimize the best-scoring query so far.
 
     Each turn takes the highest-similarity query from the history and appends
@@ -339,7 +333,7 @@ def step_exploitation_heavy(
     """
     q0 = state.original_query
     if not state.history:
-        return StepAction(
+        return Action(
             think="Find one query that works and keep optimizing it rather than "
             "exploring alternatives.",
             query=q0,
@@ -354,7 +348,7 @@ def step_exploitation_heavy(
         term = _pick(res.vocab.expansions(base_turn.query, 1 + variant, exclude=used), variant)
     if term is None:
         return _fallback(q0, "best query cannot be refined further")
-    return StepAction(
+    return Action(
         think=f"'{base_turn.query}' remains the best performer; squeezing more out of "
         f"it with '{term}'.",
         query=f"{base_turn.query} {term}",
@@ -363,7 +357,7 @@ def step_exploitation_heavy(
 
 def step_greedy_hill(
     cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> StepAction:
+) -> Action:
     """Probe `candidates` edits against the index and keep the argmax.
 
     Candidate edits append each top expansion of the current query; each is
@@ -384,7 +378,7 @@ def step_greedy_hill(
     )
     sim, idx = scored[variant % len(scored)]
     chosen = edits[idx]
-    return StepAction(
+    return Action(
         think=f"Tested {len(edits)} candidate refinements of '{base}'; "
         f"'{chosen}' retrieved best (similarity {sim:.3f}), so climbing that way.",
         query=f"{base} {chosen}",
@@ -393,7 +387,7 @@ def step_greedy_hill(
 
 def step_best_first(
     cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> StepAction:
+) -> Action:
     """Keep a pool of hypothesis queries and pursue the most promising.
 
     The pool is q0 plus its top `pool_size` expansions. When the last turn
@@ -404,7 +398,7 @@ def step_best_first(
     q0 = state.original_query
     pool = [q0] + [f"{q0} {e}" for e in res.vocab.expansions(q0, int(cfg.params["pool_size"]))]
     if not state.history:
-        return StepAction(
+        return Action(
             think=f"Holding {len(pool)} candidate directions; starting with the most "
             "direct one and ranking the rest as evidence arrives.",
             query=pool[variant % len(pool)],
@@ -414,7 +408,7 @@ def step_best_first(
     sims = _best_sims(state)
     if sims[-1] < float(cfg.params["try_threshold"]) and unissued:
         nxt = unissued[variant % len(unissued)]
-        return StepAction(
+        return Action(
             think=f"The last hypothesis underperformed; promoting the next one in the "
             f"pool: '{nxt}'.",
             query=nxt,
@@ -427,7 +421,7 @@ def step_best_first(
     )
     if term is None:
         return _fallback(q0, "leading hypothesis cannot be extended")
-    return StepAction(
+    return Action(
         think=f"Hypothesis '{base_turn.query}' leads the pool; pursuing it with '{term}'.",
         query=f"{base_turn.query} {term}",
     )
@@ -435,7 +429,7 @@ def step_best_first(
 
 def step_multi_beam(
     cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> StepAction:
+) -> Action:
     """Round-robin three fixed sub-strategies as parallel search lanes.
 
     Lane 0 reads keywords out of the last results (q0 plus the top result
@@ -447,7 +441,7 @@ def step_multi_beam(
     lane = (t - 1) % 3
     if lane == 0:
         if not state.history:
-            return StepAction(
+            return Action(
                 think="Running parallel lanes over this topic; lane one starts from the "
                 "original query.",
                 query=q0,
@@ -458,7 +452,7 @@ def step_multi_beam(
         )
         if term is None:
             return _fallback(q0, "lane one found no fresh keyword")
-        return StepAction(
+        return Action(
             think=f"Advancing lane one: folding the observed keyword '{term}' back "
             "into the original query.",
             query=f"{q0} {term}",
@@ -467,13 +461,13 @@ def step_multi_beam(
     if len(exps) < lane:
         return _fallback(q0, "not enough branches for the parallel lanes")
     term = exps[(lane - 1 + variant) % len(exps)]
-    return StepAction(
+    return Action(
         think=f"Advancing lane {lane + 1}: an independent thread on '{q0} {term}'.",
         query=f"{q0} {term}",
     )
 
 
-STEPS: dict[str, Callable[..., StepAction]] = {
+STEPS: dict[str, Callable[..., Action]] = {
     "adaptive_context": step_adaptive_context,
     "random_walk": step_random_walk,
     "breadth_first": step_breadth_first,

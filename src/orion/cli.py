@@ -24,17 +24,18 @@ from pathlib import Path
 from . import dataio
 from .archetypes import KINDS, PolicyResources
 from .config import ConfigError, RunConfig, episode_seed, load_config
-from .corpus import CorpusIndex, build_index
+from .corpus import CorpusError, CorpusIndex, build_index
 from .embed import EmbeddingServiceClient, HashEmbedder
 from .engine import (
     EpisodeConfig,
+    EpisodeResult,
     Retriever,
     beam_search,
     episode_from_dict,
     episode_to_dict,
     ordered_map,
+    relevant_docs,
     run_episode,
-    targets_for,
 )
 from .metrics import (
     analyze_behavior,
@@ -45,7 +46,7 @@ from .metrics import (
 from .policy import ArchetypeConfig, RemotePolicy, ScriptedPolicy, derive_rng
 from .rewards import GrpoConfig, collect_grouped_episode, make_training_record
 from .synth import DatasetManifest, assemble_pool, generate_trajectory, sample_sft_dataset
-from .trace import serialize_trace
+from .trace import TraceError, serialize_trace
 from .vocab import TfidfTable
 
 log = logging.getLogger("orion")
@@ -134,12 +135,19 @@ def _write_log(path: Path, cfg: RunConfig, records: list[dict]) -> None:
     dataio.write_jsonl([meta] + records, path)
 
 
-def _read_episode_log(path: str) -> list[tuple[str, "object"]]:
+def _read_episode_log(path: str) -> list[tuple[str, EpisodeResult]]:
+    """The episodes of a log written by `run` or `beam`; a malformed record
+    is a CorpusError naming the file and line."""
     episodes = []
-    for obj in dataio.read_jsonl(path):
+    for lineno, obj in dataio._json_lines(path):
         if obj.get("record") == "meta":
             continue
-        episodes.append(episode_from_dict(obj))
+        try:
+            episodes.append(episode_from_dict(obj))
+        except (KeyError, TypeError, AttributeError, TraceError) as exc:
+            raise CorpusError(
+                f"{path}:{lineno}: malformed episode record ({type(exc).__name__}: {exc})"
+            ) from exc
     return episodes
 
 
@@ -173,7 +181,7 @@ def _each_query(cfg: RunConfig, command: str, job) -> tuple[list, int]:
     def attempt(item: tuple[str, str]):
         qid, text = item
         try:
-            episode_cfg = EpisodeConfig(cfg.k, cfg.max_turns, targets_for(qrels, qid))
+            episode_cfg = EpisodeConfig(cfg.k, cfg.max_turns, relevant_docs(qrels.get(qid, {})))
             return job(qid, text, episode_cfg), None
         except Exception as exc:  # one failed query must not lose the batch
             log.debug("query %s failed", qid, exc_info=exc)

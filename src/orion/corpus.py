@@ -67,9 +67,6 @@ class RankedResults:
     def doc_ids(self) -> list[str]:
         return [e.doc_id for e in self.entries]
 
-    def best_score(self) -> float | None:
-        return self.entries[0].score if self.entries else None
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -126,9 +123,6 @@ class CorpusIndex:
 
     def doc(self, doc_id: str) -> Document:
         return self.documents[self._row_of[doc_id]]
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._row_of
 
     def embedding_of(self, doc_id: str) -> np.ndarray:
         """The document's embedding, rebuilt as unit row times norm.

@@ -25,19 +25,21 @@ import functools
 import logging
 from concurrent import futures
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import CorpusIndex, RankedResults
-from .policy import Action, Policy, PolicyError
+from .policy import Policy, PolicyError
 from .trace import (
     DEFAULT_SNIPPET_CHARS,
     SearchState,
     TERMINAL_BUDGET,
     TERMINAL_POLICY_ERROR,
     TERMINAL_SUCCESS,
+    Action,
     TraceDocument,
+    TraceError,
     Turn,
     append_turn,
     snapshot_results,
@@ -123,14 +125,27 @@ class Beam:
 
 @dataclass(frozen=True)
 class EpisodeResult:
+    """An episode: its trace, plus the per-turn survivor counts of a beam run.
+
+    `succeeded`, `success_turn` and `per_turn_ranks` are read off the trace,
+    so they cannot disagree with it.
+    """
+
     trace: TraceDocument
-    success_turn: int | None  # 1-based; set iff terminal_reason == success
-    per_turn_ranks: tuple[int | None, ...]
     beam_sizes: tuple[int, ...] = ()  # per-turn survivor counts (beam runs only)
 
     @property
     def succeeded(self) -> bool:
         return self.trace.terminal_reason == TERMINAL_SUCCESS
+
+    @property
+    def success_turn(self) -> int | None:
+        """1-based turn of the success (the trace's last), None without one."""
+        return len(self.trace.state.history) if self.succeeded else None
+
+    @property
+    def per_turn_ranks(self) -> tuple[int | None, ...]:
+        return tuple(t.target_rank for t in self.trace.state.history)
 
 
 def check_success(results: RankedResults, target_ids: Iterable[str], k: int) -> bool:
@@ -180,15 +195,8 @@ def expand_turn(
     return candidates
 
 
-def _result(
-    state: SearchState, reason: str, success_turn: int | None, beam_sizes: Sequence[int]
-) -> EpisodeResult:
-    return EpisodeResult(
-        trace=TraceDocument(state=state, terminal_reason=reason),
-        success_turn=success_turn,
-        per_turn_ranks=tuple(t.target_rank for t in state.history),
-        beam_sizes=tuple(beam_sizes),
-    )
+def _result(state: SearchState, reason: str, beam_sizes: Sequence[int]) -> EpisodeResult:
+    return EpisodeResult(TraceDocument(state=state, terminal_reason=reason), tuple(beam_sizes))
 
 
 def run_episode(
@@ -238,13 +246,13 @@ def beam_search(
             candidates = sorted(scored, key=lambda b: (-b.confidence, b.last_query()))
         if not candidates:
             best = max(beams, key=lambda b: b.confidence)
-            return _result(best.state, TERMINAL_POLICY_ERROR, None, sizes)
+            return _result(best.state, TERMINAL_POLICY_ERROR, sizes)
         beams = candidates[:beam_size]
         sizes.append(len(beams))
         winners = [b for b in beams if b.hit]
         if winners:
-            return _result(winners[0].state, TERMINAL_SUCCESS, t, sizes)
-    return _result(beams[0].state, TERMINAL_BUDGET, None, sizes)
+            return _result(winners[0].state, TERMINAL_SUCCESS, sizes)
+    return _result(beams[0].state, TERMINAL_BUDGET, sizes)
 
 
 # --- batch running and the episode log ----------------------------------------
@@ -262,19 +270,19 @@ def episode_to_dict(query_id: str, result: EpisodeResult) -> dict:
 
 
 def episode_from_dict(obj: dict) -> tuple[str, EpisodeResult]:
-    trace = trace_from_dict(obj["trace"])
-    result = EpisodeResult(
-        trace=trace,
-        success_turn=obj.get("success_turn"),
-        per_turn_ranks=tuple(obj.get("per_turn_ranks", [])),
-        beam_sizes=tuple(obj.get("beam_sizes", [])),
-    )
+    """Read an `episode_to_dict` record back. Its `success_turn` and
+    `per_turn_ranks`, when present, must agree with its trace (TraceError)."""
+    result = EpisodeResult(trace_from_dict(obj["trace"]), tuple(obj.get("beam_sizes", [])))
+    derived = {"success_turn": result.success_turn, "per_turn_ranks": list(result.per_turn_ranks)}
+    for key in derived:
+        if key in obj and obj[key] != derived[key]:
+            raise TraceError(f"logged {key} {obj[key]!r} contradicts the trace ({derived[key]!r})")
     return obj["query_id"], result
 
 
-def targets_for(qrels: dict[str, dict[str, int]], qid: str) -> frozenset[str]:
-    """A query's targets: its qrels docs with relevance >= 1."""
-    return frozenset(d for d, g in qrels.get(qid, {}).items() if g >= 1)
+def relevant_docs(grades: Mapping[str, int]) -> frozenset[str]:
+    """Docs graded >= 1: a query's episode targets, and what the IR metrics count relevant."""
+    return frozenset(d for d, g in grades.items() if g >= 1)
 
 
 def ordered_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
@@ -306,7 +314,7 @@ def run_batch(
 
     def one(item: tuple[str, str]) -> tuple[str, EpisodeResult]:
         qid, text = item
-        targets = targets_for(qrels, qid)
+        targets = relevant_docs(qrels.get(qid, {}))
         cfg = EpisodeConfig(k=config.k, max_turns=config.max_turns, target_ids=targets)
         policy = policy_for(qid)
         if beam_size is None:

@@ -22,11 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import NOT_FOUND
-from .engine import EpisodeResult
-
-
-def _relevant(qrels: Mapping[str, int]) -> set[str]:
-    return {doc for doc, grade in qrels.items() if grade >= 1}
+from .engine import EpisodeResult, relevant_docs
 
 
 def ndcg_at_k(ranking: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
@@ -46,19 +42,19 @@ def ndcg_at_k(ranking: Sequence[str], qrels: Mapping[str, int], k: int) -> float
 
 
 def recall_at_k(ranking: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
-    relevant = _relevant(qrels)
+    relevant = relevant_docs(qrels)
     if not relevant:
         return 0.0
     return len(relevant.intersection(ranking[:k])) / len(relevant)
 
 
 def success_at_k(ranking: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
-    relevant = _relevant(qrels)
+    relevant = relevant_docs(qrels)
     return 1.0 if relevant.intersection(ranking[:k]) else 0.0
 
 
 def mrr(ranking: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
-    relevant = _relevant(qrels)
+    relevant = relevant_docs(qrels)
     for pos, doc_id in enumerate(ranking[:k], 1):
         if doc_id in relevant:
             return 1.0 / pos
@@ -177,7 +173,7 @@ def turnwise_success_distribution(
     episodes: Sequence[tuple[str, EpisodeResult]]
 ) -> dict[int, float]:
     """Successful episodes bucketed by success turn, normalized; {} if none."""
-    turns = [r.success_turn for _, r in episodes if r.succeeded and r.success_turn]
+    turns = [r.success_turn for _, r in episodes if r.succeeded]
     if not turns:
         return {}
     total = len(turns)

@@ -22,13 +22,13 @@ import hashlib
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Protocol, Sequence
 
 from . import archetypes
-from .archetypes import DEFAULT_PARAMS, KINDS, PolicyResources, StepAction
+from .archetypes import DEFAULT_PARAMS, KINDS, PolicyResources
 from .embed import post_json
-from .trace import _ALL_TAG_LITERALS, SearchState, render_prompt, serialize_state
+from .trace import _ALL_TAG_LITERALS, Action, SearchState, render_prompt, serialize_state
 
 API_KEY_ENV = "ORION_API_KEY"
 DEFAULT_MAX_QUERY_CHARS = 300
@@ -45,18 +45,6 @@ class PolicyError(RuntimeError):
 
 class CapabilityError(PolicyError):
     """The remote endpoint lacks a required capability (e.g. logprobs)."""
-
-
-@dataclass(frozen=True)
-class Action:
-    """One proposed step: a reasoning span and the query to issue."""
-
-    think: str
-    query: str
-
-    def __post_init__(self) -> None:
-        if not self.query.strip():
-            raise ValueError("action query must be non-empty")
 
 
 def clip_query(query: str, max_chars: int = DEFAULT_MAX_QUERY_CHARS) -> str:
@@ -120,7 +108,7 @@ def archetype_step(
     resources: PolicyResources,
     rng: random.Random,
     variant: int = 0,
-) -> StepAction:
+) -> Action:
     """Run one behavior step (see `archetypes` for the per-kind rules)."""
     return archetypes.STEPS[config.kind](config, state, resources, rng, variant)
 
@@ -148,9 +136,7 @@ class ScriptedPolicy:
         for i in range(n):
             rng = derive_rng(self.config.seed, self._state_key(state), len(state.history), i)
             step = archetype_step(self.config, state, self.resources, rng, variant=i)
-            actions.append(
-                Action(think=step.think, query=clip_query(step.query, self.max_query_chars))
-            )
+            actions.append(replace(step, query=clip_query(step.query, self.max_query_chars)))
         return actions
 
     def relevance_perplexity(self, state: SearchState, t: int, query: str, q0: str) -> float:

@@ -54,16 +54,22 @@ class RewardError(ValueError):
     """Out-of-range reward inputs."""
 
 
-def normalize_similarity(sim: float) -> float:
-    """Map a cosine similarity in [-1, 1] to [0, 1].
+def clamp_cosine(sim: float, error: type[Exception]) -> float:
+    """A computed cosine similarity, clamped to [-1, 1].
 
     A float64 cosine of two parallel vectors can round to a few ulps past
     +-1 (a query equal to a document scores 1.0000000000000002); values within
-    `COSINE_ROUNDING` of the range are clamped to it.
+    `COSINE_ROUNDING` of the range are clamped to it. Any other value,
+    NaN included, raises `error`.
     """
-    if not -1.0 - COSINE_ROUNDING <= sim <= 1.0 + COSINE_ROUNDING or not math.isfinite(sim):
-        raise RewardError(f"similarity {sim} outside [-1, 1]")
-    sim = min(max(sim, -1.0), 1.0)
+    if not -1.0 - COSINE_ROUNDING <= sim <= 1.0 + COSINE_ROUNDING:
+        raise error(f"cosine {sim} outside [-1, 1]")
+    return min(max(sim, -1.0), 1.0)
+
+
+def normalize_similarity(sim: float) -> float:
+    """Map a cosine similarity in [-1, 1] to [0, 1] (clamped by `clamp_cosine`)."""
+    sim = clamp_cosine(sim, RewardError)
     return sim if sim >= 0.0 else (sim + 1.0) / 2.0
 
 

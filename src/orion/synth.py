@@ -1,9 +1,11 @@
 """Archetype-driven trajectory generation and balanced SFT dataset assembly.
 
 Trajectories from the ten scripted behaviors stand in for external-model
-traces when no remote backend is configured; either way the pool schema is
-the same: original query, source tag, and up to five per-turn tuples of
-(think, query, results, similarity-to-target, target rank).
+traces when no remote backend is configured. A pool record is a source tag
+plus the episode's trace, capped at five turns; the pool schema is a
+projection of that trace: original query, source tag, terminal reason, and
+per turn (think, query, result ids and texts, similarity-to-target, target
+rank). orion writes pool files and never reads them back.
 
 Dataset sampling apportions the requested total over sources by the
 largest-remainder rule (seeded tie-break among equal remainders) and emits
@@ -14,14 +16,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .archetypes import PolicyResources
-from .corpus import NOT_FOUND
-from .engine import EpisodeConfig, EpisodeResult, Retriever, run_episode
+from .engine import EpisodeConfig, Retriever, run_episode
 from .policy import DEFAULT_MAX_QUERY_CHARS, ArchetypeConfig, ScriptedPolicy, derive_rng
-from .rewards import GrpoConfig, TrainingRecord, make_training_record
-from .trace import RetrievedDoc, SearchState, TraceDocument, Turn
+from .rewards import GrpoConfig, TrainingRecord, clamp_cosine, make_training_record
+from .trace import TraceDocument
 
 MAX_POOL_TURNS = 5
 
@@ -31,39 +32,35 @@ class PoolError(ValueError):
 
 
 @dataclass(frozen=True)
-class PoolTurn:
-    think: str
-    query: str
-    result_ids: tuple[str, ...]
-    result_texts: tuple[str, ...]
-    cos: float | None
-    rank: int | None
-
-    def __post_init__(self) -> None:
-        if self.cos is not None and not -1.0 <= self.cos <= 1.0:
-            raise PoolError(f"cosine {self.cos} outside [-1, 1]")
-        if self.rank is not None and self.rank < NOT_FOUND:
-            raise PoolError(f"invalid rank {self.rank}")
-
-
-@dataclass(frozen=True)
 class PoolRecord:
     """One multi-turn trace from one source (model name or archetype kind)."""
 
-    q0: str
     source: str
-    turns: tuple[PoolTurn, ...]
-    terminal_reason: str | None = None
+    trace: TraceDocument
 
     def __post_init__(self) -> None:
-        if len(self.turns) > MAX_POOL_TURNS:
+        turns = self.trace.state.history
+        if len(turns) > MAX_POOL_TURNS:
             raise PoolError(f"pool records hold at most {MAX_POOL_TURNS} turns")
+        for t in turns:
+            if t.sim_to_target is not None:
+                clamp_cosine(t.sim_to_target, PoolError)
+
+    @property
+    def q0(self) -> str:
+        return self.trace.state.original_query
+
+    @property
+    def terminal_reason(self) -> str | None:
+        return self.trace.terminal_reason
 
     def dedup_key(self) -> tuple[str, str, str]:
-        first_query = self.turns[0].query if self.turns else ""
-        return (self.q0, self.source, first_query)
+        first = self.trace.state.history[:1]
+        return (self.q0, self.source, first[0].query if first else "")
 
     def to_dict(self) -> dict:
+        """The pool schema: the trace's turns without scores, a missing doc
+        id written as "", and the target cosine clamped to [-1, 1]."""
         return {
             "q0": self.q0,
             "source": self.source,
@@ -72,69 +69,14 @@ class PoolRecord:
                 {
                     "think": t.think,
                     "query": t.query,
-                    "result_ids": list(t.result_ids),
-                    "result_texts": list(t.result_texts),
-                    "cos": t.cos,
-                    "rank": t.rank,
+                    "result_ids": [d.doc_id or "" for d in t.results],
+                    "result_texts": [d.text for d in t.results],
+                    "cos": None if t.sim_to_target is None else clamp_cosine(t.sim_to_target, PoolError),
+                    "rank": t.target_rank,
                 }
-                for t in self.turns
+                for t in self.trace.state.history
             ],
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PoolRecord":
-        return cls(
-            q0=obj["q0"],
-            source=obj["source"],
-            terminal_reason=obj.get("terminal_reason"),
-            turns=tuple(
-                PoolTurn(
-                    think=t["think"],
-                    query=t["query"],
-                    result_ids=tuple(t["result_ids"]),
-                    result_texts=tuple(t["result_texts"]),
-                    cos=t.get("cos"),
-                    rank=t.get("rank"),
-                )
-                for t in obj["turns"]
-            ),
-        )
-
-    def to_trace(self) -> TraceDocument:
-        turns = tuple(
-            Turn(
-                think=t.think,
-                query=t.query,
-                results=tuple(
-                    RetrievedDoc(text=text, doc_id=doc_id)
-                    for doc_id, text in zip(t.result_ids, t.result_texts)
-                ),
-                sim_to_target=t.cos,
-                target_rank=t.rank,
-            )
-            for t in self.turns
-        )
-        return TraceDocument(
-            state=SearchState(original_query=self.q0, history=turns),
-            terminal_reason=self.terminal_reason,
-        )
-
-
-def record_from_episode(q0: str, source: str, result: EpisodeResult) -> PoolRecord:
-    turns = tuple(
-        PoolTurn(
-            think=t.think,
-            query=t.query,
-            result_ids=tuple(d.doc_id or "" for d in t.results),
-            result_texts=tuple(d.text for d in t.results),
-            cos=t.sim_to_target,
-            rank=t.target_rank,
-        )
-        for t in result.trace.state.history
-    )
-    return PoolRecord(
-        q0=q0, source=source, turns=turns, terminal_reason=result.trace.terminal_reason
-    )
 
 
 def generate_trajectory(
@@ -152,8 +94,7 @@ def generate_trajectory(
         k=k, max_turns=min(max_turns, MAX_POOL_TURNS), target_ids=frozenset(target_ids)
     )
     policy = ScriptedPolicy(archetype, resources, max_query_chars=max_query_chars)
-    result = run_episode(policy, retriever, q0, config)
-    return record_from_episode(q0, archetype.kind, result)
+    return PoolRecord(archetype.kind, run_episode(policy, retriever, q0, config).trace)
 
 
 @dataclass
@@ -248,5 +189,5 @@ def sample_sft_dataset(
             )
         picked = rng.sample(have, want)
         for rec in picked:
-            records.append(make_training_record(rec.to_trace(), (), grpo))
+            records.append(make_training_record(rec.trace, (), grpo))
     return records

@@ -94,6 +94,18 @@ class RetrievedDoc:
 
 
 @dataclass(frozen=True)
+class Action:
+    """One proposed step: a reasoning span and the query to issue."""
+
+    think: str
+    query: str
+
+    def __post_init__(self) -> None:
+        if not self.query.strip():
+            raise ValueError("action query must be non-empty")
+
+
+@dataclass(frozen=True)
 class Turn:
     """One completed think/query/retrieve cycle."""
 
@@ -145,10 +157,6 @@ class SearchState:
         if not self.original_query:
             raise TraceError("original query must be non-empty")
         _check_content("user query", self.original_query)
-
-    @property
-    def turn_count(self) -> int:
-        return len(self.history)
 
     def last_turn(self) -> Turn | None:
         return self.history[-1] if self.history else None

@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from orion import dataio
+from orion import cli, dataio
 from orion.cli import _build_config, build_parser, main
 from orion.config import RunConfig
 from orion.corpus import Document
 from orion.embed import HashEmbedder
+from orion.engine import episode_to_dict
+from orion.metrics import analyze_behavior, evaluate_episodes
 
 
 def test_common_flags_land_on_their_config_fields():
@@ -161,3 +163,79 @@ def test_generate_clips_queries_to_the_configured_length(tmp_path):
         records = (tmp_path / name / "pool.jsonl").read_text().splitlines()[1:]
         lengths[name] = max(len(t["query"]) for r in records for t in json.loads(r)["turns"])
     assert lengths["default"] > 25 >= lengths["clipped"]
+
+
+def test_eval_and_report_of_a_beam_log_match_the_in_memory_episodes(tmp_path, monkeypatch):
+    inputs = _seeded_inputs(tmp_path)
+    logged = []
+
+    def capture(qid, result):
+        logged.append((qid, result))
+        return episode_to_dict(qid, result)
+
+    monkeypatch.setattr(cli, "episode_to_dict", capture)
+    log_path = tmp_path / "beam" / "episodes.jsonl"
+    assert main(["beam", *inputs, "--beam-size", "2", "--expansion", "2", "--out", str(log_path.parent)]) == 0
+    assert main(["eval", *inputs, "--episodes", str(log_path), "--out", str(tmp_path / "eval")]) == 0
+    argv = ["report", *inputs, "--episodes", str(log_path), "--no-plots", "--out", str(tmp_path / "report")]
+    assert main(argv) == 0
+
+    qrels = dataio.read_qrels(tmp_path / "qrels.tsv")
+    want_metrics = evaluate_episodes(logged, qrels, RunConfig().k).summary()
+    want_behavior = analyze_behavior(logged, corpus_size=36).summary()
+    metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    behavior = json.loads((tmp_path / "report" / "behavior.json").read_text())
+    assert len(logged) == 6 and want_behavior["successful_episodes"] > 0
+    assert {k: metrics[k] for k in want_metrics} == want_metrics
+    assert {k: behavior[k] for k in want_behavior} == want_behavior
+
+
+def _episode_log(tmp_path, edit) -> str:
+    """A one-episode `run` log with `edit` applied to its episode record."""
+    inputs = _seeded_inputs(tmp_path)
+    assert main(["run", *inputs, "--out", str(tmp_path / "run")]) == 0
+    meta, first, *_ = (tmp_path / "run" / "episodes.jsonl").read_text().splitlines()
+    record = json.loads(first)
+    edit(record)
+    path = tmp_path / "edited.jsonl"
+    path.write_text(f"{meta}\n{json.dumps(record)}\n")
+    return str(path)
+
+
+def _drop_query(record):
+    del record["trace"]["turns"][0]["query"]
+
+
+def _results_not_a_list(record):
+    record["trace"]["turns"][0]["results"] = 7
+
+
+def _wrong_success_turn(record):
+    record["success_turn"] = len(record["trace"]["turns"]) + 1
+
+
+def _wrong_ranks(record):
+    record["per_turn_ranks"] = [r + 1 if r is not None else 0 for r in record["per_turn_ranks"]]
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize(
+    "edit, cause",
+    [
+        (_drop_query, "KeyError"),
+        (_results_not_a_list, "TypeError"),
+        (_wrong_success_turn, "logged success_turn"),
+        (_wrong_ranks, "logged per_turn_ranks"),
+    ],
+)
+def test_a_malformed_episode_log_names_its_file_and_line(tmp_path, capsys, command, edit, cause):
+    path = _episode_log(tmp_path, edit)
+    argv = [command, "--qrels", str(tmp_path / "qrels.tsv")]
+    if command == "report":
+        argv += ["--corpus-size", "36"]
+    capsys.readouterr()
+    assert main([*argv, "--episodes", path, "--out", str(tmp_path / "out")]) == 1
+    [error] = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert error["type"] == "CorpusError"
+    assert error["error"].startswith(f"{path}:2: malformed episode record")
+    assert cause in error["error"]

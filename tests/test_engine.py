@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
 import sys
 import weakref
@@ -20,13 +21,15 @@ from orion.engine import (
     Retriever,
     beam_search,
     check_success,
+    episode_from_dict,
+    episode_to_dict,
     execute_action,
     run_batch,
     run_episode,
 )
 from orion.policy import Action, ArchetypeConfig, PolicyError, ScriptedPolicy, derive_rng
 from orion.rewards import GrpoConfig, collect_grouped_episode
-from orion.trace import SearchState, TraceDocument, append_turn, serialize_trace
+from orion.trace import SearchState, TraceDocument, TraceError, append_turn, serialize_trace
 
 from conftest import TREE_DOCS, TREE_QUERY, axis, make_stub_retriever, mix
 
@@ -386,6 +389,31 @@ class TestRunBatch:
             queries, qrels, policy_for, tree_retriever, EpisodeConfig(), workers=3
         )
         assert [(q, r.trace) for q, r in serial] == [(q, r.trace) for q, r in parallel]
+
+
+@pytest.mark.parametrize("kind", ["depth_first", "random_walk"])
+def test_episode_log_record_round_trips(tree_retriever, tree_resources, kind):
+    policy = ScriptedPolicy(ArchetypeConfig(kind=kind, seed=2), tree_resources)
+    cfg = EpisodeConfig(k=5, max_turns=3, target_ids=frozenset({"t2"}))
+    result = beam_search(policy, tree_retriever, TREE_QUERY, 2, 2, cfg)
+    record = episode_to_dict("q1", result)
+    assert record["success_turn"] == result.success_turn
+    assert record["per_turn_ranks"] == [t.target_rank for t in result.trace.state.history]
+    assert episode_from_dict(json.loads(json.dumps(record))) == ("q1", result)
+
+
+def test_episode_log_record_must_agree_with_its_trace(tree_retriever, tree_resources):
+    policy = ScriptedPolicy(ArchetypeConfig(kind="depth_first", seed=1), tree_resources)
+    cfg = EpisodeConfig(k=5, max_turns=5, target_ids=frozenset({"t2"}))
+    record = episode_to_dict("q1", run_episode(policy, tree_retriever, TREE_QUERY, cfg))
+    assert record["success_turn"] == 2
+    with pytest.raises(TraceError, match="success_turn"):
+        episode_from_dict({**record, "success_turn": 1})
+    with pytest.raises(TraceError, match="per_turn_ranks"):
+        episode_from_dict({**record, "per_turn_ranks": [5]})
+    # records without the derived fields are read from the trace alone
+    del record["success_turn"], record["per_turn_ranks"]
+    assert episode_from_dict(record)[1].success_turn == 2
 
 
 def test_beam_dataclass_tracks_last_query():

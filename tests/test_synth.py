@@ -14,31 +14,30 @@ from orion.synth import (
     DatasetManifest,
     PoolError,
     PoolRecord,
-    PoolTurn,
     apportion,
     assemble_pool,
     generate_trajectory,
     sample_sft_dataset,
 )
-from orion.trace import parse_trace, serialize_trace
+from orion.trace import RetrievedDoc, SearchState, TraceDocument, Turn, parse_trace, serialize_trace
 
 from conftest import TREE_DOCS, tree_retriever  # noqa: F401  (fixture re-export)
 from orion.vocab import TfidfTable
 
 
-def make_record(q0="question", source="model-a", first_query="q1", n_turns=1):
+def make_record(q0="question", source="model-a", first_query="q1", n_turns=1, cos=0.5):
     turns = tuple(
-        PoolTurn(
+        Turn(
             think=f"think {i}",
             query=first_query if i == 0 else f"q{i + 1}",
-            result_ids=("d1",),
-            result_texts=("text of d1",),
-            cos=0.5,
-            rank=2,
+            results=(RetrievedDoc(text="text of d1", doc_id="d1", score=0.7),),
+            sim_to_target=cos,
+            target_rank=2,
         )
         for i in range(n_turns)
     )
-    return PoolRecord(q0=q0, source=source, turns=turns, terminal_reason="budget_exhausted")
+    state = SearchState(original_query=q0, history=turns)
+    return PoolRecord(source, TraceDocument(state=state, terminal_reason="budget_exhausted"))
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +65,11 @@ class TestGenerateTrajectory:
         record = generate_trajectory(
             arch, "machine learning neural alpha", tree_retriever, tree_resources, {"f1"}
         )
+        turns = record.to_dict()["turns"]
         assert record.terminal_reason == "success"
-        assert len(record.turns) == 1
-        assert "success" in record.turns[0].think.lower()
-        assert record.turns[0].rank == 0
+        assert len(turns) == 1
+        assert "success" in turns[0]["think"].lower()
+        assert turns[0]["rank"] == 0
 
     def test_wrong_direction_diagnoses_after_drop(self, drift_world):
         retriever, resources = drift_world
@@ -77,8 +77,9 @@ class TestGenerateTrajectory:
         record = generate_trajectory(
             arch, "solar energy", retriever, resources, {"s5"}, k=1, max_turns=3
         )
-        assert len(record.turns) == 3
-        assert FAILURE_MARKER in record.turns[2].think
+        turns = record.to_dict()["turns"]
+        assert len(turns) == 3
+        assert FAILURE_MARKER in turns[2]["think"]
 
     def test_fixed_seed_repeats_identically(self, tree_retriever, tree_resources):
         arch = ArchetypeConfig(kind="random_walk", seed=123)
@@ -90,32 +91,69 @@ class TestGenerateTrajectory:
     def test_metrics_agree_with_recomputation(self, tree_retriever, tree_resources):
         arch = ArchetypeConfig(kind="adaptive_context", seed=9)
         record = generate_trajectory(arch, "machine learning", tree_retriever, tree_resources, {"t2"})
-        assert record.turns
+        turns = record.to_dict()["turns"]
+        assert turns
         # independent oracle: pairwise cosines of fresh embeddings; the rank may
         # fall anywhere among the docs scoring within 1e-9 of the target
         embed = HashEmbedder(dim=2048)
-        for turn in record.turns:
-            q = embed(turn.query)
+        for turn in turns:
+            q = embed(turn["query"])
             cos = {d.doc_id: cosine_similarity(q, embed(d.text)) for d in TREE_DOCS}
-            assert turn.cos == pytest.approx(cos["t2"], abs=1e-9)
+            assert turn["cos"] == pytest.approx(cos["t2"], abs=1e-9)
             above = sum(c > cos["t2"] + 1e-9 for c in cos.values())
             level = sum(c >= cos["t2"] - 1e-9 for c in cos.values())
-            assert above <= turn.rank < level
+            assert above <= turn["rank"] < level
 
     def test_record_round_trips_through_trace_protocol(self, tree_retriever, tree_resources):
         arch = ArchetypeConfig(kind="breadth_first", seed=1)
         record = generate_trajectory(arch, "machine learning", tree_retriever, tree_resources, {"t3a"})
-        trace = record.to_trace()
-        parsed = parse_trace(serialize_trace(trace))
+        parsed = parse_trace(serialize_trace(record.trace))
+        pool_turns = record.to_dict()["turns"]
         assert parsed.state.original_query == record.q0
-        for parsed_turn, pool_turn in zip(parsed.state.history, record.turns):
-            assert parsed_turn.think == pool_turn.think
-            assert parsed_turn.query == pool_turn.query
-            assert tuple(d.text for d in parsed_turn.results) == pool_turn.result_texts
+        assert len(parsed.state.history) == len(pool_turns)
+        for parsed_turn, pool_turn in zip(parsed.state.history, pool_turns):
+            assert parsed_turn.think == pool_turn["think"]
+            assert parsed_turn.query == pool_turn["query"]
+            assert [d.text for d in parsed_turn.results] == pool_turn["result_texts"]
 
-    def test_json_round_trip(self):
-        record = make_record(n_turns=3)
-        assert PoolRecord.from_dict(record.to_dict()) == record
+    def test_a_query_equal_to_its_target_gets_a_record(self, tree_retriever, tree_resources):
+        # t2 scores 1.0000000000000002 against its own text: a rounding past 1
+        # that the trace keeps and the pool schema clamps
+        arch = ArchetypeConfig(kind="adaptive_context", seed=0)
+        text = next(d.text for d in TREE_DOCS if d.doc_id == "t2")
+        record = generate_trajectory(arch, text, tree_retriever, tree_resources, {"t2"})
+        assert record.trace.state.history[0].sim_to_target > 1.0
+        assert record.terminal_reason == "success"
+        assert record.to_dict()["turns"][0]["cos"] == 1.0
+
+
+class TestPoolSchema:
+    def test_to_dict_projects_the_trace(self):
+        docs = (RetrievedDoc("text of d1", "d1", 0.7), RetrievedDoc("parsed back", None, None))
+        turn = Turn("think", "query", docs, sim_to_target=-0.25, target_rank=-1)
+        trace = TraceDocument(SearchState("question", (turn,)), terminal_reason="budget_exhausted")
+        assert PoolRecord("model-a", trace).to_dict() == {
+            "q0": "question",
+            "source": "model-a",
+            "terminal_reason": "budget_exhausted",
+            "turns": [{
+                "think": "think",
+                "query": "query",
+                "result_ids": ["d1", ""],
+                "result_texts": ["text of d1", "parsed back"],
+                "cos": -0.25,
+                "rank": -1,
+            }],
+        }
+
+    def test_cosine_rounded_past_the_range_is_clamped(self):
+        assert make_record(cos=1.0 + 2**-52).to_dict()["turns"][0]["cos"] == 1.0
+        assert make_record(cos=-1.0 - 2**-52).to_dict()["turns"][0]["cos"] == -1.0
+
+    def test_record_without_turns(self):
+        record = PoolRecord("model-a", TraceDocument(SearchState("question")))
+        assert record.dedup_key() == ("question", "model-a", "")
+        assert record.to_dict()["turns"] == []
 
 
 class TestAssemblePool:
@@ -235,4 +273,6 @@ class TestManifestValidation:
 
     def test_cos_range_checked(self):
         with pytest.raises(PoolError, match="cosine"):
-            PoolTurn("t", "q", (), (), cos=1.5, rank=0)
+            make_record(cos=1.5)
+        with pytest.raises(PoolError, match="cosine"):
+            make_record(cos=float("nan"))

@@ -172,8 +172,8 @@ class TestAppendTurn:
     def test_append_grows_history(self):
         state = SearchState(original_query="q")
         state2 = append_turn(state, make_turn())
-        assert state2.turn_count == 1
-        assert state.turn_count == 0  # original untouched
+        assert len(state2.history) == 1
+        assert len(state.history) == 0  # original untouched
 
     def test_budget_error_at_max_turns(self):
         state = SearchState(original_query="q")
