@@ -72,13 +72,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", dest="out_dir", help="output directory")
 
 
-def _build_config(args: argparse.Namespace, check_paths: bool = True) -> RunConfig:
+def _build_config(
+    args: argparse.Namespace, check_paths: bool = True, needs: tuple[str, ...] = ()
+) -> RunConfig:
+    """The config file overridden by flags, validated; each path field in
+    `needs` must be set (`ConfigError("<command> needs --<field>")`)."""
     cfg = load_config(args.config, check_paths=False) if args.config else RunConfig()
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
     cfg.validate(check_paths=check_paths)
+    for name in needs:
+        if not getattr(cfg, name):
+            raise ConfigError(f"{args.command} needs --{name}")
     return cfg
 
 
@@ -152,7 +159,7 @@ def _read_episode_log(path: str) -> list[tuple[str, EpisodeResult]]:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, needs=("corpus",))
     index, _ = _load_index(cfg)
     out = _out_dir(cfg) / "index"
     out.mkdir(parents=True, exist_ok=True)
@@ -162,6 +169,10 @@ def cmd_index(args: argparse.Namespace) -> int:
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"indexed {len(index)} docs (dim {index.dim}) -> {out}")
     return 0
+
+
+# the inputs every episode command needs
+_EPISODE_INPUTS = ("corpus", "queries")
 
 
 def _error_record(exc: Exception, command: str, **extra: str) -> str:
@@ -196,7 +207,7 @@ def _each_query(cfg: RunConfig, command: str, job) -> tuple[list, int]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """`run` (greedy) and `beam`: one episode per query, logged to episodes.jsonl."""
-    cfg = _build_config(args)
+    cfg = _build_config(args, needs=_EPISODE_INPUTS)
     retriever, vocab = _retriever(cfg)
     policy_for = _policy_factory(cfg, retriever, vocab)
 
@@ -220,16 +231,22 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    """Pool trajectories of each archetype; `policy_params` go to `policy`'s kind only."""
+    cfg = _build_config(args, needs=_EPISODE_INPUTS)
+    kinds = args.archetypes.split(",") if args.archetypes else list(KINDS)
+    unknown = [kind for kind in kinds if kind not in KINDS]
+    if unknown:
+        raise ConfigError(f"unknown archetypes {unknown}; expected some of {KINDS}")
     retriever, vocab = _retriever(cfg)
     resources = PolicyResources(vocab=vocab, probe=retriever.best_similarity)
-    kinds = args.archetypes.split(",") if args.archetypes else list(KINDS)
 
     def job(qid: str, text: str, episode_cfg: EpisodeConfig):
         return [
             generate_trajectory(
                 ArchetypeConfig(
-                    kind=kind, seed=episode_seed(cfg.seed, f"{kind}:{qid}"), params=cfg.policy_params
+                    kind=kind,
+                    seed=episode_seed(cfg.seed, f"{kind}:{qid}"),
+                    params=cfg.policy_params if kind == cfg.policy else {},
                 ),
                 text, retriever, resources, episode_cfg.target_ids,
                 k=cfg.k, max_turns=cfg.max_turns, max_query_chars=cfg.max_query_chars,
@@ -252,7 +269,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_grpo_collect(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, needs=_EPISODE_INPUTS)
     retriever, vocab = _retriever(cfg)
     grpo = GrpoConfig(
         group_size=cfg.group_size,
@@ -277,9 +294,7 @@ def cmd_grpo_collect(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, check_paths=False)
-    if not cfg.qrels:
-        raise ConfigError("eval needs --qrels")
+    cfg = _build_config(args, check_paths=False, needs=("qrels",))
     episodes = _read_episode_log(args.episodes)
     qrels = dataio.read_qrels(cfg.qrels)
     report = evaluate_episodes(episodes, qrels, cfg.k)

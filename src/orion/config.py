@@ -14,6 +14,8 @@ import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .policy import ArchetypeConfig
+
 log = logging.getLogger(__name__)
 
 ENGINE_VERSION = "0.1.0"
@@ -78,6 +80,11 @@ class RunConfig:
             raise ConfigError("service embed backend needs embed_endpoint")
         if self.policy == "remote" and not self.remote_endpoint:
             raise ConfigError("remote policy needs remote_endpoint")
+        if self.policy != "remote":
+            try:
+                ArchetypeConfig(kind=self.policy, params=self.policy_params)
+            except ValueError as exc:
+                raise ConfigError(f"policy: {exc}") from exc
         if check_paths:
             for name in ("corpus", "qrels", "queries", "embeddings"):
                 value = getattr(self, name)
@@ -88,7 +95,9 @@ class RunConfig:
         return asdict(self)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
+        """Hash of the fields that shape a run's records (not out_dir or workers)."""
+        fields = {k: v for k, v in self.to_dict().items() if k not in ("out_dir", "workers")}
+        canonical = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def meta(self) -> dict:

@@ -2,21 +2,22 @@
 
 An episode repeats think/query/retrieve cycles until a target document lands
 in the top-k or the turn budget runs out. `expand_turn` is the one turn step;
-beam search and grouped collection (`rewards`) differ only in how they score
-and select its candidates. Beam search scores each candidate's state by the
-policy's relevance confidence (1/perplexity), pools candidates across beams,
-and keeps the top B; success is checked on the survivors after pruning. The
-greedy runner is beam search with B = M = 1. Relevance is asked only when a
-turn has more than one candidate, so a greedy run, remote or scripted, never
-asks it.
+each candidate it returns is a search state ending with its new turn, and
+every fact about a candidate is read off that turn. Beam search and grouped
+collection (`rewards`) differ only in how they score and select candidates.
+Beam search scores each candidate state by the policy's relevance confidence
+(1/perplexity), pools candidates across beams, and keeps the top B; success
+is checked on the survivors after pruning. The greedy runner is beam search
+with B = M = 1. Relevance is asked only when a turn has more than one
+candidate, so a greedy run, remote or scripted, never asks it.
 
 Only the `<search_query>` content is embedded for retrieval; think spans never
-reach the retriever. Each action costs one retrieval: its top-k, the logged
-similarity to target and target rank, and the success check all come from
-the turn's own `RankedResults`. A retrieval repeated within the last
-`RETRIEVE_MEMO_SIZE` distinct ones (a GRPO group or beam turn whose
-candidates issue the same query, archetypes that open with the user's query)
-is answered from `Retriever`'s memo without a new embedding or scan.
+reach the retriever. Each action costs one retrieval, logged in its turn. A
+turn succeeds when its target rank is below k, the same fact as a target in
+its top-k: the index derives both from one score order. A retrieval repeated
+within the last `RETRIEVE_MEMO_SIZE` distinct ones (a GRPO group or beam turn
+whose candidates issue the same query, archetypes that open with the user's
+query) is answered from `Retriever`'s memo without a new embedding or scan.
 """
 
 from __future__ import annotations
@@ -91,9 +92,6 @@ class Retriever:
         results = self.retrieve(query, 1)
         return results.entries[0].score if results.entries else 0.0
 
-    def texts_for(self, results: RankedResults) -> dict[str, str]:
-        return {e.doc_id: self.index.doc(e.doc_id).text for e in results.entries}
-
 
 @dataclass(frozen=True)
 class EpisodeConfig:
@@ -106,21 +104,6 @@ class EpisodeConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.max_turns < 1:
             raise ValueError(f"max_turns must be >= 1, got {self.max_turns}")
-
-
-@dataclass(frozen=True)
-class Beam:
-    """One search thread: its state, latest relevance confidence, and its last
-    turn's results and whether they put a target in the top-k."""
-
-    state: SearchState
-    confidence: float = 0.0  # 1/perplexity of the last assessment; 0.0 until scored
-    hit: bool = False
-    results: RankedResults | None = None  # None for the root
-
-    def last_query(self) -> str:
-        last = self.state.last_turn()
-        return last.query if last else self.state.original_query
 
 
 @dataclass(frozen=True)
@@ -148,37 +131,33 @@ class EpisodeResult:
         return tuple(t.target_rank for t in self.trace.state.history)
 
 
-def check_success(results: RankedResults, target_ids: Iterable[str], k: int) -> bool:
-    """True iff any target occupies a position < k in the results."""
-    targets = set(target_ids)
-    if not targets:
-        return False
-    return any(e.doc_id in targets for e in results.entries[:k])
+def check_success(turn: Turn, k: int) -> bool:
+    """True iff the turn's retrieval put a target in its top-k: a best target
+    rank in [0, k). A turn retrieved without targets never succeeds."""
+    return turn.target_rank is not None and 0 <= turn.target_rank < k
 
 
-def execute_action(
-    retriever: Retriever, action: Action, config: EpisodeConfig
-) -> tuple[Turn, RankedResults]:
+def execute_action(retriever: Retriever, action: Action, config: EpisodeConfig) -> Turn:
     """Retrieve for an action and freeze the completed turn."""
     results = retriever.retrieve(action.query, config.k, config.target_ids)
-    turn = Turn(
+    texts = {e.doc_id: retriever.index.doc(e.doc_id).text for e in results.entries}
+    return Turn(
         think=action.think,
         query=action.query,
-        results=snapshot_results(results, retriever.texts_for(results), retriever.snippet_chars),
+        results=snapshot_results(results, texts, retriever.snippet_chars),
         sim_to_target=results.target_sim,
         target_rank=results.target_rank,
     )
-    return turn, results
 
 
 def expand_turn(
     policy: Policy, retriever: Retriever, states: Sequence[SearchState], n: int, config: EpisodeConfig
-) -> list[Beam]:
+) -> list[SearchState]:
     """The turn step: propose `n` actions per state and retrieve each once.
 
-    Each candidate is an unscored beam whose state ends with its new turn, in
-    state order, then action order; a state whose `propose` raises
-    `PolicyError` contributes none.
+    Each candidate is a state ending with its new turn, in state order, then
+    action order; a state whose `propose` raises `PolicyError` contributes
+    none.
     """
     candidates = []
     for state in states:
@@ -188,10 +167,8 @@ def expand_turn(
             log.warning("expansion failed at turn %d: %s", len(state.history) + 1, exc)
             continue
         for action in actions:
-            turn, results = execute_action(retriever, action, config)
-            hit = check_success(results, config.target_ids, config.k)
-            state_after = append_turn(state, turn, config.max_turns)
-            candidates.append(Beam(state=state_after, hit=hit, results=results))
+            turn = execute_action(retriever, action, config)
+            candidates.append(append_turn(state, turn, config.max_turns))
     return candidates
 
 
@@ -230,29 +207,29 @@ def beam_search(
     """
     if beam_size < 1 or expansion < 1:
         raise ValueError("beam_size and expansion must be >= 1")
-    beams = [Beam(state=SearchState(original_query=q0))]
+    beams = [SearchState(original_query=q0)]
     sizes: list[int] = []
     for t in range(1, config.max_turns + 1):
-        candidates = expand_turn(policy, retriever, [b.state for b in beams], expansion, config)
+        candidates = expand_turn(policy, retriever, beams, expansion, config)
         if len(candidates) > 1:
             scored = []
             for c in candidates:
                 try:
-                    ppl = policy.relevance_perplexity(c.state, t, c.last_query(), q0)
+                    ppl = policy.relevance_perplexity(c)
                 except PolicyError as exc:
                     log.warning("candidate dropped at turn %d: %s", t, exc)
                     continue
-                scored.append(replace(c, confidence=1.0 / ppl))
-            candidates = sorted(scored, key=lambda b: (-b.confidence, b.last_query()))
+                scored.append(((-1.0 / ppl, c.last_turn().query), c))
+            candidates = [c for _, c in sorted(scored, key=lambda kc: kc[0])]
         if not candidates:
-            best = max(beams, key=lambda b: b.confidence)
-            return _result(best.state, TERMINAL_POLICY_ERROR, sizes)
+            # survivors are sorted by confidence, so the first is the most confident
+            return _result(beams[0], TERMINAL_POLICY_ERROR, sizes)
         beams = candidates[:beam_size]
         sizes.append(len(beams))
-        winners = [b for b in beams if b.hit]
+        winners = [s for s in beams if check_success(s.last_turn(), config.k)]
         if winners:
-            return _result(winners[0].state, TERMINAL_SUCCESS, sizes)
-    return _result(beams[0].state, TERMINAL_BUDGET, sizes)
+            return _result(winners[0], TERMINAL_SUCCESS, sizes)
+    return _result(beams[0], TERMINAL_BUDGET, sizes)
 
 
 # --- batch running and the episode log ----------------------------------------

@@ -32,6 +32,8 @@ from .trace import _ALL_TAG_LITERALS, Action, SearchState, render_prompt, serial
 
 API_KEY_ENV = "ORION_API_KEY"
 DEFAULT_MAX_QUERY_CHARS = 300
+REMOTE_TEMPERATURE = 0.7
+REMOTE_MAX_TOKENS = 512
 
 RELEVANCE_PROMPT = (
     "Given turn {t} and search query {query}, the retrieved documents are "
@@ -97,9 +99,12 @@ class ArchetypeConfig:
 
 
 class Policy(Protocol):
+    """Proposes actions; `relevance_perplexity` judges a candidate state's
+    last turn against the original query (lower is more confident)."""
+
     def propose(self, state: SearchState, n: int) -> list[Action]: ...
 
-    def relevance_perplexity(self, state: SearchState, t: int, query: str, q0: str) -> float: ...
+    def relevance_perplexity(self, state: SearchState) -> float: ...
 
 
 def archetype_step(
@@ -139,10 +144,8 @@ class ScriptedPolicy:
             actions.append(replace(step, query=clip_query(step.query, self.max_query_chars)))
         return actions
 
-    def relevance_perplexity(self, state: SearchState, t: int, query: str, q0: str) -> float:
-        if not 1 <= t <= len(state.history):
-            raise ValueError(f"turn {t} not present in state ({len(state.history)} turns)")
-        best = state.history[t - 1].best_score()
+    def relevance_perplexity(self, state: SearchState) -> float:
+        best = state.last_turn().best_score()
         return pseudo_perplexity(best if best is not None else 0.0)
 
 
@@ -213,7 +216,9 @@ class RemotePolicy:
 
     `mode="structured"` elicits think/query with the structured-tag prompt
     renders; `mode="baseline"` uses the two-phase plain-text prompts. One
-    retry on malformed output, then PolicyError.
+    retry on malformed output, then PolicyError. Every request is one user
+    message. `relevance_perplexity(state)` asks `RELEVANCE_PROMPT` about the
+    state's last turn and reads the answer's token log-probabilities.
     """
 
     def __init__(
@@ -222,10 +227,7 @@ class RemotePolicy:
         model: str,
         *,
         mode: str = "structured",
-        temperature: float = 0.7,
-        max_tokens: int = 512,
         k: int = 5,
-        system_prompt: str | None = None,
         api_key: str | None = None,
         timeout: float = 120.0,
         max_query_chars: int = DEFAULT_MAX_QUERY_CHARS,
@@ -236,10 +238,7 @@ class RemotePolicy:
         self.endpoint = endpoint
         self.model = model
         self.mode = mode
-        self.temperature = temperature
-        self.max_tokens = max_tokens
         self.k = k
-        self.system_prompt = system_prompt
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout = timeout
         self.max_query_chars = max_query_chars
@@ -249,15 +248,11 @@ class RemotePolicy:
         return post_json(self.endpoint, payload, self.api_key, self.timeout, PolicyError)
 
     def _complete(self, prompt: str, want_logprobs: bool = False) -> tuple[str, list[float] | None]:
-        messages = []
-        if self.system_prompt:
-            messages.append({"role": "system", "content": self.system_prompt})
-        messages.append({"role": "user", "content": prompt})
         payload = {
             "model": self.model,
-            "messages": messages,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": REMOTE_TEMPERATURE,
+            "max_tokens": REMOTE_MAX_TOKENS,
         }
         if want_logprobs:
             payload["logprobs"] = True
@@ -306,13 +301,13 @@ class RemotePolicy:
             actions.append(action)
         return actions
 
-    def relevance_perplexity(self, state: SearchState, t: int, query: str, q0: str) -> float:
-        if not 1 <= t <= len(state.history):
-            raise ValueError(f"turn {t} not present in state ({len(state.history)} turns)")
+    def relevance_perplexity(self, state: SearchState) -> float:
         prompt = (
             serialize_state(state)
             + "\n\n"
-            + RELEVANCE_PROMPT.format(t=t, query=query, q0=q0)
+            + RELEVANCE_PROMPT.format(
+                t=len(state.history), query=state.last_turn().query, q0=state.original_query
+            )
         )
         _, logprobs = self._complete(prompt, want_logprobs=True)
         assert logprobs is not None

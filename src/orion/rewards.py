@@ -8,7 +8,7 @@ each normalized to [0, 1]:
 * rank: 1 - rank/|C| for a 0-based corpus rank, and 0 when the document is
   absent (NOT_FOUND).
 
-Both signals come from the candidate turn's own retrieval: no candidate is
+Both signals are read off the candidate's logged turn: no candidate is
 scored against the corpus a second time.
 
 Advantages are group-relative: reward minus the group mean, or z-scores under
@@ -29,8 +29,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import NOT_FOUND, RankedResults
-from .engine import EpisodeConfig, Retriever, expand_turn
+from .corpus import NOT_FOUND
+from .engine import EpisodeConfig, Retriever, check_success, expand_turn
 from .engine import execute_action  # not called here; perfbench/tracer.py patches it
 from .policy import Policy
 from .trace import (
@@ -39,6 +39,7 @@ from .trace import (
     TERMINAL_SUCCESS,
     SearchState,
     TraceDocument,
+    Turn,
     append_turn,  # not called here; perfbench/tracer.py patches it
     serialize_spans,
     serialize_trace,
@@ -219,16 +220,16 @@ class GrpoConfig:
             raise RewardError(f"group size must be >= 2, got {self.group_size}")
 
 
-def candidate_signals(results: RankedResults) -> tuple[float, int]:
-    """(similarity, rank) feeding the reward for one candidate's retrieval.
+def candidate_signals(turn: Turn) -> tuple[float, int]:
+    """(similarity, rank) feeding the reward for one candidate's turn.
 
     Similarity is the best retrieved document's score. Rank is the best
     ground-truth target's corpus rank when the retrieval was given targets;
     otherwise the rank of the best-similarity document, which is 0 under this
     exact retriever by definition.
     """
-    sim = results.entries[0].score if results.entries else 0.0
-    rank = results.target_rank if results.target_rank is not None else 0
+    sim = turn.results[0].score if turn.results else 0.0
+    rank = turn.target_rank if turn.target_rank is not None else 0
     return sim, rank
 
 
@@ -254,14 +255,15 @@ def collect_grouped_episode(
         if not candidates:
             reason = TERMINAL_POLICY_ERROR
             break
+        turns = [c.last_turn() for c in candidates]
         outcomes = [
             CandidateOutcome(
-                think=c.state.last_turn().think,
-                query=c.last_query(),
-                result_ids=tuple(c.results.doc_ids()),
-                breakdown=turn_reward(*candidate_signals(c.results), corpus_size),
+                think=turn.think,
+                query=turn.query,
+                result_ids=tuple(d.doc_id for d in turn.results),
+                breakdown=turn_reward(*candidate_signals(turn), corpus_size),
             )
-            for c in candidates
+            for turn in turns
         ]
         rewards = [o.breakdown.reward for o in outcomes]
         advantages = group_advantages(rewards, grpo.advantage_mode)
@@ -273,8 +275,8 @@ def collect_grouped_episode(
                 selected=selected,
             )
         )
-        state = candidates[selected].state
-        if candidates[selected].hit:
+        state = candidates[selected]
+        if check_success(turns[selected], config.k):
             reason = TERMINAL_SUCCESS
             break
     return TraceDocument(state=state, terminal_reason=reason), groups

@@ -8,6 +8,7 @@ import pytest
 
 from orion import cli, dataio
 from orion.cli import _build_config, build_parser, main
+from orion.archetypes import KINDS
 from orion.config import RunConfig
 from orion.corpus import Document
 from orion.embed import HashEmbedder
@@ -239,3 +240,49 @@ def test_a_malformed_episode_log_names_its_file_and_line(tmp_path, capsys, comma
     assert error["type"] == "CorpusError"
     assert error["error"].startswith(f"{path}:2: malformed episode record")
     assert cause in error["error"]
+
+
+def _no_index(cfg):
+    raise AssertionError("an index was built for a run that cannot start")
+
+
+@pytest.mark.parametrize(
+    "command, flags, drop, config, message",
+    [
+        ("run", ["--policy", "bogus"], None, {}, "unknown archetype 'bogus'"),
+        ("run", [], None, {"policy_params": {"bogus": 1}}, "unknown params for adaptive_context: ['bogus']"),
+        ("generate", ["--archetypes", "adaptive_context,nope"], None, {}, "unknown archetypes ['nope']"),
+        ("run", [], "--queries", {}, "run needs --queries"),
+        ("index", [], "--corpus", {}, "index needs --corpus"),
+    ],
+)
+def test_bad_settings_fail_before_any_work(
+    tmp_path, monkeypatch, capsys, command, flags, drop, config, message
+):
+    inputs = _seeded_inputs(tmp_path)
+    if drop:
+        at = inputs.index(drop)
+        inputs = inputs[:at] + inputs[at + 2:]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    monkeypatch.setattr(cli, "_load_index", _no_index)
+    capsys.readouterr()
+    argv = [command, *inputs, *flags, "--config", str(tmp_path / "config.json")]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    [error] = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert error["type"] == "ConfigError"
+    assert message in error["error"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_gives_policy_params_to_the_policy_kind_only(tmp_path):
+    inputs = _seeded_inputs(tmp_path)
+    (tmp_path / "params.json").write_text(json.dumps({"policy_params": {"adopt_terms": 3}}))
+    pools = {}
+    for name, extra in (("default", []), ("params", ["--config", str(tmp_path / "params.json")])):
+        assert main(["generate", *inputs, *extra, "--out", str(tmp_path / name)]) == 0
+        records = [json.loads(r) for r in (tmp_path / name / "pool.jsonl").read_text().splitlines()[1:]]
+        pools[name] = {(r["source"], r["q0"]): r for r in records}
+    assert pools["params"].keys() == pools["default"].keys()
+    assert {source for source, _ in pools["params"]} == set(KINDS)
+    changed = {key[0] for key in pools["params"] if pools["params"][key] != pools["default"][key]}
+    assert changed == {"adaptive_context"}

@@ -270,10 +270,15 @@ def test_target_metrics_match_a_full_ordering(case):
 @given(tie_heavy_case())
 def test_search_matches_a_full_stable_argsort(case):
     """Every depth from 1 to n + 1, so k = 1, k = n, k > n and each k whose
-    boundary falls inside a tie group are all compared."""
+    boundary falls inside a tie group are all compared. A target rank in
+    [0, k) (the engine's success rule) is the same fact as a target among
+    the top-k entries."""
     vectors, query, _, targets = case
     index = build_index(docs_for(vectors), vectors)
     for k in range(1, len(vectors) + 2):
         results = index.search(query, k, targets)
         got = (results.entries, results.target_sim, results.target_rank)
         assert got == argsort_search(index, query, k, targets)
+        in_top_k = any(e.doc_id in targets for e in results.entries[:k])
+        rank = results.target_rank
+        assert (rank is not None and 0 <= rank < k) == in_top_k

@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orion.archetypes import KINDS
-from orion.corpus import NOT_FOUND, RankedResults, ScoredDoc
+from orion.corpus import NOT_FOUND
 from orion.engine import (
     RETRIEVE_MEMO_SIZE,
-    Beam,
     EpisodeConfig,
     Retriever,
     beam_search,
@@ -29,7 +28,7 @@ from orion.engine import (
 )
 from orion.policy import Action, ArchetypeConfig, PolicyError, ScriptedPolicy, derive_rng
 from orion.rewards import GrpoConfig, collect_grouped_episode
-from orion.trace import SearchState, TraceDocument, TraceError, append_turn, serialize_trace
+from orion.trace import SearchState, TraceDocument, TraceError, Turn, append_turn, serialize_trace
 
 from conftest import TREE_DOCS, TREE_QUERY, axis, make_stub_retriever, mix
 
@@ -43,8 +42,8 @@ class ConstantPolicy:
     def propose(self, state, n):
         return [Action(think="staying the course", query=self.query)] * n
 
-    def relevance_perplexity(self, state, t, query, q0):
-        best = state.history[t - 1].best_score() or 0.0
+    def relevance_perplexity(self, state):
+        best = state.last_turn().best_score() or 0.0
         return math.exp(1.0 - best)
 
 
@@ -61,8 +60,8 @@ class TablePolicy:
             queries = queries + [queries[-1]] * (n - len(queries))
         return [Action(think=f"considering {q}", query=q) for q in queries[:n]]
 
-    def relevance_perplexity(self, state, t, query, q0):
-        best = state.history[t - 1].best_score() or 0.0
+    def relevance_perplexity(self, state):
+        best = state.last_turn().best_score() or 0.0
         return math.exp(1.0 - best)
 
 
@@ -88,15 +87,19 @@ class CountingRelevance:
     def propose(self, state, n):
         return self.inner.propose(state, n)
 
-    def relevance_perplexity(self, state, t, query, q0):
+    def relevance_perplexity(self, state):
         self.calls += 1
         if self.fail:
             raise PolicyError("no confidence for this candidate")
-        return self.inner.relevance_perplexity(state, t, query, q0)
+        return self.inner.relevance_perplexity(state)
 
 
 def reference_greedy(policy, retriever, q0, config):
-    """The greedy loop written out: (trace, success_turn, per_turn_ranks)."""
+    """The greedy loop written out: (trace, success_turn, per_turn_ranks).
+
+    Success is a target among the top-k entries of the turn's retrieval, not
+    the engine's target-rank rule, so comparing the two checks that rule.
+    """
     state = SearchState(original_query=q0)
     reason, success_turn = "budget_exhausted", None
     for t in range(1, config.max_turns + 1):
@@ -105,31 +108,31 @@ def reference_greedy(policy, retriever, q0, config):
         except PolicyError:
             reason = "policy_error"
             break
-        turn, results = execute_action(retriever, action, config)
-        state = append_turn(state, turn, config.max_turns)
-        if check_success(results, config.target_ids, config.k):
+        state = append_turn(state, execute_action(retriever, action, config), config.max_turns)
+        results = retriever.retrieve(action.query, config.k, config.target_ids)
+        if any(e.doc_id in config.target_ids for e in results.entries[: config.k]):
             reason, success_turn = "success", t
             break
     ranks = tuple(t.target_rank for t in state.history)
     return TraceDocument(state=state, terminal_reason=reason), success_turn, ranks
 
 
-def results_with_ranks(ids):
-    return RankedResults(entries=tuple(ScoredDoc(d, 1.0 - i / 10) for i, d in enumerate(ids)), k=5)
+def turn_with_rank(rank):
+    return Turn(think="t", query="q", results=(), target_rank=rank)
 
 
 class TestCheckSuccess:
     def test_rank_four_inside_k5(self):
-        results = results_with_ranks(["a", "b", "c", "d", "target"])
-        assert check_success(results, {"target"}, k=5)
+        assert check_success(turn_with_rank(4), k=5)
 
     def test_rank_five_outside_k5(self):
-        results = results_with_ranks(["a", "b", "c", "d", "e", "target"])
-        assert not check_success(results, {"target"}, k=5)
+        assert not check_success(turn_with_rank(5), k=5)
 
     def test_empty_target_set(self):
-        results = results_with_ranks(["a"])
-        assert not check_success(results, set(), k=5)
+        # a retrieval without targets logs no rank; one whose targets are all
+        # outside the index logs NOT_FOUND
+        assert not check_success(turn_with_rank(None), k=5)
+        assert not check_success(turn_with_rank(NOT_FOUND), k=5)
 
 
 # --- greedy episodes --------------------------------------------------------------
@@ -331,10 +334,10 @@ class TestBeamSearch:
         retriever, policy, cfg = two_branch_fixture()
 
         class FlakyConfidence(TablePolicy):
-            def relevance_perplexity(self, state, t, query, q0):
-                if query == "bright start":
+            def relevance_perplexity(self, state):
+                if state.last_turn().query == "bright start":
                     raise PolicyError("cannot judge this one")
-                return super().relevance_perplexity(state, t, query, q0)
+                return super().relevance_perplexity(state)
 
         flaky = FlakyConfidence(policy.table)
         result = beam_search(flaky, retriever, "root question", 2, 2, cfg)
@@ -414,11 +417,6 @@ def test_episode_log_record_must_agree_with_its_trace(tree_retriever, tree_resou
     # records without the derived fields are read from the trace alone
     del record["success_turn"], record["per_turn_ranks"]
     assert episode_from_dict(record)[1].success_turn == 2
-
-
-def test_beam_dataclass_tracks_last_query():
-    beam = Beam(state=SearchState(original_query="q0"), confidence=0.0)
-    assert beam.last_query() == "q0"
 
 
 def test_not_found_rank_recorded_for_absent_target():

@@ -66,10 +66,9 @@ class TestPerplexity:
     def test_scripted_relevance_uses_turn_results(self, tree_resources):
         policy = ScriptedPolicy(ArchetypeConfig(kind="adaptive_context"), tree_resources)
         state = state_with_sims([0.8, 0.2])
-        assert policy.relevance_perplexity(state, 1, "q", "q0") == pytest.approx(math.exp(0.2))
-        assert policy.relevance_perplexity(state, 2, "q", "q0") == pytest.approx(math.exp(0.8))
-        with pytest.raises(ValueError, match="turn 3"):
-            policy.relevance_perplexity(state, 3, "q", "q0")
+        first = SearchState(state.original_query, state.history[:1])
+        assert policy.relevance_perplexity(first) == pytest.approx(math.exp(0.2))
+        assert policy.relevance_perplexity(state) == pytest.approx(math.exp(0.8))
 
 
 class TestArchetypeConfig:
@@ -260,8 +259,12 @@ class TestRemotePolicy:
         policy = RemotePolicy("http://e", "m", post=transport, api_key="k")
         actions = policy.propose(SearchState(original_query="broad topic"), 1)
         assert actions == [Action(think="I should narrow this down.", query="narrow query")]
-        assert "<think>" in transport.payloads[0]["messages"][-1]["content"]
-        assert transport.payloads[1]["messages"][-1]["content"].endswith("<search_query>")
+        for payload in transport.payloads:
+            assert set(payload) == {"model", "messages", "temperature", "max_tokens"}
+            assert (payload["model"], payload["temperature"], payload["max_tokens"]) == ("m", 0.7, 512)
+            assert [m["role"] for m in payload["messages"]] == ["user"]
+        assert "<think>" in transport.payloads[0]["messages"][0]["content"]
+        assert transport.payloads[1]["messages"][0]["content"].endswith("<search_query>")
 
     def test_malformed_output_retries_then_fails(self):
         transport = FakeTransport(
@@ -284,20 +287,22 @@ class TestRemotePolicy:
         lp = [math.log(0.5)] * 4
         transport = FakeTransport([chat_response("relevant.", logprobs=lp)])
         policy = RemotePolicy("http://e", "m", post=transport, api_key="k")
-        state = state_with_sims([0.5], q0="q0")
-        assert policy.relevance_perplexity(state, 1, "q1", "q0") == pytest.approx(2.0)
+        state = state_with_sims([0.5, 0.4], q0="q0", queries={1: "q2"})
+        assert policy.relevance_perplexity(state) == pytest.approx(2.0)
         payload = transport.payloads[0]
         assert payload["logprobs"] is True
         prompt = payload["messages"][-1]["content"]
-        assert "Given turn 1 and search query q1" in prompt
-        assert "relevant to the user query q0" in prompt
+        assert prompt.endswith(
+            "\n\nGiven turn 2 and search query q2, the retrieved documents are "
+            "relevant to the user query q0."
+        )
 
     def test_missing_logprobs_is_capability_error(self):
         transport = FakeTransport([chat_response("relevant.")])
         policy = RemotePolicy("http://e", "m", post=transport, api_key="k")
         state = state_with_sims([0.5])
         with pytest.raises(CapabilityError, match="log-probabilities"):
-            policy.relevance_perplexity(state, 1, "q", "q0")
+            policy.relevance_perplexity(state)
 
     def test_baseline_mode_uses_two_phase_prompts(self):
         transport = FakeTransport(
@@ -342,7 +347,7 @@ def test_default_transport_sends_bearer_and_types_failures(monkeypatch):
     policy = RemotePolicy("http://chat", "m", api_key="pk", timeout=7.0)
     monkeypatch.setattr(requests, "post", accept)
     assert list(embedder("text")) == [0.6, 0.8]
-    assert policy.relevance_perplexity(state_with_sims([0.5]), 1, "q", "q0") == pytest.approx(2.0)
+    assert policy.relevance_perplexity(state_with_sims([0.5])) == pytest.approx(2.0)
     assert sent == [("http://embed", "Bearer ek", 5.0), ("http://chat", "Bearer pk", 7.0)]
 
     monkeypatch.setattr(requests, "post", refuse)

@@ -7,8 +7,8 @@ from collections import Counter
 import pytest
 
 from orion.corpus import NOT_FOUND
-from orion.engine import EpisodeConfig
-from orion.policy import ArchetypeConfig, ScriptedPolicy, derive_rng
+from orion.engine import EpisodeConfig, execute_action
+from orion.policy import Action, ArchetypeConfig, ScriptedPolicy, derive_rng
 from orion.rewards import (
     GrpoConfig,
     RewardError,
@@ -25,6 +25,11 @@ from orion.rewards import (
 from orion.trace import RetrievedDoc, SearchState, TraceDocument, Turn, serialize_trace
 
 from conftest import TREE_QUERY, axis, make_stub_retriever
+
+
+def candidate_turn(retriever, targets=frozenset()):
+    """The top-1 turn a candidate issuing query "q" logs."""
+    return execute_action(retriever, Action("t", "q"), EpisodeConfig(k=1, target_ids=targets))
 
 
 class TestNormalizers:
@@ -49,7 +54,7 @@ class TestNormalizers:
         # this pair's float64 cosine rounds to 1.0000000000000002
         vec = [0.1, 0.1, 3.0]
         retriever = make_stub_retriever({"d": vec}, {"q": vec})
-        sim, rank = candidate_signals(retriever.retrieve("q", 1))
+        sim, rank = candidate_signals(candidate_turn(retriever))
         assert sim > 1.0
         assert turn_reward(sim, rank, 1).reward == pytest.approx(1.0)
 
@@ -241,7 +246,7 @@ class TestCollectGrouped:
         docs = {"d1": axis(3, 1), "d2": axis(3, 2)}
         queries = {"q": axis(3, 1)}
         retriever = make_stub_retriever(docs, queries)
-        sim, rank = candidate_signals(retriever.retrieve("q", 1, frozenset({"d2"})))
+        sim, rank = candidate_signals(candidate_turn(retriever, frozenset({"d2"})))
         assert sim == pytest.approx(1.0)
         assert rank == 1  # d2 is second in the full ordering
 
@@ -249,5 +254,5 @@ class TestCollectGrouped:
         docs = {"d1": axis(3, 1), "d2": axis(3, 2)}
         queries = {"q": axis(3, 1)}
         retriever = make_stub_retriever(docs, queries)
-        sim, rank = candidate_signals(retriever.retrieve("q", 1))
+        sim, rank = candidate_signals(candidate_turn(retriever))
         assert rank == 0  # best-similarity doc is rank 0 under an exact retriever
