@@ -8,43 +8,19 @@ on each step function, and the tests hand-simulate those rules.
 
 The `variant` argument shifts ranked choices (take the i-th best instead of
 the best) so that a beam expansion of width M gets M distinct continuations.
+
+`BEHAVIORS` is the one list of behaviors, each kind's step function and default
+knobs; a new behavior is one step function plus one row.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
-from .trace import Action, SearchState
+from .trace import Action, SearchState, Turn
 from .vocab import TfidfTable, head_phrase, tokenize
-
-KINDS = (
-    "adaptive_context",
-    "random_walk",
-    "breadth_first",
-    "depth_first",
-    "wrong_direction",
-    "early_success",
-    "exploitation_heavy",
-    "greedy_hill",
-    "best_first",
-    "multi_beam",
-)
-
-# engine-chosen knobs; the source material never parameterizes the behaviors
-DEFAULT_PARAMS: dict[str, dict[str, float]] = {
-    "adaptive_context": {"adopt_terms": 2},
-    "random_walk": {"neighbor_pool": 5},
-    "breadth_first": {"fanout": 3},
-    "depth_first": {},
-    "wrong_direction": {"drift_rank": 4},
-    "early_success": {"good_sim": 0.5},
-    "exploitation_heavy": {},
-    "greedy_hill": {"candidates": 3},
-    "best_first": {"pool_size": 3, "try_threshold": 0.4},
-    "multi_beam": {},
-}
 
 FAILURE_MARKER = "getting worse"
 
@@ -79,15 +55,32 @@ def _used_terms(state: SearchState) -> set[str]:
     return used
 
 
-def _last_results_text(state: SearchState) -> str:
-    last = state.last_turn()
-    if last is None:
-        return ""
-    return " ".join(d.text for d in last.results)
+def _best_turn(state: SearchState) -> Turn:
+    """The earliest turn with the highest best similarity."""
+    sims = _best_sims(state)
+    return state.history[sims.index(max(sims))]
+
+
+def _results_text(turn: Turn) -> str:
+    return " ".join(d.text for d in turn.results)
 
 
 def _pick(items: list[str], variant: int) -> str | None:
     return items[variant % len(items)] if items else None
+
+
+def _top_term(res: PolicyResources, text: str, variant: int, exclude) -> str | None:
+    return _pick(res.vocab.top_terms(text, 1 + variant, exclude=exclude), variant)
+
+
+def _expansion(res: PolicyResources, query: str, variant: int, exclude=()) -> str | None:
+    return _pick(res.vocab.expansions(query, 1 + variant, exclude=exclude), variant)
+
+
+def _refinement(res: PolicyResources, state: SearchState, turn: Turn, variant: int) -> str | None:
+    """A keyword of `turn`'s top result that no query of the episode has used."""
+    top_text = turn.results[0].text if turn.results else ""
+    return _top_term(res, top_text, variant, _used_terms(state))
 
 
 def step_adaptive_context(
@@ -106,15 +99,15 @@ def step_adaptive_context(
             query=state.original_query,
         )
     j = int(cfg.params["adopt_terms"])
-    prev = state.history[-1].query
-    ranked = res.vocab.top_terms(_last_results_text(state), j + variant, exclude=tokenize(prev))
+    last = state.history[-1]
+    ranked = res.vocab.top_terms(_results_text(last), j + variant, exclude=tokenize(last.query))
     terms = ranked[variant : variant + j] or ranked[-j:]
     if not terms:
         return _fallback(state.original_query, "no new keywords in the results")
     return Action(
         think=f"The retrieved passages emphasize {', '.join(repr(t) for t in terms)}; "
         "adding those keywords to steer closer.",
-        query=f"{prev} {' '.join(terms)}",
+        query=f"{last.query} {' '.join(terms)}",
     )
 
 
@@ -178,8 +171,7 @@ def step_breadth_first(
     sims = _best_sims(state)
     best_i = max(range(1, len(sims)), key=lambda i: sims[i], default=0)
     base = state.history[best_i].query
-    deeper = res.vocab.expansions(base, 1 + variant, exclude=_used_terms(state))
-    term = _pick(deeper, variant)
+    term = _expansion(res, base, variant, _used_terms(state))
     if term is None:
         return _fallback(q0, "no deeper term under the best branch")
     return Action(
@@ -204,7 +196,7 @@ def step_depth_first(
         if not head:
             return _fallback(q0, "query has no content tokens")
         base = " ".join(head)
-        exp = _pick(res.vocab.expansions(base, 1 + variant), variant)
+        exp = _expansion(res, base, variant)
         if exp is None:
             return _fallback(q0, "no expansion for the head phrase")
         return Action(
@@ -217,7 +209,7 @@ def step_depth_first(
     used = _used_terms(state)
     dropped = len(sims) >= 2 and sims[-1] < sims[-2]
     if not dropped:
-        exp = _pick(res.vocab.expansions(prev, 1 + variant, exclude=used), variant)
+        exp = _expansion(res, prev, variant, used)
         if exp is None:
             return _fallback(q0, "branch exhausted")
         return Action(
@@ -228,7 +220,7 @@ def step_depth_first(
     if len(tokens) < 2:
         return _fallback(q0, "nothing left to backtrack")
     parent = " ".join(tokens[:-1])
-    exp = _pick(res.vocab.expansions(parent, 1 + variant, exclude=used), variant)
+    exp = _expansion(res, parent, variant, used)
     if exp is None:
         return _fallback(q0, "no sibling branch after backtracking")
     return Action(
@@ -257,13 +249,7 @@ def step_wrong_direction(
     sims = _best_sims(state)
     prev = state.history[-1].query
     if len(sims) >= 2 and sims[-1] < sims[-2]:
-        best_i = max(range(len(sims)), key=lambda i: sims[i])
-        anchor = res.vocab.top_terms(
-            " ".join(d.text for d in state.history[best_i].results),
-            1 + variant,
-            exclude=tokenize(q0),
-        )
-        term = _pick(anchor, variant)
+        term = _top_term(res, _results_text(_best_turn(state)), variant, tokenize(q0))
         return Action(
             think=f"These results are {FAILURE_MARKER}: '{prev}' drifted away from what "
             f"'{q0}' is actually asking, so the last reformulation was a wrong turn. "
@@ -302,12 +288,8 @@ def step_early_success(
     sims = _best_sims(state)
     good = float(cfg.params["good_sim"])
     rising = sims[-1] >= sims[-2] if len(sims) >= 2 else sims[-1] >= good
-    best_i = len(sims) - 1 if rising else max(range(len(sims)), key=lambda i: sims[i])
-    base_turn = state.history[best_i]
-    top_text = base_turn.results[0].text if base_turn.results else ""
-    term = _pick(
-        res.vocab.top_terms(top_text, 1 + variant, exclude=_used_terms(state)), variant
-    )
+    base_turn = state.history[-1] if rising else _best_turn(state)
+    term = _refinement(res, state, base_turn, variant)
     if term is None:
         return _fallback(q0, "nothing left to refine with")
     if rising:
@@ -338,14 +320,10 @@ def step_exploitation_heavy(
             "exploring alternatives.",
             query=q0,
         )
-    sims = _best_sims(state)
-    best_i = max(range(len(sims)), key=lambda i: sims[i])
-    base_turn = state.history[best_i]
-    top_text = base_turn.results[0].text if base_turn.results else ""
-    used = _used_terms(state)
-    term = _pick(res.vocab.top_terms(top_text, 1 + variant, exclude=used), variant)
+    base_turn = _best_turn(state)
+    term = _refinement(res, state, base_turn, variant)
     if term is None:
-        term = _pick(res.vocab.expansions(base_turn.query, 1 + variant, exclude=used), variant)
+        term = _expansion(res, base_turn.query, variant, _used_terms(state))
     if term is None:
         return _fallback(q0, "best query cannot be refined further")
     return Action(
@@ -368,8 +346,7 @@ def step_greedy_hill(
         raise ValueError("greedy_hill requires retrieval-probe resources")
     q0 = state.original_query
     base = state.history[-1].query if state.history else q0
-    exclude = _used_terms(state) if state.history else ()
-    edits = res.vocab.expansions(base, int(cfg.params["candidates"]), exclude=exclude)
+    edits = res.vocab.expansions(base, int(cfg.params["candidates"]), exclude=_used_terms(state))
     if not edits:
         return _fallback(q0, "no candidate edits")
     scored = sorted(
@@ -413,12 +390,8 @@ def step_best_first(
             f"pool: '{nxt}'.",
             query=nxt,
         )
-    best_i = max(range(len(sims)), key=lambda i: sims[i])
-    base_turn = state.history[best_i]
-    top_text = base_turn.results[0].text if base_turn.results else ""
-    term = _pick(
-        res.vocab.top_terms(top_text, 1 + variant, exclude=_used_terms(state)), variant
-    )
+    base_turn = _best_turn(state)
+    term = _refinement(res, state, base_turn, variant)
     if term is None:
         return _fallback(q0, "leading hypothesis cannot be extended")
     return Action(
@@ -437,8 +410,7 @@ def step_multi_beam(
     second expansion as an independent thread. Turn t advances lane (t-1) mod 3.
     """
     q0 = state.original_query
-    t = len(state.history) + 1
-    lane = (t - 1) % 3
+    lane = len(state.history) % 3
     if lane == 0:
         if not state.history:
             return Action(
@@ -446,10 +418,7 @@ def step_multi_beam(
                 "original query.",
                 query=q0,
             )
-        term = _pick(
-            res.vocab.top_terms(_last_results_text(state), 1 + variant, exclude=tokenize(q0)),
-            variant,
-        )
+        term = _top_term(res, _results_text(state.history[-1]), variant, tokenize(q0))
         if term is None:
             return _fallback(q0, "lane one found no fresh keyword")
         return Action(
@@ -467,15 +436,48 @@ def step_multi_beam(
     )
 
 
-STEPS: dict[str, Callable[..., Action]] = {
-    "adaptive_context": step_adaptive_context,
-    "random_walk": step_random_walk,
-    "breadth_first": step_breadth_first,
-    "depth_first": step_depth_first,
-    "wrong_direction": step_wrong_direction,
-    "early_success": step_early_success,
-    "exploitation_heavy": step_exploitation_heavy,
-    "greedy_hill": step_greedy_hill,
-    "best_first": step_best_first,
-    "multi_beam": step_multi_beam,
+# engine-chosen knobs; the source material never parameterizes the behaviors
+BEHAVIORS: dict[str, tuple[Callable[..., Action], dict[str, float]]] = {
+    "adaptive_context": (step_adaptive_context, {"adopt_terms": 2}),
+    "random_walk": (step_random_walk, {"neighbor_pool": 5}),
+    "breadth_first": (step_breadth_first, {"fanout": 3}),
+    "depth_first": (step_depth_first, {}),
+    "wrong_direction": (step_wrong_direction, {"drift_rank": 4}),
+    "early_success": (step_early_success, {"good_sim": 0.5}),
+    "exploitation_heavy": (step_exploitation_heavy, {}),
+    "greedy_hill": (step_greedy_hill, {"candidates": 3}),
+    "best_first": (step_best_first, {"pool_size": 3, "try_threshold": 0.4}),
+    "multi_beam": (step_multi_beam, {}),
 }
+
+KINDS = tuple(BEHAVIORS)
+
+
+@dataclass(frozen=True)
+class ArchetypeConfig:
+    """Scripted-backend configuration: behavior kind, seed, per-kind knobs."""
+
+    kind: str
+    seed: int = 0
+    params: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.kind not in BEHAVIORS:
+            raise ValueError(f"unknown archetype {self.kind!r}; expected one of {KINDS}")
+        _, defaults = BEHAVIORS[self.kind]
+        unknown = set(self.params) - set(defaults)
+        if unknown:
+            raise ValueError(f"unknown params for {self.kind}: {sorted(unknown)}")
+        object.__setattr__(self, "params", {**defaults, **self.params})
+
+
+def archetype_step(
+    config: ArchetypeConfig,
+    state: SearchState,
+    resources: PolicyResources,
+    rng: random.Random,
+    variant: int = 0,
+) -> Action:
+    """Run one behavior step (see the step functions for the per-kind rules)."""
+    step, _ = BEHAVIORS[config.kind]
+    return step(config, state, resources, rng, variant)

@@ -108,7 +108,11 @@ def _query_embedder(cfg: RunConfig):
 
 def _retriever(cfg: RunConfig) -> tuple[Retriever, TfidfTable]:
     index, vocab = _load_index(cfg)
-    return Retriever(index, _query_embedder(cfg), snippet_chars=cfg.snippet_chars), vocab
+    embedder = _query_embedder(cfg)
+    # a mismatch would fail every query; a service's dim is known only from its replies
+    if isinstance(embedder, HashEmbedder) and embedder.dim != index.dim:
+        raise ConfigError(f"{cfg.embeddings}: dim {index.dim}, but embed_dim is {embedder.dim}")
+    return Retriever(index, embedder, snippet_chars=cfg.snippet_chars), vocab
 
 
 def _policy_factory(cfg: RunConfig, retriever: Retriever, vocab: TfidfTable):

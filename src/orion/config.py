@@ -14,7 +14,7 @@ import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .policy import ArchetypeConfig
+from .policy import REMOTE_MODES, ArchetypeConfig, derive_seed
 
 log = logging.getLogger(__name__)
 
@@ -80,6 +80,8 @@ class RunConfig:
             raise ConfigError("service embed backend needs embed_endpoint")
         if self.policy == "remote" and not self.remote_endpoint:
             raise ConfigError("remote policy needs remote_endpoint")
+        if self.policy == "remote" and self.remote_mode not in REMOTE_MODES:
+            raise ConfigError(f"unknown remote mode {self.remote_mode!r}")
         if self.policy != "remote":
             try:
                 ArchetypeConfig(kind=self.policy, params=self.policy_params)
@@ -135,5 +137,4 @@ def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
 
 def episode_seed(root_seed: int, query_id: str) -> int:
     """Per-episode seed derived from the root seed (stable across processes)."""
-    digest = hashlib.sha256(f"{root_seed}\x1f{query_id}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return derive_seed(root_seed, query_id)

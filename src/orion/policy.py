@@ -22,11 +22,10 @@ import hashlib
 import math
 import os
 import random
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Protocol, Sequence
+from dataclasses import replace
+from typing import Protocol, Sequence
 
-from . import archetypes
-from .archetypes import DEFAULT_PARAMS, KINDS, PolicyResources
+from .archetypes import ArchetypeConfig, PolicyResources, archetype_step
 from .embed import post_json
 from .trace import _ALL_TAG_LITERALS, Action, SearchState, render_prompt, serialize_state
 
@@ -34,6 +33,7 @@ API_KEY_ENV = "ORION_API_KEY"
 DEFAULT_MAX_QUERY_CHARS = 300
 REMOTE_TEMPERATURE = 0.7
 REMOTE_MAX_TOKENS = 512
+REMOTE_MODES = ("structured", "baseline")
 
 RELEVANCE_PROMPT = (
     "Given turn {t} and search query {query}, the retrieved documents are "
@@ -60,10 +60,15 @@ def clip_query(query: str, max_chars: int = DEFAULT_MAX_QUERY_CHARS) -> str:
     return cut.strip() or query[:max_chars]
 
 
+def derive_seed(*parts: object) -> int:
+    """64-bit seed keyed on arbitrary parts (stable across processes)."""
+    digest = hashlib.sha256("\x1f".join(str(p) for p in parts).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def derive_rng(*parts: object) -> random.Random:
     """Deterministic RNG keyed on arbitrary parts (stable across processes)."""
-    digest = hashlib.sha256("\x1f".join(str(p) for p in parts).encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return random.Random(derive_seed(*parts))
 
 
 def pseudo_perplexity(best_sim: float) -> float:
@@ -78,26 +83,6 @@ def perplexity_from_logprobs(logprobs: Sequence[float]) -> float:
     return math.exp(-sum(logprobs) / len(logprobs))
 
 
-@dataclass(frozen=True)
-class ArchetypeConfig:
-    """Scripted-backend configuration: behavior kind, seed, per-kind knobs."""
-
-    kind: str
-    seed: int = 0
-    params: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown archetype {self.kind!r}; expected one of {KINDS}")
-        defaults = DEFAULT_PARAMS[self.kind]
-        unknown = set(self.params) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown params for {self.kind}: {sorted(unknown)}")
-        merged = dict(defaults)
-        merged.update(self.params)
-        object.__setattr__(self, "params", merged)
-
-
 class Policy(Protocol):
     """Proposes actions; `relevance_perplexity` judges a candidate state's
     last turn against the original query (lower is more confident)."""
@@ -105,17 +90,6 @@ class Policy(Protocol):
     def propose(self, state: SearchState, n: int) -> list[Action]: ...
 
     def relevance_perplexity(self, state: SearchState) -> float: ...
-
-
-def archetype_step(
-    config: ArchetypeConfig,
-    state: SearchState,
-    resources: PolicyResources,
-    rng: random.Random,
-    variant: int = 0,
-) -> Action:
-    """Run one behavior step (see `archetypes` for the per-kind rules)."""
-    return archetypes.STEPS[config.kind](config, state, resources, rng, variant)
 
 
 class ScriptedPolicy:
@@ -233,7 +207,7 @@ class RemotePolicy:
         max_query_chars: int = DEFAULT_MAX_QUERY_CHARS,
         post=None,
     ):
-        if mode not in ("structured", "baseline"):
+        if mode not in REMOTE_MODES:
             raise ValueError(f"unknown remote mode {mode!r}")
         self.endpoint = endpoint
         self.model = model

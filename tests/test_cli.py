@@ -254,6 +254,9 @@ def _no_index(cfg):
         ("generate", ["--archetypes", "adaptive_context,nope"], None, {}, "unknown archetypes ['nope']"),
         ("run", [], "--queries", {}, "run needs --queries"),
         ("index", [], "--corpus", {}, "index needs --corpus"),
+        ("run", ["--policy", "remote"], None,
+         {"remote_endpoint": "http://localhost:1", "remote_mode": "bogus"},
+         "unknown remote mode 'bogus'"),
     ],
 )
 def test_bad_settings_fail_before_any_work(
@@ -271,6 +274,21 @@ def test_bad_settings_fail_before_any_work(
     [error] = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
     assert error["type"] == "ConfigError"
     assert message in error["error"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "grpo-collect"])
+def test_embeddings_of_another_dim_fail_before_any_episode(tmp_path, capsys, command):
+    inputs = _seeded_inputs(tmp_path)  # queries are hash-embedded at --embed-dim 64
+    docs = dataio.read_corpus(tmp_path / "corpus.jsonl")
+    embedder = HashEmbedder(32)
+    dataio.write_embeddings({d.doc_id: embedder(d.text) for d in docs}, tmp_path / "emb.orne")
+    capsys.readouterr()
+    argv = [command, *inputs, "--embeddings", str(tmp_path / "emb.orne")]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    [error] = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert error["type"] == "ConfigError"
+    assert "dim 32, but embed_dim is 64" in error["error"]
     assert not (tmp_path / "out").exists()
 
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from orion.config import ConfigError, RunConfig
+from orion.config import ConfigError, RunConfig, episode_seed
 
 
 def test_config_hash_ignores_where_and_how_parallel_a_run_is_written():
@@ -35,3 +35,8 @@ def test_policy_and_its_params_are_validated(fields, message):
 )
 def test_valid_policies_pass(fields):
     RunConfig(**fields).validate(check_paths=False)
+
+
+def test_episode_seed_is_pinned():
+    # a changed seed derivation would change every logged episode
+    assert episode_seed(7, "q42") == 14956209672476689988

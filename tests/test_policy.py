@@ -16,6 +16,7 @@ from orion.policy import (
     ScriptedPolicy,
     archetype_step,
     clip_query,
+    derive_rng,
     perplexity_from_logprobs,
     planning_phase_prompt,
     pseudo_perplexity,
@@ -69,6 +70,11 @@ class TestPerplexity:
         first = SearchState(state.original_query, state.history[:1])
         assert policy.relevance_perplexity(first) == pytest.approx(math.exp(0.2))
         assert policy.relevance_perplexity(state) == pytest.approx(math.exp(0.8))
+
+
+def test_derive_rng_is_pinned():
+    # a changed seed derivation would change every GRPO selection and random walk
+    assert derive_rng(0, "grpo-select", "q1").random() == 0.8120563804613088
 
 
 class TestArchetypeConfig:
@@ -190,6 +196,145 @@ class TestArchetypeSteps:
         a0 = archetype_step(cfg, state, tree_resources, random.Random(0), variant=0)
         a1 = archetype_step(cfg, state, tree_resources, random.Random(0), variant=1)
         assert a0.query != a1.query
+
+    # Terms absent from the tree corpus share one idf, so a result text's
+    # top_terms rank by count: kiwi (3), mango (2), papaya (1).
+    FRUIT = "kiwi kiwi kiwi mango mango papaya"
+
+    @pytest.mark.parametrize("variant, term", [(0, "kiwi"), (1, "mango")])
+    def test_early_success_refines_the_last_query_while_scores_rise(
+        self, tree_resources, variant, term
+    ):
+        state = state_with_sims([0.3, 0.6], queries={1: "second try"}, texts={1: self.FRUIT})
+        action = archetype_step(
+            ArchetypeConfig(kind="early_success"), state, tree_resources, random.Random(0), variant
+        )
+        assert action.query == f"second try {term}"
+        assert "already successful" in action.think
+
+    @pytest.mark.parametrize("variant, term", [(0, "kiwi"), (1, "mango")])
+    def test_early_success_returns_to_the_best_query_after_a_detour(
+        self, tree_resources, variant, term
+    ):
+        state = state_with_sims(
+            [0.3, 0.7, 0.5],
+            queries={1: "best try", 2: "detour try"},
+            texts={1: self.FRUIT, 2: "papaya papaya papaya papaya"},
+        )
+        action = archetype_step(
+            ArchetypeConfig(kind="early_success"), state, tree_resources, random.Random(0), variant
+        )
+        assert action.query == f"best try {term}"
+        assert "detour underperformed" in action.think
+
+    @pytest.mark.parametrize("variant, term", [(0, "kiwi"), (1, "mango")])
+    def test_exploitation_heavy_refines_the_best_turn_from_its_top_result(
+        self, tree_resources, variant, term
+    ):
+        state = state_with_sims([0.5, 0.9, 0.4], queries={1: "best try"}, texts={1: self.FRUIT})
+        action = archetype_step(
+            ArchetypeConfig(kind="exploitation_heavy"), state, tree_resources, random.Random(0), variant
+        )
+        assert action.query == f"best try {term}"
+
+    @pytest.mark.parametrize("variant, term", [(0, "transformers"), (1, "attention")])
+    def test_exploitation_heavy_falls_back_to_an_expansion(self, tree_resources, variant, term):
+        # the top result has no unused keyword; "machine learning neural" expands
+        # to transformers (3 docs), attention (2), then the single-doc terms
+        state = state_with_sims(
+            [0.9, 0.4],
+            queries={0: "machine learning neural"},
+            texts={0: "machine learning neural"},
+        )
+        action = archetype_step(
+            ArchetypeConfig(kind="exploitation_heavy"), state, tree_resources, random.Random(0), variant
+        )
+        assert action.query == f"machine learning neural {term}"
+
+    @pytest.mark.parametrize("variant, term", [(0, "neural"), (1, "transformers")])
+    def test_best_first_promotes_an_unissued_hypothesis(self, tree_resources, variant, term):
+        # pool: q0 plus its top three expansions, neural, transformers, attention
+        state = state_with_sims([0.2], q0=TREE_QUERY, queries={0: TREE_QUERY})
+        action = archetype_step(
+            ArchetypeConfig(kind="best_first"), state, tree_resources, random.Random(0), variant
+        )
+        assert action.query == f"{TREE_QUERY} {term}"
+        assert "promoting the next one" in action.think
+
+    @pytest.mark.parametrize("variant, term", [(0, "kiwi"), (1, "mango")])
+    @pytest.mark.parametrize(
+        "sims, queries",
+        [
+            # above try_threshold: the best turn is refined
+            ([0.2, 0.6, 0.5], {0: TREE_QUERY, 1: "best hypothesis"}),
+            # below it, but every hypothesis is issued
+            (
+                [0.3, 0.35, 0.2, 0.1],
+                {0: TREE_QUERY, 1: f"{TREE_QUERY} neural",
+                 2: f"{TREE_QUERY} transformers", 3: f"{TREE_QUERY} attention"},
+            ),
+        ],
+    )
+    def test_best_first_otherwise_refines_the_best_turn(
+        self, tree_resources, sims, queries, variant, term
+    ):
+        state = state_with_sims(sims, q0=TREE_QUERY, queries=queries, texts={1: self.FRUIT})
+        action = archetype_step(
+            ArchetypeConfig(kind="best_first"), state, tree_resources, random.Random(0), variant
+        )
+        assert action.query == f"{queries[1]} {term}"
+        assert "leads the pool" in action.think
+
+    @pytest.mark.parametrize("variant, term", [(0, "kiwi"), (1, "mango")])
+    def test_wrong_direction_anchors_on_the_earliest_best_turn(
+        self, tree_resources, variant, term
+    ):
+        state = state_with_sims(
+            [0.6, 0.6, 0.3], texts={0: self.FRUIT, 1: "papaya papaya papaya papaya"}
+        )
+        action = archetype_step(
+            ArchetypeConfig(kind="wrong_direction"), state, tree_resources, random.Random(0), variant
+        )
+        assert action.query == f"original question {term}"
+        assert FAILURE_MARKER in action.think
+
+    @pytest.mark.parametrize(
+        "variant, expected",
+        [
+            (0, ["", " neural", " transformers", " kiwi"]),
+            (1, ["", " transformers", " attention", " mango"]),
+        ],
+    )
+    def test_multi_beam_advances_three_lanes(self, tree_resources, variant, expected):
+        # lane 0 folds a result keyword into q0; lanes 1 and 2 take q0's first
+        # and second expansion (neural, transformers, attention), shifted by variant
+        cfg = ArchetypeConfig(kind="multi_beam")
+        for turns, suffix in enumerate(expected):
+            state = state_with_sims([0.5] * turns, q0=TREE_QUERY, texts={2: self.FRUIT})
+            action = archetype_step(cfg, state, tree_resources, random.Random(0), variant)
+            assert action.query == TREE_QUERY + suffix
+
+    @pytest.mark.parametrize("variant, term", [(0, "extra"), (1, "guide")])
+    def test_breadth_first_deepens_the_best_sibling(self, tree_resources, variant, term):
+        # siblings of "machine learning": neural, transformers, attention. Turn 1
+        # (q0 itself) is not a sibling, so its higher score does not count.
+        # "machine learning transformers" matches t2, t3a, t3b; attention is
+        # used, and the single-doc terms tie, so they come alphabetically.
+        state = state_with_sims(
+            [0.9, 0.4, 0.8, 0.3],
+            q0="machine learning",
+            queries={
+                0: "machine learning",
+                1: "machine learning neural",
+                2: "machine learning transformers",
+                3: "machine learning attention",
+            },
+        )
+        action = archetype_step(
+            ArchetypeConfig(kind="breadth_first"), state, tree_resources, random.Random(0), variant
+        )
+        assert action.query == f"machine learning transformers {term}"
+        assert "All branches visited" in action.think
 
     def test_greedy_hill_requires_probe(self, tree_vocab):
         res = PolicyResources(vocab=tree_vocab, probe=None)
