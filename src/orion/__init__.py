@@ -14,7 +14,6 @@ from .corpus import (
     Document,
     RankedResults,
     build_index,
-    cosine_similarity,
 )
 from .engine import EpisodeConfig, EpisodeResult, Retriever, beam_search, check_success, run_episode
 from .policy import Action, ArchetypeConfig, PolicyError, RemotePolicy, ScriptedPolicy
@@ -24,7 +23,6 @@ from .trace import (
     TraceDocument,
     Turn,
     append_turn,
-    parse_trace,
     render_prompt,
     serialize_trace,
 )
@@ -36,7 +34,6 @@ __all__ = [
     "Document",
     "RankedResults",
     "build_index",
-    "cosine_similarity",
     "EpisodeConfig",
     "EpisodeResult",
     "Retriever",
@@ -57,7 +54,6 @@ __all__ = [
     "TraceDocument",
     "Turn",
     "append_turn",
-    "parse_trace",
     "render_prompt",
     "serialize_trace",
 ]

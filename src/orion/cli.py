@@ -1,8 +1,9 @@
 """Command-line entry points tying the engine together.
 
-Subcommands: index, run, beam, generate, grpo-collect, eval, report. Flags
-mirror the config-file fields; a `--config` file provides defaults and flags
-override it. Every output file starts with a meta record carrying the config
+Subcommands: index, run, beam, generate, grpo-collect, eval, report. The
+settings flags are generated from `RunConfig`, one per field; a `--config`
+file provides defaults, flags override it, and the merged settings are
+validated once. Every output file starts with a meta record carrying the config
 hash and engine version. Failures exit nonzero with a machine-readable error
 record on stderr.
 
@@ -23,9 +24,9 @@ from pathlib import Path
 
 from . import dataio
 from .archetypes import KINDS, PolicyResources
-from .config import ConfigError, RunConfig, episode_seed, load_config
-from .corpus import CorpusError, CorpusIndex, build_index
-from .embed import EmbeddingServiceClient, HashEmbedder
+from .config import ConfigError, RunConfig, episode_seed, field_type, flag_name, read_config_file
+from .corpus import CorpusError, CorpusIndex, Document, build_index
+from .embed import EmbeddingServiceClient, EmbeddingServiceError, HashEmbedder
 from .engine import (
     EpisodeConfig,
     EpisodeResult,
@@ -52,36 +53,39 @@ from .vocab import TfidfTable
 log = logging.getLogger("orion")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _json_object(text: str) -> dict:
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"not JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise argparse.ArgumentTypeError(f"expected a JSON object, got {text!r}")
+    return value
+
+
+def _add_settings(p: argparse.ArgumentParser) -> None:
+    """`--config` plus one flag per `RunConfig` field; an absent flag is None."""
     p.add_argument("--config", help="config file (json or yaml); flags override it")
-    p.add_argument("--corpus", help="corpus JSON Lines file")
-    p.add_argument("--qrels", help="qrels TSV file")
-    p.add_argument("--queries", help="queries JSON Lines file")
-    p.add_argument("--embeddings", help="embedding file (binary or JSON Lines)")
-    p.add_argument("--embed-dim", type=int, help="hash embedder dimension")
-    p.add_argument("--policy", help=f"archetype kind ({', '.join(KINDS)}) or 'remote'")
-    p.add_argument("--top-k", type=int, dest="k", help="retrieval depth per turn")
-    p.add_argument("--max-turns", type=int, help="turn budget per episode")
-    p.add_argument("--beam-size", type=int, help="beam survivors per turn (B)")
-    p.add_argument("--expansion", type=int, help="candidates per beam per turn (M)")
-    p.add_argument("--group-size", type=int, help="grouped-sampling size (G)")
-    p.add_argument("--selection", choices=["argmax", "proportional"])
-    p.add_argument("--zscore", action="store_true", default=None)
-    p.add_argument("--seed", type=int, help="root RNG seed")
-    p.add_argument("--workers", type=int, help="query worker threads (every batch command)")
-    p.add_argument("--out", dest="out_dir", help="output directory")
+    for f in dataclasses.fields(RunConfig):
+        kind = field_type(f)
+        if kind is bool:
+            options = {"action": argparse.BooleanOptionalAction}
+        else:
+            options = {"type": _json_object if kind is dict else kind}
+        p.add_argument(flag_name(f), dest=f.name, help=f.metadata["help"], **options)
 
 
 def _build_config(
     args: argparse.Namespace, check_paths: bool = True, needs: tuple[str, ...] = ()
 ) -> RunConfig:
-    """The config file overridden by flags, validated; each path field in
+    """The config file overridden by flags, then validated; each path field in
     `needs` must be set (`ConfigError("<command> needs --<field>")`)."""
-    cfg = load_config(args.config, check_paths=False) if args.config else RunConfig()
+    settings = read_config_file(args.config) if args.config else {}
     for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
+        value = getattr(args, f.name)
         if value is not None:
-            setattr(cfg, f.name, value)
+            settings[f.name] = value
+    cfg = RunConfig(**settings)
     cfg.validate(check_paths=check_paths)
     for name in needs:
         if not getattr(cfg, name):
@@ -89,13 +93,34 @@ def _build_config(
     return cfg
 
 
+# documents per embedding-service request when a corpus is embedded
+EMBED_CHUNK = 64
+
+
+def _embed_corpus(cfg: RunConfig, docs: list[Document]) -> dict:
+    """Embed each document's title and text: one call per document on the
+    hash backend, chunks of `EMBED_CHUNK` in document order on the service."""
+    embedder = _query_embedder(cfg)
+    texts = [f"{d.title} {d.text}".strip() for d in docs]
+    if not isinstance(embedder, EmbeddingServiceClient):
+        return {d.doc_id: embedder(text) for d, text in zip(docs, texts)}
+    vectors = []
+    for start in range(0, len(docs), EMBED_CHUNK):
+        try:
+            vectors.extend(embedder.embed_batch(texts[start : start + EMBED_CHUNK]))
+        except EmbeddingServiceError as exc:
+            raise EmbeddingServiceError(
+                f"embedding the chunk that starts at document {docs[start].doc_id!r}: {exc}"
+            ) from exc
+    return {d.doc_id: v for d, v in zip(docs, vectors)}
+
+
 def _load_index(cfg: RunConfig) -> tuple[CorpusIndex, TfidfTable]:
     docs = dataio.read_corpus(cfg.corpus)
     if cfg.embeddings:
         embeddings = dataio.read_embeddings(cfg.embeddings)
     else:
-        embedder = _query_embedder(cfg)
-        embeddings = {d.doc_id: embedder(f"{d.title} {d.text}".strip()) for d in docs}
+        embeddings = _embed_corpus(cfg, docs)
     index = build_index(docs, embeddings)
     return index, TfidfTable.from_documents(docs)
 
@@ -318,9 +343,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         corpus_size = len(dataio.read_corpus(cfg.corpus))
     report = analyze_behavior(episodes, corpus_size, relaxed_stagnation=args.relaxed_stagnation)
     out = _out_dir(cfg)
-    written = write_behavior_report(report, out, meta=cfg.meta(), plots=not args.no_plots)
+    write_behavior_report(report, out, meta=cfg.meta())
     print(json.dumps(report.summary(), sort_keys=True))
-    log.info("wrote %s", ", ".join(str(p) for p in written))
     return 0
 
 
@@ -341,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, (handler, help_text) in specs.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        _add_settings(p)
         p.set_defaults(handler=handler)
         if name == "generate":
             p.add_argument("--archetypes", help="comma-separated kinds (default: all ten)")
@@ -351,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "report":
             p.add_argument("--corpus-size", type=int, help="corpus size |C| (else from --corpus)")
             p.add_argument("--relaxed-stagnation", action="store_true")
-            p.add_argument("--no-plots", action="store_true")
     return parser
 
 

@@ -1,9 +1,10 @@
 """Run configuration: file loading, validation, defaults, and seeding.
 
-One structured config file (JSON or YAML) drives a run; secrets come from the
-environment only (`ORION_API_KEY`, `ORION_EMBED_API_KEY`). All randomness
-flows from the single root seed, split per episode, so a run is reproducible
-from (config, seed, corpus files) alone.
+`RunConfig`'s fields are the one list of run settings: each is a config-file
+key and an `orion` flag. Secrets come from the environment only
+(`ORION_API_KEY`, `ORION_EMBED_API_KEY`). All randomness flows from the single
+root seed, split per episode, so a run is reproducible from (config, seed,
+corpus files) alone.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from pathlib import Path
 
+from .archetypes import KINDS
 from .policy import REMOTE_MODES, ArchetypeConfig, derive_seed
 
 log = logging.getLogger(__name__)
@@ -25,53 +27,55 @@ class ConfigError(ValueError):
     """Unreadable, unparseable, or out-of-range configuration."""
 
 
+def _setting(default, help: str, flag: str | None = None, at_least: int | None = None):
+    """A `RunConfig` field: its default, its flag's help text, the flag's name
+    where it is not the field name's (see `flag_name`), and its lowest value."""
+    metadata = {"help": help, "flag": flag, "at_least": at_least}
+    if isinstance(default, dict):
+        return field(default_factory=lambda: dict(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
-    corpus: str = ""
-    qrels: str | None = None
-    queries: str | None = None
-    embeddings: str | None = None  # embedding file; None -> hash embedder
-    embed_backend: str = "hash"  # "hash" | "service"
-    embed_dim: int = 384
-    embed_endpoint: str | None = None
-    embed_model: str | None = None
+    """Every run setting. The fields are the config-file keys, and each one
+    has an `orion` flag generated from it."""
 
-    policy: str = "adaptive_context"  # archetype kind or "remote"
-    policy_params: dict = field(default_factory=dict)
-    remote_endpoint: str | None = None
-    remote_model: str | None = None
-    remote_mode: str = "structured"  # or "baseline"
+    corpus: str = _setting("", "corpus JSON Lines file")
+    qrels: str | None = _setting(None, "qrels TSV file")
+    queries: str | None = _setting(None, "queries JSON Lines file")
+    embeddings: str | None = _setting(None, "embedding file (else documents are embedded)")
+    embed_backend: str = _setting("hash", "embedder: 'hash' or 'service'")
+    embed_dim: int = _setting(384, "hash embedder dimension", at_least=1)
+    embed_endpoint: str | None = _setting(None, "embedding service URL (service backend)")
+    embed_model: str | None = _setting(None, "embedding service model name")
 
-    k: int = 5
-    max_turns: int = 5
-    beam_size: int = 2
-    expansion: int = 2
-    group_size: int = 4
-    selection: str = "argmax"  # or "proportional"
-    zscore: bool = False
-    beta: float = 0.1
-    max_query_chars: int = 300
-    snippet_chars: int = 512
+    policy: str = _setting("adaptive_context", f"archetype kind ({', '.join(KINDS)}) or 'remote'")
+    policy_params: dict = _setting({}, "JSON object of knobs for the policy's archetype kind")
+    remote_endpoint: str | None = _setting(None, "remote policy URL")
+    remote_model: str | None = _setting(None, "remote policy model name")
+    remote_mode: str = _setting("structured", f"remote policy mode ({', '.join(REMOTE_MODES)})")
 
-    seed: int = 0
-    workers: int = 1
-    out_dir: str = "out"
+    k: int = _setting(5, "retrieval depth per turn", flag="--top-k", at_least=1)
+    max_turns: int = _setting(5, "turn budget per episode", at_least=1)
+    beam_size: int = _setting(2, "beam survivors per turn (B)", at_least=1)
+    expansion: int = _setting(2, "candidates per beam per turn (M)", at_least=1)
+    group_size: int = _setting(4, "grouped-sampling size (G)", at_least=2)
+    selection: str = _setting("argmax", "grouped-sample selection: 'argmax' or 'proportional'")
+    zscore: bool = _setting(False, "z-score group advantages (else mean-centred)")
+    beta: float = _setting(0.1, "KL coefficient echoed in training records for the trainer")
+    max_query_chars: int = _setting(300, "longest query a policy may issue", at_least=1)
+    snippet_chars: int = _setting(512, "characters shown of each retrieved document", at_least=1)
+
+    seed: int = _setting(0, "root RNG seed")
+    workers: int = _setting(1, "query worker threads (every batch command)", at_least=1)
+    out_dir: str = _setting("out", "output directory", flag="--out")
 
     def validate(self, check_paths: bool = True) -> None:
-        ranges = {
-            "k": (self.k, 1),
-            "max_turns": (self.max_turns, 1),
-            "beam_size": (self.beam_size, 1),
-            "expansion": (self.expansion, 1),
-            "group_size": (self.group_size, 2),
-            "embed_dim": (self.embed_dim, 1),
-            "workers": (self.workers, 1),
-            "max_query_chars": (self.max_query_chars, 1),
-            "snippet_chars": (self.snippet_chars, 1),
-        }
-        for name, (value, lo) in ranges.items():
-            if value < lo:
-                raise ConfigError(f"{name} must be >= {lo}, got {value}")
+        for f in fields(self):
+            lo, value = f.metadata["at_least"], getattr(self, f.name)
+            if lo is not None and value < lo:
+                raise ConfigError(f"{f.name} must be >= {lo}, got {value}")
         if self.selection not in ("argmax", "proportional"):
             raise ConfigError(f"unknown selection mode {self.selection!r}")
         if self.embed_backend not in ("hash", "service"):
@@ -93,21 +97,43 @@ class RunConfig:
                 if value and not Path(value).exists():
                     raise ConfigError(f"{name} path does not exist: {value}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def config_hash(self) -> str:
         """Hash of the fields that shape a run's records (not out_dir or workers)."""
-        fields = {k: v for k, v in self.to_dict().items() if k not in ("out_dir", "workers")}
-        canonical = json.dumps(fields, sort_keys=True)
+        shaping = {k: v for k, v in asdict(self).items() if k not in ("out_dir", "workers")}
+        canonical = json.dumps(shaping, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def meta(self) -> dict:
         return {"config_hash": self.config_hash(), "engine_version": ENGINE_VERSION}
 
 
-def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
-    """Load and validate a config file, warning about unknown fields."""
+def flag_name(f: Field) -> str:
+    """The `orion` flag of a `RunConfig` field: `--field-name` unless named."""
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-")
+
+
+def field_type(f: Field) -> type:
+    """The type of a `RunConfig` field's values, read off its default; a
+    field whose default is None holds a str."""
+    default = f.default_factory() if f.default is MISSING else f.default
+    return str if default is None else type(default)
+
+
+def fits(f: Field, value: object) -> bool:
+    """Whether `value` may set the field: it has the field's `field_type`,
+    where a bool is no int and an int is a float; None only where the
+    default is None."""
+    kind = field_type(f)
+    if value is None:
+        return f.default is None
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def read_config_file(path: str | Path) -> dict:
+    """The settings of a config file, each checked against its field's type;
+    unknown fields are dropped with a warning."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -126,11 +152,21 @@ def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
             raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = sorted(set(raw) - known)
+    known = {f.name: f for f in fields(RunConfig)}
+    unknown = sorted(raw.keys() - known.keys())
     if unknown:
         log.warning("ignoring unknown config fields: %s", ", ".join(unknown))
-    cfg = RunConfig(**{k: v for k, v in raw.items() if k in known})
+    settings = {name: value for name, value in raw.items() if name in known}
+    for name, value in settings.items():
+        if not fits(known[name], value):
+            kind = field_type(known[name]).__name__
+            raise ConfigError(f"{path}: {name} must be {kind}, got {value!r}")
+    return settings
+
+
+def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
+    """Load and validate a config file."""
+    cfg = RunConfig(**read_config_file(path))
     cfg.validate(check_paths=check_paths)
     return cfg
 

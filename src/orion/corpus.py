@@ -64,9 +64,6 @@ class RankedResults:
     target_sim: float | None = None
     target_rank: int | None = None
 
-    def doc_ids(self) -> list[str]:
-        return [e.doc_id for e in self.entries]
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -86,20 +83,6 @@ def as_embedding(values: Sequence[float] | np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(vec)):
         raise CorpusError("embedding contains non-finite values")
     return vec
-
-
-def cosine_similarity(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1].
-
-    Raises CorpusError on dimension mismatch or a zero-norm input.
-    """
-    va, vb = as_embedding(a), as_embedding(b)
-    if va.shape != vb.shape:
-        raise CorpusError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise CorpusError("cosine similarity undefined for zero-norm vector")
-    return float(np.dot(va, vb) / (na * nb))
 
 
 @dataclass(frozen=True, eq=False)

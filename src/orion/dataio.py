@@ -75,12 +75,6 @@ def read_corpus(path: str | Path) -> list[Document]:
     return docs
 
 
-def write_corpus(docs: Iterable[Document], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in docs:
-            fh.write(json.dumps({"_id": d.doc_id, "title": d.title, "text": d.text}) + "\n")
-
-
 def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
     """Read tab-separated qrels `query-id<TAB>doc-id<TAB>score`; header optional."""
     qrels: dict[str, dict[str, int]] = {}

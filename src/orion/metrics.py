@@ -75,22 +75,6 @@ class MetricsReport:
     k: int
     per_query: tuple[QueryMetrics, ...]
 
-    @property
-    def ndcg_at_k(self) -> float:
-        return self._mean("ndcg")
-
-    @property
-    def recall_at_k(self) -> float:
-        return self._mean("recall")
-
-    @property
-    def success_at_k(self) -> float:
-        return self._mean("success")
-
-    @property
-    def mrr(self) -> float:
-        return self._mean("mrr")
-
     def _mean(self, name: str) -> float:
         if not self.per_query:
             return 0.0
@@ -100,10 +84,10 @@ class MetricsReport:
         return {
             "k": self.k,
             "queries": len(self.per_query),
-            f"ndcg@{self.k}": self.ndcg_at_k,
-            f"recall@{self.k}": self.recall_at_k,
-            f"success@{self.k}": self.success_at_k,
-            "mrr": self.mrr,
+            f"ndcg@{self.k}": self._mean("ndcg"),
+            f"recall@{self.k}": self._mean("recall"),
+            f"success@{self.k}": self._mean("success"),
+            "mrr": self._mean("mrr"),
         }
 
 
@@ -214,7 +198,7 @@ class BehaviorReport:
     stagnation_rate: float
     turnwise_success: dict[int, float]
     successful_episodes: int
-    query_length: QuantileSummary
+    query_length: QuantileSummary | None  # None when the log issued no query
     episodes: int
 
     def summary(self) -> dict:
@@ -225,7 +209,7 @@ class BehaviorReport:
             "turnwise_success": {str(k): v for k, v in sorted(self.turnwise_success.items())},
             "successful_episodes": self.successful_episodes,
             "no_successes": self.successful_episodes == 0,
-            "query_length": self.query_length.to_dict(),
+            "query_length": None if self.query_length is None else self.query_length.to_dict(),
         }
 
 
@@ -237,7 +221,8 @@ def analyze_behavior(
     """Aggregate the behavior measures over an episode log.
 
     Episodes without target ranks (no qrels) are skipped for backtracking and
-    stagnation; they still contribute query lengths.
+    stagnation; they still contribute query lengths. A log that issued no
+    query (every episode ended before its first turn) has no query lengths.
     """
     backtracked = 0
     stagnant = 0
@@ -253,12 +238,13 @@ def analyze_behavior(
             stagnant += 1
     hist = turnwise_success_distribution(episodes)
     successes = sum(1 for _, r in episodes if r.succeeded)
+    issued_queries = any(r.trace.state.history for _, r in episodes)
     return BehaviorReport(
         backtrack_rate=backtracked / with_ranks if with_ranks else 0.0,
         stagnation_rate=stagnant / with_ranks if with_ranks else 0.0,
         turnwise_success=hist,
         successful_episodes=successes,
-        query_length=query_length_stats(episodes),
+        query_length=query_length_stats(episodes) if issued_queries else None,
         episodes=len(episodes),
     )
 
@@ -266,12 +252,17 @@ def analyze_behavior(
 # --- report output --------------------------------------------------------------
 
 
-def write_metrics_report(report: MetricsReport, out_dir: str | Path, meta: dict | None = None) -> None:
+def _write_summary(out_dir: str | Path, name: str, summary: dict, meta: dict | None) -> Path:
+    """Write `meta` plus `summary` as the JSON file `name`; return the directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = dict(meta or {})
-    payload.update(report.summary())
-    (out / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload = {**(meta or {}), **summary}
+    (out / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return out
+
+
+def write_metrics_report(report: MetricsReport, out_dir: str | Path, meta: dict | None = None) -> None:
+    out = _write_summary(out_dir, "metrics.json", report.summary(), meta)
     lines = ["query-id\tndcg\trecall\tsuccess\tmrr"]
     for row in report.per_query:
         lines.append(
@@ -280,65 +271,6 @@ def write_metrics_report(report: MetricsReport, out_dir: str | Path, meta: dict 
     (out / "per_query.tsv").write_text("\n".join(lines) + "\n")
 
 
-def write_behavior_report(
-    report: BehaviorReport, out_dir: str | Path, meta: dict | None = None, plots: bool = True
-) -> list[Path]:
-    """Write the behavior summary plus turn-histogram and query-length plots."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = dict(meta or {})
-    payload.update(report.summary())
-    (out / "behavior.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    written = [out / "behavior.json"]
-    if plots:
-        written.extend(_write_plots(report, out))
-    return written
-
-
-def _write_plots(report: BehaviorReport, out: Path) -> list[Path]:
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return []
-    written = []
-
-    fig, ax = plt.subplots(figsize=(5, 3.5))
-    turns = sorted(report.turnwise_success)
-    ax.bar([str(t) for t in turns], [report.turnwise_success[t] for t in turns], color="#4878a8")
-    ax.set_xlabel("success turn")
-    ax.set_ylabel("share of successful episodes")
-    ax.set_title("Turn-wise success distribution")
-    fig.tight_layout()
-    path = out / "turnwise_success.png"
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
-    written.append(path)
-
-    fig, ax = plt.subplots(figsize=(5, 3.5))
-    q = report.query_length
-    ax.bar(["p25", "p50", "p75", "max"], [q.p25, q.p50, q.p75, q.max], color="#6aa56a")
-    ax.set_ylabel("query length (chars)")
-    ax.set_title("Search query length distribution")
-    fig.tight_layout()
-    path = out / "query_lengths.png"
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
-    written.append(path)
-
-    fig, ax = plt.subplots(figsize=(5, 3.5))
-    ax.bar(
-        ["backtrack", "stagnation"],
-        [report.backtrack_rate, report.stagnation_rate],
-        color=["#a85c48", "#8a6aa5"],
-    )
-    ax.set_ylabel("episode rate")
-    ax.set_title("Recovery vs. repetition")
-    fig.tight_layout()
-    path = out / "behavior_rates.png"
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
-    written.append(path)
-    return written
+def write_behavior_report(report: BehaviorReport, out_dir: str | Path, meta: dict | None = None) -> None:
+    """Write the behavior summary to behavior.json."""
+    _write_summary(out_dir, "behavior.json", report.summary(), meta)

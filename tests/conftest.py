@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+from typing import Iterable, Sequence
+
 import numpy as np
 import pytest
 
 from orion.archetypes import PolicyResources
-from orion.corpus import Document, build_index
+from orion.corpus import CorpusError, Document, RankedResults, as_embedding, build_index
 from orion.embed import HashEmbedder
 from orion.engine import Retriever
 from orion.vocab import TfidfTable
@@ -74,3 +78,28 @@ def mix(dim: int, *components: tuple[int, float]) -> np.ndarray:
     for i, w in components:
         vec[i] = w
     return vec
+
+
+def write_corpus(docs: Iterable[Document], path: str | Path) -> None:
+    """Write a JSON Lines corpus that `dataio.read_corpus` reads back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for d in docs:
+            fh.write(json.dumps({"_id": d.doc_id, "title": d.title, "text": d.text}) + "\n")
+
+
+def doc_ids(results: RankedResults) -> list[str]:
+    return [e.doc_id for e in results.entries]
+
+
+def cosine_similarity(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
+    """Cosine of the angle between two vectors, in [-1, 1].
+
+    Raises CorpusError on dimension mismatch or a zero-norm input.
+    """
+    va, vb = as_embedding(a), as_embedding(b)
+    if va.shape != vb.shape:
+        raise CorpusError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
+    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
+    if na == 0.0 or nb == 0.0:
+        raise CorpusError("cosine similarity undefined for zero-norm vector")
+    return float(np.dot(va, vb) / (na * nb))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,27 +12,40 @@ from orion.cli import _build_config, build_parser, main
 from orion.archetypes import KINDS
 from orion.config import RunConfig
 from orion.corpus import Document
-from orion.embed import HashEmbedder
-from orion.engine import episode_to_dict
+from orion.embed import EmbeddingServiceClient, EmbeddingServiceError, HashEmbedder
+from orion.engine import EpisodeResult, episode_to_dict
 from orion.metrics import analyze_behavior, evaluate_episodes
+from orion.trace import TERMINAL_POLICY_ERROR, SearchState, TraceDocument
+
+from conftest import write_corpus
 
 
 def test_common_flags_land_on_their_config_fields():
     argv = [
         "run", "--corpus", "c.jsonl", "--qrels", "q.tsv", "--queries", "qs.jsonl",
-        "--embeddings", "e.orne", "--embed-dim", "16", "--policy", "depth_first",
-        "--top-k", "3", "--max-turns", "4", "--beam-size", "5", "--expansion", "6",
-        "--group-size", "7", "--selection", "proportional", "--zscore", "--seed", "8",
+        "--embeddings", "e.orne", "--embed-backend", "service", "--embed-dim", "16",
+        "--embed-endpoint", "http://localhost:1/embed", "--embed-model", "em",
+        "--policy", "breadth_first", "--policy-params", '{"fanout": 2}',
+        "--remote-endpoint", "http://localhost:2/chat", "--remote-model", "rm",
+        "--remote-mode", "baseline", "--top-k", "3", "--max-turns", "4", "--beam-size", "5",
+        "--expansion", "6", "--group-size", "7", "--selection", "proportional", "--zscore",
+        "--beta", "0.25", "--max-query-chars", "40", "--snippet-chars", "50", "--seed", "8",
         "--workers", "2", "--out", "o",
     ]
     cfg = _build_config(build_parser().parse_args(argv), check_paths=False)
     set_by_flags = {
         "corpus": "c.jsonl", "qrels": "q.tsv", "queries": "qs.jsonl", "embeddings": "e.orne",
-        "embed_dim": 16, "policy": "depth_first", "k": 3, "max_turns": 4, "beam_size": 5,
-        "expansion": 6, "group_size": 7, "selection": "proportional", "zscore": True,
-        "seed": 8, "workers": 2, "out_dir": "o",
+        "embed_backend": "service", "embed_dim": 16, "embed_endpoint": "http://localhost:1/embed",
+        "embed_model": "em", "policy": "breadth_first", "policy_params": {"fanout": 2},
+        "remote_endpoint": "http://localhost:2/chat", "remote_model": "rm",
+        "remote_mode": "baseline", "k": 3, "max_turns": 4, "beam_size": 5, "expansion": 6,
+        "group_size": 7, "selection": "proportional", "zscore": True, "beta": 0.25,
+        "max_query_chars": 40, "snippet_chars": 50, "seed": 8, "workers": 2, "out_dir": "o",
     }
-    assert dataclasses.asdict(cfg) == {**dataclasses.asdict(RunConfig()), **set_by_flags}
+    defaults = dataclasses.asdict(RunConfig())
+    assert set_by_flags.keys() == {f.name for f in dataclasses.fields(RunConfig)}
+    assert all(value != defaults[name] for name, value in set_by_flags.items())
+    assert dataclasses.asdict(cfg) == set_by_flags
 
 
 def test_absent_flags_keep_defaults():
@@ -39,10 +53,43 @@ def test_absent_flags_keep_defaults():
     assert cfg == RunConfig()
 
 
+@pytest.mark.parametrize("command", ["index", "run", "beam", "generate", "grpo-collect", "eval", "report"])
+def test_every_command_has_one_flag_per_config_field(command):
+    argv = [command] + (["--episodes", "e.jsonl"] if command in ("eval", "report") else [])
+    args = vars(build_parser().parse_args(argv))
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert {name: args[name] for name in names} == dict.fromkeys(names)
+
+
+@pytest.mark.parametrize("flags, want", [([], True), (["--no-zscore"], False), (["--zscore"], True)])
+def test_zscore_flags_override_the_config_file(tmp_path, flags, want):
+    (tmp_path / "c.json").write_text(json.dumps({"zscore": True}))
+    args = build_parser().parse_args(["grpo-collect", "--config", str(tmp_path / "c.json"), *flags])
+    assert _build_config(args, check_paths=False).zscore is want
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "{bad json"])
+def test_policy_params_flag_takes_a_json_object(capsys, text):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--policy-params", text])
+    assert "--policy-params" in capsys.readouterr().err
+
+
+def test_flags_override_the_config_file_before_validation(tmp_path):
+    inputs = _seeded_inputs(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"k": 0, "max_turns": 2}))
+    argv = ["run", *inputs, "--config", str(tmp_path / "c.json"), "--top-k", "3"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    cfg = _build_config(build_parser().parse_args(argv))
+    assert (cfg.k, cfg.max_turns) == (3, 2)
+    meta = json.loads((tmp_path / "out" / "episodes.jsonl").read_text().splitlines()[0])
+    assert meta["config_hash"] == cfg.config_hash()
+
+
 def test_index_of_an_orne_input_writes_the_same_bytes(tmp_path):
     rng = np.random.default_rng(11)
     docs = [Document(f"doc-{i:03d}", f"body {i}") for i in range(200)]
-    dataio.write_corpus(docs, tmp_path / "corpus.jsonl")
+    write_corpus(docs, tmp_path / "corpus.jsonl")
     source = tmp_path / "emb.orne"
     dataio.write_embeddings(
         {d.doc_id: rng.normal(size=16) * 10.0 ** rng.integers(-6, 7) for d in docs}, source
@@ -62,7 +109,7 @@ def _seeded_inputs(tmp_path) -> list[str]:
     for i in range(36):
         words = topics[i % 3] + list(rng.choice(filler, size=4)) + [f"tag{i}"]
         docs.append(Document(f"d{i:02d}", " ".join(rng.permutation(words))))
-    dataio.write_corpus(docs, tmp_path / "corpus.jsonl")
+    write_corpus(docs, tmp_path / "corpus.jsonl")
     with open(tmp_path / "queries.jsonl", "w") as fh:
         for q in range(6):
             target = f"d{q * 5:02d}"
@@ -178,7 +225,7 @@ def test_eval_and_report_of_a_beam_log_match_the_in_memory_episodes(tmp_path, mo
     log_path = tmp_path / "beam" / "episodes.jsonl"
     assert main(["beam", *inputs, "--beam-size", "2", "--expansion", "2", "--out", str(log_path.parent)]) == 0
     assert main(["eval", *inputs, "--episodes", str(log_path), "--out", str(tmp_path / "eval")]) == 0
-    argv = ["report", *inputs, "--episodes", str(log_path), "--no-plots", "--out", str(tmp_path / "report")]
+    argv = ["report", *inputs, "--episodes", str(log_path), "--out", str(tmp_path / "report")]
     assert main(argv) == 0
 
     qrels = dataio.read_qrels(tmp_path / "qrels.tsv")
@@ -257,6 +304,11 @@ def _no_index(cfg):
         ("run", ["--policy", "remote"], None,
          {"remote_endpoint": "http://localhost:1", "remote_mode": "bogus"},
          "unknown remote mode 'bogus'"),
+        ("run", [], None, {"k": 0}, "k must be >= 1, got 0"),
+        ("run", [], None, {"k": "5"}, "config.json: k must be int, got '5'"),
+        ("grpo-collect", [], None, {"zscore": "false"}, "config.json: zscore must be bool, got 'false'"),
+        ("run", [], None, {"seed": 1.5}, "config.json: seed must be int, got 1.5"),
+        ("run", ["--seed", "2"], None, {"seed": 1.5}, "config.json: seed must be int, got 1.5"),
     ],
 )
 def test_bad_settings_fail_before_any_work(
@@ -304,3 +356,75 @@ def test_generate_gives_policy_params_to_the_policy_kind_only(tmp_path):
     assert {source for source, _ in pools["params"]} == set(KINDS)
     changed = {key[0] for key in pools["params"] if pools["params"][key] != pools["default"][key]}
     assert changed == {"adaptive_context"}
+
+
+def _policy_error_record() -> dict:
+    trace = TraceDocument(SearchState(original_query="coral"), terminal_reason=TERMINAL_POLICY_ERROR)
+    return episode_to_dict("q0", EpisodeResult(trace))
+
+
+@pytest.mark.parametrize("records", [[], [_policy_error_record()]], ids=["meta-only", "zero-turn"])
+def test_eval_and_report_of_a_log_that_issued_no_query(tmp_path, records):
+    log_path = tmp_path / "episodes.jsonl"
+    meta = {"record": "meta", **RunConfig().meta()}
+    dataio.write_jsonl([meta, *records], log_path)
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("q0\td00\t1\n")
+    common = ["--qrels", str(qrels), "--episodes", str(log_path)]
+    assert main(["eval", *common, "--out", str(tmp_path / "eval")]) == 0
+    assert main(["report", *common, "--corpus-size", "36", "--out", str(tmp_path / "report")]) == 0
+    behavior = json.loads((tmp_path / "report" / "behavior.json").read_text())
+    assert behavior["episodes"] == len(records)
+    assert behavior["query_length"] is None
+    assert behavior["successful_episodes"] == 0
+
+
+def _fake_embedding_service(monkeypatch, fail_on: str | None = None) -> list[list[str]]:
+    """Answer embedding requests with hash vectors; return the requested batches."""
+    requests = []
+    vectors = HashEmbedder(8)
+
+    def post(self, payload):
+        requests.append(payload["input"])
+        if fail_on in payload["input"]:
+            raise EmbeddingServiceError("503 Service Unavailable")
+        return {"data": [{"embedding": vectors(text).tolist()} for text in payload["input"]]}
+
+    monkeypatch.setattr(EmbeddingServiceClient, "_requests_post", post)
+    return requests
+
+
+def _service_config(n_docs: int, tmp_path) -> tuple[RunConfig, list[Document]]:
+    docs = [Document(f"d{i:03d}", f"body {i}", title=f"title {i % 7}") for i in range(n_docs)]
+    write_corpus(docs, tmp_path / "corpus.jsonl")
+    cfg = RunConfig(corpus=str(tmp_path / "corpus.jsonl"), embed_backend="service",
+                    embed_endpoint="http://localhost:1/embed")
+    return cfg, docs
+
+
+@pytest.mark.parametrize("n_docs", [1, cli.EMBED_CHUNK, 2 * cli.EMBED_CHUNK + 5])
+def test_service_corpus_embeddings_are_batched(tmp_path, monkeypatch, n_docs):
+    cfg, docs = _service_config(n_docs, tmp_path)
+    requests = _fake_embedding_service(monkeypatch)
+    batched = cli._embed_corpus(cfg, docs)
+    texts = [f"{d.title} {d.text}" for d in docs]
+    assert requests == [texts[i : i + cli.EMBED_CHUNK] for i in range(0, n_docs, cli.EMBED_CHUNK)]
+    assert len(requests) == math.ceil(n_docs / cli.EMBED_CHUNK)
+    client = cli._query_embedder(cfg)
+    assert list(batched) == [d.doc_id for d in docs]
+    for doc, text in zip(docs, texts):
+        assert np.array_equal(batched[doc.doc_id], client(text))
+
+
+def test_a_failed_embedding_chunk_names_its_first_document(tmp_path, monkeypatch, capsys):
+    cfg, docs = _service_config(2 * cli.EMBED_CHUNK, tmp_path)
+    second = docs[cli.EMBED_CHUNK]
+    _fake_embedding_service(monkeypatch, fail_on=f"{second.title} {second.text}")
+    capsys.readouterr()
+    argv = ["index", "--corpus", cfg.corpus, "--embed-backend", "service",
+            "--embed-endpoint", cfg.embed_endpoint, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    [error] = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert error["type"] == "EmbeddingServiceError"
+    assert f"starts at document {second.doc_id!r}" in error["error"]
+    assert "503 Service Unavailable" in error["error"]

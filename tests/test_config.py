@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
 
-from orion.config import ConfigError, RunConfig, episode_seed
+from orion.config import ConfigError, RunConfig, episode_seed, load_config
 
 
 def test_config_hash_ignores_where_and_how_parallel_a_run_is_written():
@@ -40,3 +41,42 @@ def test_valid_policies_pass(fields):
 def test_episode_seed_is_pinned():
     # a changed seed derivation would change every logged episode
     assert episode_seed(7, "q42") == 14956209672476689988
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"k": "5"}, "k must be int, got '5'"),
+        ({"zscore": "false"}, "zscore must be bool, got 'false'"),
+        ({"seed": 1.5}, "seed must be int, got 1.5"),
+        ({"k": True}, "k must be int, got True"),
+        ({"beta": True}, "beta must be float, got True"),
+        ({"k": None}, "k must be int, got None"),
+        ({"corpus": None}, "corpus must be str, got None"),
+        ({"queries": 3}, "queries must be str, got 3"),
+        ({"policy_params": [1]}, "policy_params must be dict, got [1]"),
+    ],
+)
+def test_config_file_values_must_fit_their_field(tmp_path, fields, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(fields))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        load_config(path, check_paths=False)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"beta": 1}, {"beta": 0.5}, {"qrels": None}, {"zscore": True}, {"policy_params": {"adopt_terms": 1}}],
+)
+def test_config_file_values_that_fit_load(tmp_path, fields):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(fields))
+    cfg = load_config(path, check_paths=False)
+    assert {name: getattr(cfg, name) for name in fields} == fields
+
+
+def test_yaml_config_values_are_checked_too(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text("k: 3\nzscore: 'yes'\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: zscore must be bool")):
+        load_config(path, check_paths=False)

@@ -14,8 +14,9 @@ from orion.corpus import (
     Document,
     ScoredDoc,
     build_index,
-    cosine_similarity,
 )
+
+from conftest import cosine_similarity, doc_ids
 
 
 def brute_force_ranking(doc_vectors: dict[str, list[float]], query: list[float]):
@@ -130,7 +131,7 @@ class TestSearch:
         vectors = {"d1": [1.0, 0.2], "d2": [0.3, 1.0], "d3": [-1.0, 0.5]}
         index = build_index(docs_for(vectors), vectors)
         results = index.search([0.3, 1.0], k=1)
-        assert results.doc_ids() == ["d2"]
+        assert doc_ids(results) == ["d2"]
         assert results.entries[0].score == pytest.approx(1.0, abs=1e-12)
 
     def test_k_larger_than_corpus(self):
@@ -147,7 +148,7 @@ class TestSearch:
         query = [rng.gauss(0, 1) for _ in range(8)]
         expected = brute_force_ranking(vectors, query)[:5]
         got = index.search(query, k=5)
-        assert got.doc_ids() == [d for d, _ in expected]
+        assert doc_ids(got) == [d for d, _ in expected]
         for entry, (_, score) in zip(got.entries, expected):
             assert entry.score == pytest.approx(score, abs=1e-9)
 
@@ -173,14 +174,14 @@ class TestSearch:
     def test_tie_break_ascending_id(self):
         vectors = {"zed": [1.0, 0.0], "abc": [1.0, 0.0], "mid": [0.0, 1.0]}
         index = build_index(docs_for(vectors), vectors)
-        assert index.search([1.0, 0.0], k=3).doc_ids() == ["abc", "zed", "mid"]
+        assert doc_ids(index.search([1.0, 0.0], k=3)) == ["abc", "zed", "mid"]
 
     def test_top_k_boundary_inside_a_tie_group(self):
         vectors = {"d": [1, 1], "a": [0, 1], "c": [1, 1], "e": [1, 0], "b": [1, 1]}
         index = build_index(docs_for(vectors), vectors)
         full = ["e", "b", "c", "d", "a"]
         for k in range(1, 7):
-            assert index.search([1, 0], k).doc_ids() == full[:k]
+            assert doc_ids(index.search([1, 0], k)) == full[:k]
 
     def test_rebuild_determinism(self):
         rng = random.Random(3)
@@ -222,7 +223,7 @@ class TestRankOf:
         vectors = {f"d{i}": [rng.gauss(0, 1) for _ in range(4)] for i in range(12)}
         index = build_index(docs_for(vectors), vectors)
         query = [rng.gauss(0, 1) for _ in range(4)]
-        ids = index.search(query, k=6).doc_ids()
+        ids = doc_ids(index.search(query, k=6))
         for pos, doc_id in enumerate(ids):
             assert index.search(query, 6, {doc_id}).target_rank == pos
 

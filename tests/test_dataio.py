@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from orion import dataio
 from orion.corpus import CorpusError, Document, build_index
 
+from conftest import write_corpus
+
 
 def test_corpus_round_trip(tmp_path):
     docs = [
@@ -19,7 +21,7 @@ def test_corpus_round_trip(tmp_path):
         Document("d2", "second body"),
     ]
     path = tmp_path / "corpus.jsonl"
-    dataio.write_corpus(docs, path)
+    write_corpus(docs, path)
     assert dataio.read_corpus(path) == docs
 
 

@@ -86,7 +86,7 @@ class TestRankingMetrics:
         lost = episode([5], last_ids=("b", "d"))
         report = evaluate_episodes([("q1", won), ("q2", lost)], {"q1": GRADES, "q2": GRADES}, 2)
         assert [row.success for row in report.per_query] == [1.0, 0.0]
-        assert report.mrr == pytest.approx(0.5)
+        assert report.summary()["mrr"] == pytest.approx(0.5)
         assert report.summary()["queries"] == 2
 
 
@@ -178,6 +178,13 @@ class TestAnalyzeBehavior:
         episodes = [("a", episode([4, 4, 5])), ("b", episode([1, 2]))]
         assert analyze_behavior(episodes, 10).stagnation_rate == 0.0
         assert analyze_behavior(episodes, 10, relaxed_stagnation=True).stagnation_rate == 0.5
+
+    @pytest.mark.parametrize("episodes", [[], [("a", episode([], "policy_error"))]])
+    def test_a_log_without_queries_has_no_query_lengths(self, episodes):
+        report = analyze_behavior(episodes, 10)
+        assert report.query_length is None
+        assert report.summary()["query_length"] is None
+        assert report.episodes == len(episodes)
 
     def test_summary_flags_no_successes(self):
         summary = analyze_behavior([("a", episode([1, 2]))], 10).summary()

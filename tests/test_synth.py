@@ -6,7 +6,7 @@ import random
 import pytest
 
 from orion.archetypes import FAILURE_MARKER, PolicyResources
-from orion.corpus import Document, build_index, cosine_similarity
+from orion.corpus import Document, build_index
 from orion.embed import HashEmbedder
 from orion.engine import Retriever
 from orion.policy import ArchetypeConfig
@@ -19,10 +19,11 @@ from orion.synth import (
     generate_trajectory,
     sample_sft_dataset,
 )
-from orion.trace import RetrievedDoc, SearchState, TraceDocument, Turn, parse_trace, serialize_trace
-
-from conftest import TREE_DOCS, tree_retriever  # noqa: F401  (fixture re-export)
+from orion.trace import RetrievedDoc, SearchState, TraceDocument, Turn, serialize_trace
 from orion.vocab import TfidfTable
+
+from conftest import TREE_DOCS, cosine_similarity, tree_retriever  # noqa: F401  (fixture re-export)
+from trace_parser import parse_trace
 
 
 def make_record(q0="question", source="model-a", first_query="q1", n_turns=1, cos=0.5):

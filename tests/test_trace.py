@@ -8,20 +8,19 @@ from orion.trace import (
     BudgetExceededError,
     RetrievedDoc,
     SearchState,
-    TagOrderError,
     TraceDocument,
     TraceError,
-    TraceParseError,
     Turn,
     append_turn,
     clean_snippet,
-    parse_trace,
     render_prompt,
     serialize_spans,
     serialize_trace,
     trace_from_dict,
     trace_to_dict,
 )
+
+from trace_parser import TagOrderError, TraceParseError, parse_trace
 
 
 def make_turn(think="考virtual reasoning", query="refined query", n_results=2, **kw):
