@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .trace import Action, SearchState, Turn
 from .vocab import TfidfTable, head_phrase, tokenize
@@ -61,16 +61,16 @@ def _best_turn(state: SearchState) -> Turn:
     return state.history[sims.index(max(sims))]
 
 
-def _results_text(turn: Turn) -> str:
-    return " ".join(d.text for d in turn.results)
+def _result_texts(turn: Turn) -> tuple[str, ...]:
+    return tuple(d.text for d in turn.results)
 
 
 def _pick(items: list[str], variant: int) -> str | None:
     return items[variant % len(items)] if items else None
 
 
-def _top_term(res: PolicyResources, text: str, variant: int, exclude) -> str | None:
-    return _pick(res.vocab.top_terms(text, 1 + variant, exclude=exclude), variant)
+def _top_term(res: PolicyResources, texts: Sequence[str], variant: int, exclude) -> str | None:
+    return _pick(res.vocab.top_terms(texts, 1 + variant, exclude=exclude), variant)
 
 
 def _expansion(res: PolicyResources, query: str, variant: int, exclude=()) -> str | None:
@@ -80,7 +80,7 @@ def _expansion(res: PolicyResources, query: str, variant: int, exclude=()) -> st
 def _refinement(res: PolicyResources, state: SearchState, turn: Turn, variant: int) -> str | None:
     """A keyword of `turn`'s top result that no query of the episode has used."""
     top_text = turn.results[0].text if turn.results else ""
-    return _top_term(res, top_text, variant, _used_terms(state))
+    return _top_term(res, [top_text], variant, _used_terms(state))
 
 
 def step_adaptive_context(
@@ -100,7 +100,7 @@ def step_adaptive_context(
         )
     j = int(cfg.params["adopt_terms"])
     last = state.history[-1]
-    ranked = res.vocab.top_terms(_results_text(last), j + variant, exclude=tokenize(last.query))
+    ranked = res.vocab.top_terms(_result_texts(last), j + variant, exclude=tokenize(last.query))
     terms = ranked[variant : variant + j] or ranked[-j:]
     if not terms:
         return _fallback(state.original_query, "no new keywords in the results")
@@ -249,7 +249,7 @@ def step_wrong_direction(
     sims = _best_sims(state)
     prev = state.history[-1].query
     if len(sims) >= 2 and sims[-1] < sims[-2]:
-        term = _top_term(res, _results_text(_best_turn(state)), variant, tokenize(q0))
+        term = _top_term(res, _result_texts(_best_turn(state)), variant, tokenize(q0))
         return Action(
             think=f"These results are {FAILURE_MARKER}: '{prev}' drifted away from what "
             f"'{q0}' is actually asking, so the last reformulation was a wrong turn. "
@@ -418,7 +418,7 @@ def step_multi_beam(
                 "original query.",
                 query=q0,
             )
-        term = _top_term(res, _results_text(state.history[-1]), variant, tokenize(q0))
+        term = _top_term(res, _result_texts(state.history[-1]), variant, tokenize(q0))
         if term is None:
             return _fallback(q0, "lane one found no fresh keyword")
         return Action(

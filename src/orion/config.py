@@ -86,6 +86,9 @@ class RunConfig:
             raise ConfigError("remote policy needs remote_endpoint")
         if self.policy == "remote" and self.remote_mode not in REMOTE_MODES:
             raise ConfigError(f"unknown remote mode {self.remote_mode!r}")
+        if self.policy == "remote" and self.policy_params:
+            # no remote run reads them, yet they would change config_hash
+            raise ConfigError("policy_params apply to archetype policies, not 'remote'")
         if self.policy != "remote":
             try:
                 ArchetypeConfig(kind=self.policy, params=self.policy_params)
@@ -133,7 +136,8 @@ def fits(f: Field, value: object) -> bool:
 
 def read_config_file(path: str | Path) -> dict:
     """The settings of a config file, each checked against its field's type;
-    unknown fields are dropped with a warning."""
+    an int given for a float field becomes a float, as its flag parses it, so
+    both give one `config_hash`. Unknown fields are dropped with a warning."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -161,6 +165,8 @@ def read_config_file(path: str | Path) -> dict:
         if not fits(known[name], value):
             kind = field_type(known[name]).__name__
             raise ConfigError(f"{path}: {name} must be {kind}, got {value!r}")
+        if field_type(known[name]) is float:
+            settings[name] = float(value)
     return settings
 
 

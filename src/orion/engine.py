@@ -18,6 +18,11 @@ its top-k: the index derives both from one score order. A retrieval repeated
 within the last `RETRIEVE_MEMO_SIZE` distinct ones (a GRPO group or beam turn
 whose candidates issue the same query, archetypes that open with the user's
 query) is answered from `Retriever`'s memo without a new embedding or scan.
+Next to it, `Retriever` remembers the `clean_snippet` of the last
+`SNIPPET_MEMO_SIZE` documents it showed; a snippet depends only on the
+document and `snippet_chars`, so a document that comes back in a later
+result list is not cleaned again. Freezing a turn still checks every result
+line for reserved tags, so a document holding one fails each retrieval.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .trace import (
     TraceError,
     Turn,
     append_turn,
+    clean_snippet,
     snapshot_results,
     trace_from_dict,
     trace_to_dict,
@@ -51,8 +57,9 @@ from .trace import (
 log = logging.getLogger(__name__)
 
 
-# Distinct (query, k, targets) retrievals a Retriever remembers.
+# Distinct (query, k, targets) retrievals, and documents' snippets, a Retriever remembers.
 RETRIEVE_MEMO_SIZE = 64
+SNIPPET_MEMO_SIZE = 1024
 
 
 class Retriever:
@@ -60,10 +67,12 @@ class Retriever:
 
     `retrieve` keeps the results of the last `RETRIEVE_MEMO_SIZE` distinct
     (query, k, target set) keys in an LRU memo, so a repeated query costs
-    neither an embedding nor a scan. The memo assumes `embed` is a pure
-    function of the text. It is safe to share across threads: two threads
-    missing on one key both compute it, with equal results, and an exception
-    is never stored, so a failed embedding is retried on the next call.
+    neither an embedding nor a scan. `snippet` keeps the result lines of the
+    last `SNIPPET_MEMO_SIZE` documents in a second LRU memo. The memos assume
+    `embed` is a pure function of the text. They are safe to share across
+    threads: two threads missing on one key both compute it, with equal
+    results, and an exception is never stored, so a failed embedding is
+    retried on the next call.
     """
 
     def __init__(
@@ -74,15 +83,19 @@ class Retriever:
     ):
         self.index = index
         self.embed = embed
-        self.snippet_chars = snippet_chars
 
-        # a closure, not a bound method, so the memo holds no reference back
+        # closures, not bound methods, so the memos hold no reference back
         # to the Retriever and a dropped Retriever frees its index at once
         @functools.lru_cache(maxsize=RETRIEVE_MEMO_SIZE)
         def search(query: str, k: int, targets: frozenset[str]) -> RankedResults:
             return index.search(embed(query), k, targets)
 
+        @functools.lru_cache(maxsize=SNIPPET_MEMO_SIZE)
+        def snippet(doc_id: str) -> str:
+            return clean_snippet(index.doc(doc_id).text, snippet_chars)
+
         self._search = search
+        self.snippet = snippet
 
     def retrieve(self, query: str, k: int, target_ids: Iterable[str] = ()) -> RankedResults:
         return self._search(query, k, frozenset(target_ids))
@@ -140,11 +153,11 @@ def check_success(turn: Turn, k: int) -> bool:
 def execute_action(retriever: Retriever, action: Action, config: EpisodeConfig) -> Turn:
     """Retrieve for an action and freeze the completed turn."""
     results = retriever.retrieve(action.query, config.k, config.target_ids)
-    texts = {e.doc_id: retriever.index.doc(e.doc_id).text for e in results.entries}
+    snippets = {e.doc_id: retriever.snippet(e.doc_id) for e in results.entries}
     return Turn(
         think=action.think,
         query=action.query,
-        results=snapshot_results(results, texts, retriever.snippet_chars),
+        results=snapshot_results(results, snippets),
         sim_to_target=results.target_sim,
         target_rank=results.target_rank,
     )

@@ -26,7 +26,7 @@ codec (`trace_to_dict` / `trace_from_dict`) is the lossless log format.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Literal, Mapping
 
 from .corpus import NOT_FOUND, RankedResults
 
@@ -122,17 +122,12 @@ class Turn:
 
 
 def snapshot_results(
-    results: RankedResults,
-    texts: dict[str, str],
-    budget: int = DEFAULT_SNIPPET_CHARS,
+    results: RankedResults, snippets: Mapping[str, str]
 ) -> tuple[RetrievedDoc, ...]:
-    """Freeze retrieval output into renderable result lines."""
+    """Freeze retrieval output into renderable result lines, each showing its
+    document's `clean_snippet`."""
     return tuple(
-        RetrievedDoc(
-            text=clean_snippet(texts.get(e.doc_id, ""), budget),
-            doc_id=e.doc_id,
-            score=e.score,
-        )
+        RetrievedDoc(text=snippets[e.doc_id], doc_id=e.doc_id, score=e.score)
         for e in results.entries
     )
 

@@ -23,19 +23,45 @@ additions, in the same order, as summing a Counter row by row, and so the
 same floats to the last bit. Terms are then ranked with
 `np.lexsort((ids, -scores))`; id order is term order, so ties go to the
 smaller term.
+
+`top_terms` reads a turn's result snippets as one text, their `" ".join`: the
+space only separates tokens, so the joined text's tokens are the snippets'
+tokens in order. Two per-table LRU memos keep a turn's text work to once:
+
+* per text (`TERM_VECTOR_MEMO_SIZE`), its term vector: the ids of its known
+  tokens, one per occurrence, and the tokens the table lacks, such as a word
+  cut at the snippet budget;
+* per (texts, exclude) (`RANKING_MEMO_SIZE`), the full ranking; `j` only
+  slices it, so the proposals of one search state share one ranking.
+
+A term's count comes from one `np.unique` over the texts' ids, and its score
+is `count * idf`, one float64 multiply of an exact integer: the multiply a
+`Counter` count times the Python idf does. A token the table lacks scores
+`count * unseen idf` in Python. Known terms are ranked with the same lexsort
+as above, and the lacking tokens are merged in by the same (score desc, term
+asc) key, so `top_terms` returns, bit for bit, what sorting the joined
+text's `Counter` returns. The counts stay sparse: a dense count per term of
+the corpus would allocate a vocabulary-sized array on every ranking.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from array import array
 from collections import Counter, defaultdict
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Document
+
+# Distinct texts whose term vectors, and distinct (texts, exclude) pairs whose
+# keyword rankings, a TfidfTable remembers.
+TERM_VECTOR_MEMO_SIZE = 1024
+RANKING_MEMO_SIZE = 64
+_NO_IDS = np.zeros(0, np.int32)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -67,6 +93,47 @@ def head_phrase(text: str) -> list[str]:
     return head
 
 
+def _keyword_ranking(
+    ids: dict[str, int], terms: list[str], idf: np.ndarray, unseen_idf: float
+) -> Callable[[tuple[str, ...], frozenset[str]], tuple[str, ...]]:
+    """`top_terms`' memoised full ranking over one table's term ids and idfs.
+
+    Closures, not bound methods, so the memos hold no reference back to the
+    table and a dropped table is freed at once.
+    """
+
+    @functools.lru_cache(maxsize=TERM_VECTOR_MEMO_SIZE)
+    def term_vector(text: str) -> tuple[np.ndarray, tuple[str, ...]]:
+        """The ids of a text's known tokens and its tokens the table lacks,
+        one entry per occurrence."""
+        tokens = tokenize(text)
+        known = [i for t in tokens if (i := ids.get(t)) is not None]
+        return np.array(known, np.int32), tuple(t for t in tokens if t not in ids)
+
+    @functools.lru_cache(maxsize=RANKING_MEMO_SIZE)
+    def ranking(texts: tuple[str, ...], exclude: frozenset[str]) -> tuple[str, ...]:
+        """Every term of the joined texts with a positive tf*idf, ranked."""
+        vectors = [term_vector(text) for text in texts]
+        found = np.concatenate([_NO_IDS, *(known for known, _ in vectors)])
+        term_ids, counts = np.unique(found, return_counts=True)
+        scores = counts * idf[term_ids]  # positive: an idf is at least 1 - log(2)
+        order = np.lexsort((term_ids, -scores))
+        dropped = {ids.get(t) for t in exclude}
+        scored = [
+            (-score, terms[i])
+            for score, i in zip(scores[order].tolist(), term_ids[order].tolist())
+            if i not in dropped
+        ]
+        unknown = Counter(t for _, missing in vectors for t in missing if t not in exclude)
+        if unknown and unseen_idf > 0:
+            # merged by the known terms' key, (-score, term)
+            scored += [(-c * unseen_idf, t) for t, c in unknown.items()]
+            scored.sort()
+        return tuple(t for _, t in scored)
+
+    return ranking
+
+
 class TfidfTable:
     """Term statistics over one corpus: idf, postings and per-doc tf*idf weights."""
 
@@ -94,12 +161,14 @@ class TfidfTable:
         self._row_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         df = np.bincount(self._row_terms, minlength=n_terms)
         self._idf = [math.log(n / (1 + d)) + 1.0 for d in df.tolist()]
-        self._row_weights = counts.astype(np.float64) * np.array(self._idf)[self._row_terms]
+        idf = np.array(self._idf)
+        self._row_weights = counts.astype(np.float64) * idf[self._row_terms]
         # (term, row) keys are distinct, so sorting them lists each term's rows ascending
         self._post_rows = rows[np.argsort(self._row_terms * n + rows)]
         self._post_ptr = np.concatenate(([0], np.cumsum(df)))
         # 0.0 for an empty corpus, where log(0) is undefined and no term scores
         self._unseen_idf = math.log(float(n)) + 1.0 if n else 0.0
+        self._ranking = _keyword_ranking(self._ids, self._terms, idf, self._unseen_idf)
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> "TfidfTable":
@@ -129,16 +198,12 @@ class TfidfTable:
         order = cand[np.lexsort((cand, -scores[cand]))]
         return [self._terms[i] for i in order[:j].tolist()]
 
-    def top_terms(self, text: str, j: int, exclude: Iterable[str] = ()) -> list[str]:
-        """Top-j tf*idf terms of a text, highest score first, ties by term."""
-        excluded = set(exclude)
-        scores = [
-            (term, count * self.idf(term))
-            for term, count in Counter(tokenize(text)).items()
-            if term not in excluded
-        ]
-        ranked = sorted((kv for kv in scores if kv[1] > 0), key=lambda kv: (-kv[1], kv[0]))
-        return [term for term, _ in ranked[:j]]
+    def top_terms(self, texts: Sequence[str], j: int, exclude: Iterable[str] = ()) -> list[str]:
+        """Top-j tf*idf terms of some texts, read as one text (`" ".join`),
+        highest score first, ties by term."""
+        if isinstance(texts, str):
+            raise TypeError("top_terms takes a sequence of texts, not one str")
+        return list(self._ranking(tuple(texts), frozenset(exclude))[:j])
 
     def expansions(self, query_text: str, j: int, exclude: Iterable[str] = ()) -> list[str]:
         """Corpus terms that best extend a query.

@@ -48,6 +48,16 @@ def test_common_flags_land_on_their_config_fields():
     assert dataclasses.asdict(cfg) == set_by_flags
 
 
+@pytest.mark.parametrize("value", [1, 0])
+def test_an_int_in_the_config_file_hashes_as_its_flag_does(tmp_path, value):
+    (tmp_path / "c.json").write_text(json.dumps({"beta": value}))
+    parse = build_parser().parse_args
+    from_file = _build_config(parse(["run", "--config", str(tmp_path / "c.json")]), check_paths=False)
+    from_flag = _build_config(parse(["run", "--beta", str(value)]), check_paths=False)
+    assert from_file.config_hash() == from_flag.config_hash()
+    assert repr(from_file.beta) == repr(from_flag.beta) == repr(float(value))
+
+
 def test_absent_flags_keep_defaults():
     cfg = _build_config(build_parser().parse_args(["run"]), check_paths=False)
     assert cfg == RunConfig()
@@ -309,6 +319,9 @@ def _no_index(cfg):
         ("grpo-collect", [], None, {"zscore": "false"}, "config.json: zscore must be bool, got 'false'"),
         ("run", [], None, {"seed": 1.5}, "config.json: seed must be int, got 1.5"),
         ("run", ["--seed", "2"], None, {"seed": 1.5}, "config.json: seed must be int, got 1.5"),
+        ("run", ["--policy", "remote"], None,
+         {"remote_endpoint": "http://localhost:1", "policy_params": {"adopt_terms": 3}},
+         "policy_params apply to archetype policies, not 'remote'"),
     ],
 )
 def test_bad_settings_fail_before_any_work(

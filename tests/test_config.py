@@ -19,6 +19,10 @@ def test_config_hash_ignores_where_and_how_parallel_a_run_is_written():
     [
         ({"policy_params": {"adopt_terms": 3, "fanout": 2}}, "unknown params for adaptive_context: ['fanout']"),
         ({"policy": "breadth_first", "policy_params": {"adopt_terms": 3}}, "['adopt_terms']"),
+        (
+            {"policy": "remote", "remote_endpoint": "http://localhost:1", "policy_params": {"bogus": 1}},
+            "policy_params apply to archetype policies, not 'remote'",
+        ),
     ],
 )
 def test_policy_and_its_params_are_validated(fields, message):
@@ -73,6 +77,15 @@ def test_config_file_values_that_fit_load(tmp_path, fields):
     path.write_text(json.dumps(fields))
     cfg = load_config(path, check_paths=False)
     assert {name: getattr(cfg, name) for name in fields} == fields
+
+
+@pytest.mark.parametrize("suffix, text", [(".json", '{"beta": 1}'), (".yaml", "beta: 1\n")])
+def test_an_int_for_a_float_field_is_read_as_a_float(tmp_path, suffix, text):
+    path = tmp_path / f"c{suffix}"
+    path.write_text(text)
+    cfg = load_config(path, check_paths=False)
+    assert type(cfg.beta) is float
+    assert cfg.config_hash() == RunConfig(beta=1.0).config_hash()
 
 
 def test_yaml_config_values_are_checked_too(tmp_path):

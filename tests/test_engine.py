@@ -16,6 +16,7 @@ from orion.archetypes import KINDS
 from orion.corpus import NOT_FOUND
 from orion.engine import (
     RETRIEVE_MEMO_SIZE,
+    SNIPPET_MEMO_SIZE,
     EpisodeConfig,
     Retriever,
     beam_search,
@@ -28,7 +29,15 @@ from orion.engine import (
 )
 from orion.policy import Action, ArchetypeConfig, PolicyError, ScriptedPolicy, derive_rng
 from orion.rewards import GrpoConfig, collect_grouped_episode
-from orion.trace import SearchState, TraceDocument, TraceError, Turn, append_turn, serialize_trace
+from orion.trace import (
+    SearchState,
+    TraceDocument,
+    TraceError,
+    Turn,
+    append_turn,
+    clean_snippet,
+    serialize_trace,
+)
 
 from conftest import TREE_DOCS, TREE_QUERY, axis, make_stub_retriever, mix
 
@@ -554,3 +563,75 @@ class TestRetrieverMemo:
             assert ref() is None
         finally:
             gc.enable()
+
+
+# --- the snippet memo ---------------------------------------------------------------
+
+
+def snippet_retrievers(texts: dict[str, str], budgets: tuple[int, ...]) -> list[Retriever]:
+    """Retrievers with the given snippet budgets over one index; the query
+    `d<i>` ranks doc `d<i>` first."""
+    dim = len(texts)
+    docs = {doc_id: axis(dim, i) for i, doc_id in enumerate(texts)}
+    stub = make_stub_retriever(docs, dict(docs), texts)
+    return [Retriever(stub.index, stub.embed, snippet_chars=b) for b in budgets]
+
+
+def wide_retriever(n: int) -> Retriever:
+    """A 9-character snippet budget over `n` two-dimensional documents."""
+    docs = {f"d{i}": [1.0, float(i)] for i in range(n)}
+    stub = make_stub_retriever(docs, {}, {d: f"text  of\n{d}" for d in docs})
+    return Retriever(stub.index, stub.embed, snippet_chars=9)
+
+
+class TestSnippetMemo:
+    def test_each_retriever_logs_its_own_budget_over_one_index(self):
+        texts = {
+            "d0": "  Solar\tpanels\n on   rooftops  " * 8,
+            "d1": "wind turbines offshore " * 12,
+            "d2": "short",
+        }
+        budgets = (7, 40, 512)
+        retrievers = snippet_retrievers(texts, budgets)
+        cfg = EpisodeConfig(k=3, max_turns=1)
+        for _ in range(2):  # the second round is answered from the memos
+            for retriever, budget in zip(retrievers, budgets):
+                for query in texts:
+                    turn = execute_action(retriever, Action("look", query), cfg)
+                    assert turn.results[0].doc_id == query
+                    assert [d.text for d in turn.results] == [
+                        clean_snippet(texts[d.doc_id], budget) for d in turn.results
+                    ]
+        assert [r.snippet.cache_info().hits for r in retrievers] == [2 * 3 * 3 - 3] * 3
+
+    def test_a_reserved_tag_fails_every_retrieval_of_its_document(self):
+        texts = {"clean": "solar panels", "tagged": "see the <think> span"}
+        [retriever] = snippet_retrievers(texts, (512,))
+        cfg = EpisodeConfig(k=1, max_turns=1)
+        for _ in range(3):
+            with pytest.raises(TraceError, match="reserved tag literal"):
+                execute_action(retriever, Action("look", "tagged"), cfg)
+            assert execute_action(retriever, Action("look", "clean"), cfg).results[0].text == "solar panels"
+
+    def test_the_memo_is_bounded(self):
+        retriever = wide_retriever(SNIPPET_MEMO_SIZE + 1)
+        for i in range(SNIPPET_MEMO_SIZE + 1):
+            retriever.snippet(f"d{i}")
+        retriever.snippet("d0")
+        assert retriever.snippet.cache_info().currsize == SNIPPET_MEMO_SIZE
+        assert retriever.snippet.cache_info().hits == 0
+
+    def test_threads_sharing_the_memo_get_each_documents_snippet(self):
+        # more documents than the memo holds, so threads also race on evictions
+        n = SNIPPET_MEMO_SIZE + 16
+        retriever = wide_retriever(n)
+        doc_ids = [f"d{(7 * i) % n}" for i in range(4 * n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(retriever.snippet, d) for d in doc_ids]
+                got = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [clean_snippet(f"text  of\n{d}", 9) for d in doc_ids]

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import gc
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orion.corpus import Document
-from orion.vocab import TfidfTable, head_phrase, tokenize
+from orion.vocab import RANKING_MEMO_SIZE, TERM_VECTOR_MEMO_SIZE, TfidfTable, head_phrase, tokenize
 
 
 def test_tokenize_drops_stopwords_and_short_tokens():
@@ -28,9 +33,30 @@ def test_top_terms_ranked_by_tf_idf_with_term_tie_break():
     ]
     table = TfidfTable.from_documents(docs)
     # in this text carbon has tf 2 and higher idf than climate (df 3)
-    assert table.top_terms("carbon carbon climate", 1) == ["carbon"]
+    assert table.top_terms(["carbon carbon climate"], 1) == ["carbon"]
+    # counts add up across texts
+    assert table.top_terms(["carbon climate", "carbon"], 1) == ["carbon"]
     # exact ties fall back to alphabetical order
-    assert table.top_terms("zz aa", 2) == ["aa", "zz"]
+    assert table.top_terms(["zz aa"], 2) == ["aa", "zz"]
+    assert table.top_terms([], 2) == table.top_terms([""], 2) == []
+
+
+def test_top_terms_breaks_wide_ties_by_term():
+    # 60 terms with one df and one count tie on score; a sort that is not
+    # stable on (score, term) shows on this many
+    words = [f"w{i:02d}x" for i in range(60)]
+    table = TfidfTable.from_documents([Document(f"d{i}", w) for i, w in enumerate(words)])
+    shuffled = words[1::2] + words[::2]
+    texts = [" ".join(shuffled[:30]), " ".join(shuffled[30:]), "w59x"]
+    oracle = CounterTable([[w] for w in words])
+    assert table.top_terms(texts, 60) == oracle.top_terms(" ".join(texts), 60)
+    assert table.top_terms(texts, 60) == ["w59x"] + words[:59]
+
+
+def test_top_terms_takes_a_sequence_of_texts_not_one_str():
+    table = TfidfTable.from_documents([Document("d1", "carbon climate")])
+    with pytest.raises(TypeError, match="sequence of texts"):
+        table.top_terms("carbon", 1)
 
 
 def test_expansions_exclude_query_tokens(tree_vocab):
@@ -126,11 +152,25 @@ texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join)
 queries = st.lists(st.sampled_from(WORDS + ["zz"]), max_size=4).map(" ".join)
 excludes = st.lists(st.sampled_from(WORDS + ["zz"]), max_size=3)
 J_VALUES = (-1, 0, 1, 3, 50)
+# result snippets: whole texts, texts cut mid-word at a character budget (so
+# some tokens are not in the table) and empty texts, drawn from a small pool
+# so that a list repeats some of them
+snippet = st.one_of(
+    texts, st.tuples(texts, st.integers(0, 30)).map(lambda tb: tb[0][: tb[1]]), st.just("")
+)
+snippet_lists = st.lists(snippet, min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=6)
+)
 
 
 @settings(max_examples=200, deadline=None)
-@given(docs=st.lists(texts, min_size=1, max_size=12), query=queries, exclude=excludes)
-def test_index_matches_the_counter_oracle(docs, query, exclude):
+@given(
+    docs=st.lists(texts, min_size=1, max_size=12),
+    query=queries,
+    exclude=excludes,
+    snippets=snippet_lists,
+)
+def test_index_matches_the_counter_oracle(docs, query, exclude, snippets):
     documents = [Document(f"d{i}", text) for i, text in enumerate(docs)]
     table = TfidfTable.from_documents(documents)
     oracle = CounterTable([tokenize(f"{d.title} {d.text}") for d in documents])
@@ -141,7 +181,14 @@ def test_index_matches_the_counter_oracle(docs, query, exclude):
     for j in J_VALUES:
         for ex in (exclude, overlapping):
             assert table.expansions(query, j, ex) == oracle.expansions(query, j, ex)
-            assert table.top_terms(query, j, ex) == oracle.top_terms(query, j, ex)
+            assert table.top_terms([query], j, ex) == oracle.top_terms(query, j, ex)
+        # the excludes may hold cut words the table lacks, as a query over snippets can
+        for ex in (exclude, overlapping, exclude + tokenize(" ".join(snippets))[-1:]):
+            want = oracle.top_terms(" ".join(snippets), j, ex)
+            got = table.top_terms(snippets, j, ex)
+            assert got == want
+            got.append("mutated")  # the caller's list is its own, not the memo's
+            assert table.top_terms(snippets, j, ex) == want
         for word in WORDS + ["zz"]:
             assert table.neighbors(word, j, exclude) == oracle.neighbors(word, j, exclude)
 
@@ -169,3 +216,48 @@ def test_index_matches_the_oracle_on_named_cases():
     assert table.expansions("panels offshore", 50) == oracle.expansions("panels offshore", 50) != []
     assert table.expansions("zz yy", 3) == table.expansions("the of", 3) == []
     assert table.neighbors("zz", 3) == []
+
+
+def test_variants_of_one_state_share_one_ranking():
+    table = TfidfTable.from_documents([Document("d1", "solar panels rooftop"), Document("d2", "wind")])
+    texts = ("solar panels", "rooftop solar", "solar panels")
+    rankings = [table.top_terms(list(texts), j, exclude=["wind"]) for j in (1, 2, 3, 4)]
+    assert rankings[:3] == [["solar"], ["solar", "panels"], ["solar", "panels", "rooftop"]]
+    assert rankings[3] == rankings[2]
+    info = table._ranking.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_a_dropped_table_is_freed_without_the_cycle_collector():
+    table = TfidfTable.from_documents([Document("d1", "solar panels rooftop")])
+    table.top_terms(["solar panels"], 1)
+    ref = weakref.ref(table)
+    gc.disable()
+    try:
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_threads_sharing_the_memos_get_the_oracle_ranking():
+    # more texts and (texts, exclude) keys than the memos hold, so threads also
+    # race on evictions; the x<i> tokens are not in the table
+    words = [f"w{i}" for i in range(40)]
+    table = TfidfTable.from_documents(
+        [Document(f"d{i}", " ".join(words[i : i + 3 + i % 4])) for i in range(40)]
+    )
+    oracle = CounterTable([tokenize(" ".join(words[i : i + 3 + i % 4])) for i in range(40)])
+    n = TERM_VECTOR_MEMO_SIZE + 16
+    texts = [f"{words[i % 40]} {words[(3 * i) % 40]} {words[(7 * i) % 40]} x{i}" for i in range(n)]
+    calls = [((texts[i], texts[(i + 1) % n]), 3, (words[i % 40],)) for i in range(n)] * 2
+    want = [oracle.top_terms(" ".join(t), j, ex) for t, j, ex in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(table.top_terms, t, j, ex) for t, j, ex in calls]
+            got = [f.result(timeout=30) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
