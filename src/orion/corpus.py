@@ -2,11 +2,12 @@
 
 The index is the reference retrieval backend: every search is an exact scan
 over the full matrix of unit-normalised embeddings, scored by cosine
-similarity, with ties broken by ascending document id. `CorpusIndex.search` is
-the one method that scores a query: the top-k and, when targets are given, the
-best target similarity and rank all come from that single score vector. The
-top-k is picked by a partial selection (exact flat inner-product search, as in
-FAISS `IndexFlatIP`), widened to every score tied with the k-th, so only the
+similarity, with ties broken by ascending document id. `CorpusIndex.scores` is
+the one method that scores a query, and `CorpusIndex.select` reads the top-k
+and, when targets are given, the best target similarity and rank off that
+single score vector; `search` is the two in turn. The top-k is picked by a
+partial selection (exact flat inner-product search, as in FAISS
+`IndexFlatIP`), widened to every score tied with the k-th, so only the
 selected rows are sorted. The index is immutable after construction and safe
 for concurrent readers.
 
@@ -117,7 +118,12 @@ class CorpusIndex:
         row = self._row_of[doc_id]
         return self._unit[row] * self._norms[row]
 
-    def _scores(self, query_emb: Sequence[float] | np.ndarray) -> np.ndarray:
+    def scores(self, query_emb: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Cosine similarity of the query to every row, in row (doc id) order.
+
+        The one place that scores a query; `select` reads every answer about
+        the query off this vector.
+        """
         q = as_embedding(query_emb)
         if q.shape[0] != self.dim:
             raise CorpusError(f"query dim {q.shape[0]} does not match index dim {self.dim}")
@@ -126,21 +132,16 @@ class CorpusIndex:
             raise CorpusError("cosine similarity undefined for zero-norm query")
         return self._unit @ (q / qn)
 
-    def search(
-        self,
-        query_emb: Sequence[float] | np.ndarray,
-        k: int,
-        target_ids: Iterable[str] = (),
-    ) -> RankedResults:
-        """Exact top-k by cosine similarity; ties broken by ascending doc id.
+    def select(self, scores: np.ndarray, k: int, target_ids: Iterable[str] = ()) -> RankedResults:
+        """Exact top-k of a `scores` vector; ties broken by ascending doc id.
 
         A target's rank is its position in the full ordering: the count of
         higher scores plus the count of equal scores on smaller ids. The target
         with the highest score, then the smallest id, has the lowest rank.
+        `scores` is only read, so a caller may keep it and select again.
         """
         if k < 1:
             raise CorpusError(f"k must be >= 1, got {k}")
-        scores = self._scores(query_emb)
         n = scores.shape[0]
         kk = min(k, n)
         if kk < n:
@@ -163,6 +164,16 @@ class CorpusIndex:
         s = scores[best]
         rank = int(np.count_nonzero(scores > s)) + int(np.count_nonzero(scores[:best] == s))
         return RankedResults(entries=entries, k=k, target_sim=float(s), target_rank=rank)
+
+    def search(
+        self,
+        query_emb: Sequence[float] | np.ndarray,
+        k: int,
+        target_ids: Iterable[str] = (),
+    ) -> RankedResults:
+        """`select` over the query's `scores`: exact top-k by cosine
+        similarity, plus the best target's similarity and rank."""
+        return self.select(self.scores(query_emb), k, target_ids)
 
 
 def build_index(

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 from typing import Callable, Sequence
 
 import numpy as np
 
-EMBED_KEY_ENV = "ORION_EMBED_API_KEY"
+from .vocab import words
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+EMBED_KEY_ENV = "ORION_EMBED_API_KEY"
 
 
 class EmbeddingServiceError(RuntimeError):
@@ -53,11 +52,12 @@ def post_json(
 class HashEmbedder:
     """Signed feature-hashing bag-of-words embedder.
 
-    Each token is hashed (sha1, stable across processes) to a bucket and a
-    sign; token counts accumulate and the vector is L2-normalized. Signed
-    hashing keeps E[collision noise] near zero and produces vectors whose
-    cosines can go negative, exercising both similarity branches downstream
-    (feature hashing, Weinberger et al., arXiv:0902.2206).
+    Each token (`vocab.words`, the word splitter the term statistics use) is
+    hashed (sha1, stable across processes) to a bucket and a sign; token
+    counts accumulate and the vector is L2-normalized. Signed hashing keeps
+    E[collision noise] near zero and produces vectors whose cosines can go
+    negative, exercising both similarity branches downstream (feature
+    hashing, Weinberger et al., arXiv:0902.2206).
 
     Each instance memoises token -> (bucket, sign), so a token is hashed once
     per embedder; the memo grows with the vocabulary it has seen. Vectors are
@@ -80,7 +80,7 @@ class HashEmbedder:
     def __call__(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)
         memo = self._memo
-        for token in _TOKEN_RE.findall(text.lower()):
+        for token in words(text):
             hashed = memo.get(token)
             if hashed is None:
                 hashed = memo[token] = self._hash(token)

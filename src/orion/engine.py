@@ -18,11 +18,15 @@ its top-k: the index derives both from one score order. A retrieval repeated
 within the last `RETRIEVE_MEMO_SIZE` distinct ones (a GRPO group or beam turn
 whose candidates issue the same query, archetypes that open with the user's
 query) is answered from `Retriever`'s memo without a new embedding or scan.
-Next to it, `Retriever` remembers the `clean_snippet` of the last
-`SNIPPET_MEMO_SIZE` documents it showed; a snippet depends only on the
-document and `snippet_chars`, so a document that comes back in a later
-result list is not cleaned again. Freezing a turn still checks every result
-line for reserved tags, so a document holding one fails each retrieval.
+Below that memo, `Retriever` keeps the score vectors of the last
+`SCORE_MEMO_SIZE` queries it embedded, so greedy_hill's probes
+(`best_similarity`) and the retrieval of the edit they chose share one
+embedding and one scan. Next to them, `Retriever` remembers the
+`clean_snippet` of the last `SNIPPET_MEMO_SIZE` documents it showed; a
+snippet depends only on the document and `snippet_chars`, so a document that
+comes back in a later result list is not cleaned again. Freezing a turn
+still checks every result line for reserved tags, so a document holding one
+fails each retrieval.
 """
 
 from __future__ import annotations
@@ -57,8 +61,11 @@ from .trace import (
 log = logging.getLogger(__name__)
 
 
-# Distinct (query, k, targets) retrievals, and documents' snippets, a Retriever remembers.
+# Distinct (query, k, targets) retrievals, score vectors, and documents'
+# snippets a Retriever remembers. Score vectors are few: each is a float per
+# document, and 64 of them raised the benchmark's peak RSS by a tenth.
 RETRIEVE_MEMO_SIZE = 64
+SCORE_MEMO_SIZE = 8
 SNIPPET_MEMO_SIZE = 1024
 
 
@@ -67,12 +74,16 @@ class Retriever:
 
     `retrieve` keeps the results of the last `RETRIEVE_MEMO_SIZE` distinct
     (query, k, target set) keys in an LRU memo, so a repeated query costs
-    neither an embedding nor a scan. `snippet` keeps the result lines of the
-    last `SNIPPET_MEMO_SIZE` documents in a second LRU memo. The memos assume
-    `embed` is a pure function of the text. They are safe to share across
-    threads: two threads missing on one key both compute it, with equal
-    results, and an exception is never stored, so a failed embedding is
-    retried on the next call.
+    neither an embedding nor a scan. Below it, the score vectors of the last
+    `SCORE_MEMO_SIZE` distinct queries are kept read-only, so one query
+    under another (k, target set), or retrieved after `best_similarity`
+    probed it, is selected again from its vector without a new embedding or
+    scan. `snippet` keeps the result lines of the last `SNIPPET_MEMO_SIZE`
+    documents in a third LRU memo. The memos assume `embed` is a pure
+    function of the text. They are safe to share across threads: two
+    threads missing on one key both compute it, with equal results, and an
+    exception is never stored, so a failed embedding is retried on the next
+    call.
     """
 
     def __init__(
@@ -86,14 +97,21 @@ class Retriever:
 
         # closures, not bound methods, so the memos hold no reference back
         # to the Retriever and a dropped Retriever frees its index at once
+        @functools.lru_cache(maxsize=SCORE_MEMO_SIZE)
+        def scores(query: str) -> np.ndarray:
+            vector = index.scores(embed(query))
+            vector.flags.writeable = False
+            return vector
+
         @functools.lru_cache(maxsize=RETRIEVE_MEMO_SIZE)
         def search(query: str, k: int, targets: frozenset[str]) -> RankedResults:
-            return index.search(embed(query), k, targets)
+            return index.select(scores(query), k, targets)
 
         @functools.lru_cache(maxsize=SNIPPET_MEMO_SIZE)
         def snippet(doc_id: str) -> str:
             return clean_snippet(index.doc(doc_id).text, snippet_chars)
 
+        self._scores = scores
         self._search = search
         self.snippet = snippet
 
@@ -101,9 +119,14 @@ class Retriever:
         return self._search(query, k, frozenset(target_ids))
 
     def best_similarity(self, query: str) -> float:
-        """Best corpus similarity for a query (greedy_hill's probe signal)."""
-        results = self.retrieve(query, 1)
-        return results.entries[0].score if results.entries else 0.0
+        """Best corpus similarity for a query (greedy_hill's probe signal).
+
+        The first maximum of the score vector, that is the smallest id among
+        tied rows: the score `retrieve(query, 1)` would rank first, to the
+        bit, without selecting a top-k.
+        """
+        s = self._scores(query)
+        return float(s[np.argmax(s)])
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,8 @@ class BudgetExceededError(TraceError):
 
 
 def _check_content(label: str, text: str) -> None:
+    if "<" not in text:  # every reserved literal starts with "<"
+        return
     for literal in _ALL_TAG_LITERALS:
         if literal in text:
             raise TraceError(f"{label} contains reserved tag literal {literal!r}")

@@ -15,14 +15,20 @@ token lists:
 * one idf per term, `log(n / (1 + df)) + 1` from `math.log` on Python ints
   (not `np.log`, whose vectorised path may differ in the last bit).
 
-`expansions` and `neighbors` select rows from the postings, then sum the
+`expansions(q)` and `neighbors(t)` are two views of one co-occurrence
+ranking, keyed by a token set: the query's tokens, or `{t}`. It selects the
+rows holding every token (else any token) from the postings, then sums the
 weights of those rows' CSR slices per term with one `np.bincount`. The slices
 are concatenated in ascending row order and `bincount` adds in input order,
 so each term's score is `0 + w_r1 + w_r2 + ...` over ascending rows: the same
 additions, in the same order, as summing a Counter row by row, and so the
 same floats to the last bit. Terms are then ranked with
 `np.lexsort((ids, -scores))`; id order is term order, so ties go to the
-smaller term.
+smaller term. A per-table LRU memo (`RANKING_MEMO_SIZE`) keeps the full
+ranking of each token set as a read-only int32 array of term ids, whatever
+`j` and `exclude` a call asks for; each call leaves out the excluded terms
+and the key's own tokens and slices `[:j]`, so the behaviours that ask about
+one query again and again rank it once.
 
 `top_terms` reads a turn's result snippets as one text, their `" ".join`: the
 space only separates tokens, so the joined text's tokens are the snippets'
@@ -58,10 +64,12 @@ import numpy as np
 from .corpus import Document
 
 # Distinct texts whose term vectors, and distinct (texts, exclude) pairs whose
-# keyword rankings, a TfidfTable remembers.
+# keyword rankings, a TfidfTable remembers; also the distinct token sets whose
+# co-occurrence rankings it remembers.
 TERM_VECTOR_MEMO_SIZE = 1024
 RANKING_MEMO_SIZE = 64
 _NO_IDS = np.zeros(0, np.int32)
+_NO_IDS.flags.writeable = False
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -75,14 +83,20 @@ STOPWORDS = frozenset(
 )
 
 
+def words(text: str) -> list[str]:
+    """Lowercase alphanumeric runs: the one word splitter of the package,
+    shared by the term statistics and `HashEmbedder`."""
+    return _TOKEN_RE.findall(text.lower())
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase word tokens, stopwords and single characters dropped."""
-    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= 2 and t not in STOPWORDS]
+    return [t for t in words(text) if len(t) >= 2 and t not in STOPWORDS]
 
 
 def head_phrase(text: str) -> list[str]:
     """Leading run of content tokens (stops at the first stopword after one)."""
-    tokens = _TOKEN_RE.findall(text.lower())
+    tokens = words(text)
     head: list[str] = []
     for tok in tokens:
         if tok in STOPWORDS or len(tok) < 2:
@@ -134,6 +148,52 @@ def _keyword_ranking(
     return ranking
 
 
+def _cooccurrence_ranking(
+    ids: dict[str, int],
+    post_ptr: np.ndarray,
+    post_rows: np.ndarray,
+    row_ptr: np.ndarray,
+    row_terms: np.ndarray,
+    row_weights: np.ndarray,
+) -> Callable[[frozenset[str]], np.ndarray]:
+    """`expansions`' and `neighbors`' memoised ranking over one table's CSRs.
+
+    A closure, like `_keyword_ranking`, so the memo holds no reference back
+    to the table.
+    """
+
+    def postings(term: str) -> np.ndarray:
+        """Ascending rows of the documents containing `term`."""
+        i = ids.get(term)
+        return post_rows[:0] if i is None else post_rows[post_ptr[i] : post_ptr[i + 1]]
+
+    @functools.lru_cache(maxsize=RANKING_MEMO_SIZE)
+    def ranking(tokens: frozenset[str]) -> np.ndarray:
+        """Ids of the terms with a positive tf*idf summed over the rows holding
+        every token (else any token), highest first, ties by id."""
+        if not tokens:
+            return _NO_IDS
+        lists = sorted(map(postings, tokens), key=len)
+        rows = lists[0]
+        for other in lists[1:]:
+            if not len(rows):
+                break
+            rows = np.intersect1d(rows, other, assume_unique=True)
+        if not len(rows):
+            rows = np.unique(np.concatenate(lists))
+        starts = row_ptr[rows]
+        lengths = row_ptr[rows + 1] - starts
+        # positions of the rows' CSR slices, concatenated in row order
+        pos = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        scores = np.bincount(row_terms[pos], row_weights[pos])
+        cand = np.flatnonzero(scores > 0)
+        order = cand[np.lexsort((cand, -scores[cand]))].astype(np.int32)
+        order.flags.writeable = False
+        return order
+
+    return ranking
+
+
 class TfidfTable:
     """Term statistics over one corpus: idf, postings and per-doc tf*idf weights."""
 
@@ -169,6 +229,10 @@ class TfidfTable:
         # 0.0 for an empty corpus, where log(0) is undefined and no term scores
         self._unseen_idf = math.log(float(n)) + 1.0 if n else 0.0
         self._ranking = _keyword_ranking(self._ids, self._terms, idf, self._unseen_idf)
+        self._cooccurrence = _cooccurrence_ranking(
+            self._ids, self._post_ptr, self._post_rows,
+            self._row_ptr, self._row_terms, self._row_weights,
+        )
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> "TfidfTable":
@@ -178,32 +242,21 @@ class TfidfTable:
         i = self._ids.get(term)
         return self._unseen_idf if i is None else self._idf[i]
 
-    def _postings(self, term: str) -> np.ndarray:
-        """Ascending rows of the documents containing `term`."""
-        i = self._ids.get(term)
-        if i is None:
-            return self._post_rows[:0]
-        return self._post_rows[self._post_ptr[i] : self._post_ptr[i + 1]]
-
-    def _ranked_rows(self, rows: np.ndarray, j: int, exclude: set[str]) -> list[str]:
-        """Top-j terms by tf*idf summed over ascending `rows`, ties by term."""
-        starts = self._row_ptr[rows]
-        lengths = self._row_ptr[rows + 1] - starts
-        # positions of the rows' CSR slices, concatenated in row order
-        pos = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        scores = np.bincount(self._row_terms[pos], self._row_weights[pos])
-        drop = [i for t in exclude if (i := self._ids.get(t)) is not None and i < len(scores)]
-        scores[drop] = 0.0
-        cand = np.flatnonzero(scores > 0)
-        order = cand[np.lexsort((cand, -scores[cand]))]
-        return [self._terms[i] for i in order[:j].tolist()]
-
     def top_terms(self, texts: Sequence[str], j: int, exclude: Iterable[str] = ()) -> list[str]:
         """Top-j tf*idf terms of some texts, read as one text (`" ".join`),
         highest score first, ties by term."""
         if isinstance(texts, str):
             raise TypeError("top_terms takes a sequence of texts, not one str")
         return list(self._ranking(tuple(texts), frozenset(exclude))[:j])
+
+    def _cooccurring(self, tokens: frozenset[str], j: int, exclude: Iterable[str]) -> list[str]:
+        """Top-j of the co-occurrence ranking of `tokens`, leaving out the
+        tokens themselves and `exclude`."""
+        drop = {i for t in tokens.union(exclude) if (i := self._ids.get(t)) is not None}
+        order = self._cooccurrence(tokens)
+        if j >= 0:
+            order = order[: j + len(drop)]  # at most len(drop) of these are left out
+        return [self._terms[i] for i in order.tolist() if i not in drop][:j]
 
     def expansions(self, query_text: str, j: int, exclude: Iterable[str] = ()) -> list[str]:
         """Corpus terms that best extend a query.
@@ -212,19 +265,9 @@ class TfidfTable:
         (falling back to any-token matches when no document has them all).
         Query tokens themselves are never returned.
         """
-        qtokens = set(tokenize(query_text))
-        if not qtokens:
-            return []
-        postings = sorted((self._postings(t) for t in qtokens), key=len)
-        rows = postings[0]
-        for other in postings[1:]:
-            if not len(rows):
-                break
-            rows = np.intersect1d(rows, other, assume_unique=True)
-        if not len(rows):
-            rows = np.unique(np.concatenate(postings))
-        return self._ranked_rows(rows, j, qtokens | set(exclude))
+        return self._cooccurring(frozenset(tokenize(query_text)), j, exclude)
 
     def neighbors(self, term: str, j: int, exclude: Iterable[str] = ()) -> list[str]:
-        """Terms co-occurring with `term`, scored by summed tf*idf."""
-        return self._ranked_rows(self._postings(term), j, {term} | set(exclude))
+        """Terms co-occurring with `term`, scored by summed tf*idf: the
+        expansions of a query whose one token is `term`."""
+        return self._cooccurring(frozenset((term,)), j, exclude)

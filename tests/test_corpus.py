@@ -41,7 +41,7 @@ def argsort_search(index, query, k: int, targets=frozenset()):
     """Reference selection: a full stable argsort of the index's own score
     vector, so the result must match `search` bit for bit. Returns
     (entries, target_sim, target_rank)."""
-    scores = index._scores(query)
+    scores = index.scores(query)
     order = np.argsort(-scores, kind="stable")
     entries = tuple(ScoredDoc(index._ids[i], float(scores[i])) for i in order[:k])
     if not targets:
@@ -283,3 +283,19 @@ def test_search_matches_a_full_stable_argsort(case):
         in_top_k = any(e.doc_id in targets for e in results.entries[:k])
         rank = results.target_rank
         assert (rank is not None and 0 <= rank < k) == in_top_k
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_case())
+def test_select_over_scores_equals_search(case):
+    """`search` is `select` over `scores`; one read-only vector serves every
+    (k, targets) selection and is left as it was."""
+    vectors, query, _, targets = case
+    index = build_index(docs_for(vectors), vectors)
+    scores = index.scores(query)
+    scores.flags.writeable = False
+    before = scores.tobytes()
+    for k in range(1, len(vectors) + 2):
+        for tset in (frozenset(), targets):
+            assert index.select(scores, k, tset) == index.search(query, k, tset)
+    assert scores.tobytes() == before

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import struct
 import sys
 import weakref
 from collections import Counter
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orion.archetypes import KINDS
-from orion.corpus import NOT_FOUND
+from orion.archetypes import KINDS, PolicyResources
+from orion.corpus import NOT_FOUND, CorpusIndex
 from orion.engine import (
     RETRIEVE_MEMO_SIZE,
+    SCORE_MEMO_SIZE,
     SNIPPET_MEMO_SIZE,
     EpisodeConfig,
     Retriever,
@@ -508,17 +510,59 @@ class TestRetrieverMemo:
         )
 
     def test_k_and_target_set_are_part_of_the_key(self, tree_retriever):
+        # while the query's score vector is remembered, its four keys share
+        # one embedding, and each key still gets its own answer
         retriever, embed = counting_retriever(tree_retriever)
-        plain = retriever.retrieve(TREE_QUERY, 5)
-        top1 = retriever.retrieve(TREE_QUERY, 1)
-        targeted = retriever.retrieve(TREE_QUERY, 5, frozenset({"t2"}))
-        other = retriever.retrieve(TREE_QUERY, 5, ["o1"])
-        assert embed.calls[TREE_QUERY] == 4
+        keys = [(5, ()), (1, ()), (5, frozenset({"t2"})), (5, ["o1"])]
+        plain, top1, targeted, other = [retriever.retrieve(TREE_QUERY, k, t) for k, t in keys]
+        assert embed.calls[TREE_QUERY] == 1
+        assert retriever._search.cache_info().misses == 4
+        vector = embed.inner(TREE_QUERY)
+        for (k, t), got in zip(keys, (plain, top1, targeted, other)):
+            assert got == tree_retriever.index.search(vector, k, t)
         assert len(plain) == 5 and len(top1) == 1
         assert plain.target_rank is None and targeted.target_rank is not None
         assert (targeted.target_rank, other.target_rank) == (6, 5)
         assert retriever.retrieve(TREE_QUERY, 5, ("t2", "t2")) is targeted
-        assert embed.calls[TREE_QUERY] == 4
+        assert embed.calls[TREE_QUERY] == 1
+
+    @pytest.mark.parametrize("others, embeds", [(SCORE_MEMO_SIZE - 1, 1), (SCORE_MEMO_SIZE, 2)])
+    def test_a_new_key_rescans_once_the_vector_is_evicted(self, tree_retriever, others, embeds):
+        retriever, embed = counting_retriever(tree_retriever)
+        retriever.retrieve(TREE_QUERY, 5)
+        for i in range(others):
+            retriever.retrieve(f"machine learning {i}", 5)
+        retriever.retrieve(TREE_QUERY, 3)
+        assert embed.calls[TREE_QUERY] == embeds
+        assert retriever._scores.cache_info().currsize == min(others + 1, SCORE_MEMO_SIZE)
+
+    def test_a_greedy_hill_step_embeds_each_probe_once_and_retrieves_from_its_scan(
+        self, tree_retriever, tree_vocab, monkeypatch
+    ):
+        retriever, embed = counting_retriever(tree_retriever)
+        scans = []
+        scores = CorpusIndex.scores
+        monkeypatch.setattr(CorpusIndex, "scores", lambda index, q: scans.append(q) or scores(index, q))
+        probed = []
+        resources = PolicyResources(
+            vocab=tree_vocab, probe=lambda q: probed.append(q) or retriever.best_similarity(q)
+        )
+        policy = ScriptedPolicy(ArchetypeConfig(kind="greedy_hill", seed=0), resources)
+        cfg = EpisodeConfig(k=3, max_turns=2, target_ids=frozenset({"ghost"}))
+        trace = run_episode(policy, retriever, TREE_QUERY, cfg).trace
+        issued = [t.query for t in trace.state.history]
+        assert len(issued) == 2 and len(probed) == 6
+        assert set(issued) <= set(probed)
+        assert embed.calls == Counter(probed) == Counter(set(probed))
+        assert len(scans) == len(probed)
+        # the episode a probe that selects a top-1 from a fresh search gives
+        fresh = PolicyResources(
+            vocab=tree_vocab,
+            probe=lambda q: retriever.index.search(embed.inner(q), 1).entries[0].score,
+        )
+        policy = ScriptedPolicy(ArchetypeConfig(kind="greedy_hill", seed=0), fresh)
+        plain = run_episode(policy, Retriever(retriever.index, embed.inner), TREE_QUERY, cfg)
+        assert serialize_trace(plain.trace) == serialize_trace(trace)
 
     @pytest.mark.parametrize("distinct, embeds", [(RETRIEVE_MEMO_SIZE, 1), (RETRIEVE_MEMO_SIZE + 1, 2)])
     def test_the_least_recent_query_is_evicted_past_the_bound(self, tree_retriever, distinct, embeds):
@@ -528,6 +572,26 @@ class TestRetrieverMemo:
             retriever.retrieve(q, 5)
         retriever.retrieve(queries[0], 5)
         assert embed.calls[queries[0]] == embeds
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.data())
+    def test_best_similarity_is_the_top_1_score_to_the_bit(self, case):
+        # tie-heavy corpora: few distinct small-integer rows; in the zero
+        # case every row is orthogonal to the query, so every score is zero
+        dim = case.draw(st.integers(2, 4))
+        zero = case.draw(st.booleans())
+        free = st.lists(st.integers(-2, 2), min_size=dim - zero, max_size=dim - zero).filter(any)
+        rows = case.draw(st.lists(free, min_size=1, max_size=3))
+        n = case.draw(st.integers(1, 10))
+        docs = {f"d{i}": [0] * zero + case.draw(st.sampled_from(rows)) for i in range(n)}
+        query = [1] + [0] * (dim - 1) if zero else case.draw(free)
+        retriever = make_stub_retriever(docs, {"q": query})
+        got = retriever.best_similarity("q")
+        top = make_stub_retriever(docs, {"q": query}).retrieve("q", 1).entries[0].score
+        assert struct.pack("<d", got) == struct.pack("<d", top)
+        assert got == retriever.retrieve("q", 1).entries[0].score
+        if zero:
+            assert got == 0.0
 
     def test_a_failed_embedding_is_retried(self, tree_retriever):
         retriever, embed = counting_retriever(tree_retriever, fail_calls=1)

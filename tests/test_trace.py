@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orion.trace import (
+    _ALL_TAG_LITERALS,
     BudgetExceededError,
     RetrievedDoc,
     SearchState,
@@ -150,6 +151,33 @@ class TestContentValidation:
     def test_tag_literal_in_query_rejected(self):
         with pytest.raises(TraceError, match="reserved tag"):
             Turn(think="t", query="<search_query>", results=())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.lists(
+            st.sampled_from(
+                [*_ALL_TAG_LITERALS, "<", ">", "/", "<think", "think>", "</", "a", " ", "考"]
+            )
+        ).map("".join)
+    )
+    def test_the_fast_check_agrees_with_the_eight_literal_loop(self, text):
+        found = [lit for lit in _ALL_TAG_LITERALS if lit in text]
+        checks = [
+            lambda: RetrievedDoc(text=text),
+            lambda: Turn(think=f"t{text}", query=f"q{text}", results=()),
+            lambda: SearchState(original_query=f"Q{text}"),
+            lambda: render_prompt(SearchState(original_query="Q"), "search_query", f"t{text}"),
+            lambda: trace_from_dict(
+                {"original_query": "Q", "terminal_reason": None,
+                 "turns": [{"think": "t", "query": "q", "results": [{"text": text}]}]}
+            ),
+        ]
+        for check in checks:
+            if found:
+                with pytest.raises(TraceError, match=f"reserved tag literal {found[0]!r}"):
+                    check()
+            else:
+                check()
 
     def test_multiline_result_text_rejected(self):
         with pytest.raises(TraceError, match="single line"):

@@ -7,6 +7,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,7 +181,11 @@ def test_index_matches_the_counter_oracle(docs, query, exclude, snippets):
         assert table.idf(word) == oracle.idf(word)
     for j in J_VALUES:
         for ex in (exclude, overlapping):
-            assert table.expansions(query, j, ex) == oracle.expansions(query, j, ex)
+            want = oracle.expansions(query, j, ex)
+            got = table.expansions(query, j, ex)
+            assert got == want
+            got.append("mutated")  # the caller's list is its own, not the memo's
+            assert table.expansions(query, j, ex) == want
             assert table.top_terms([query], j, ex) == oracle.top_terms(query, j, ex)
         # the excludes may hold cut words the table lacks, as a query over snippets can
         for ex in (exclude, overlapping, exclude + tokenize(" ".join(snippets))[-1:]):
@@ -189,8 +194,18 @@ def test_index_matches_the_counter_oracle(docs, query, exclude, snippets):
             assert got == want
             got.append("mutated")  # the caller's list is its own, not the memo's
             assert table.top_terms(snippets, j, ex) == want
-        for word in WORDS + ["zz"]:
-            assert table.neighbors(word, j, exclude) == oracle.neighbors(word, j, exclude)
+    # every j and exclude after the first is a memo hit for the query's
+    # ranking; then neighbors, in two rounds over every (j, exclude), the
+    # second in reverse order, where only the first round ranks a token set
+    for round_js in (J_VALUES, J_VALUES[::-1]):
+        for j in round_js:
+            for word in WORDS + ["zz"]:
+                for ex in (exclude, exclude + [word]):
+                    assert table.neighbors(word, j, ex) == oracle.neighbors(word, j, ex)
+        if round_js is J_VALUES:
+            misses = table._cooccurrence.cache_info().misses
+            assert misses <= 1 + len(WORDS) + 1  # the query's tokens, then one per word
+    assert table._cooccurrence.cache_info().misses == misses
 
 
 def test_index_matches_the_oracle_on_named_cases():
@@ -228,9 +243,27 @@ def test_variants_of_one_state_share_one_ranking():
     assert (info.misses, info.hits) == (1, 3)
 
 
+def test_expansions_and_neighbors_share_one_ranking_per_token_set():
+    table = TfidfTable.from_documents(
+        [Document("d1", "solar panels rooftop"), Document("d2", "solar wind"), Document("d3", "wind")]
+    )
+    assert table.neighbors("solar", 5) == table.expansions("the solar", 5) == [
+        "panels", "rooftop", "wind"
+    ]
+    assert table.expansions("solar of solar", 1, exclude=["panels"]) == ["rooftop"]
+    assert table.neighbors("solar", -1, exclude=["zz"]) == ["panels", "rooftop"]
+    assert table.expansions("wind solar", 0) == []
+    assert table.expansions("solar wind", 3) == []  # d2's only terms are the query's
+    info = table._cooccurrence.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    ranking = table._cooccurrence(frozenset({"solar"}))
+    assert ranking.dtype == np.int32 and not ranking.flags.writeable
+
+
 def test_a_dropped_table_is_freed_without_the_cycle_collector():
     table = TfidfTable.from_documents([Document("d1", "solar panels rooftop")])
     table.top_terms(["solar panels"], 1)
+    table.expansions("solar", 1)
     ref = weakref.ref(table)
     gc.disable()
     try:
@@ -251,12 +284,21 @@ def test_threads_sharing_the_memos_get_the_oracle_ranking():
     n = TERM_VECTOR_MEMO_SIZE + 16
     texts = [f"{words[i % 40]} {words[(3 * i) % 40]} {words[(7 * i) % 40]} x{i}" for i in range(n)]
     calls = [((texts[i], texts[(i + 1) % n]), 3, (words[i % 40],)) for i in range(n)] * 2
-    want = [oracle.top_terms(" ".join(t), j, ex) for t, j, ex in calls]
+    calls = [("top_terms", t, j, ex) for t, j, ex in calls]
+    # and more token sets than the co-occurrence memo holds, through both views
+    m = RANKING_MEMO_SIZE + 16
+    pairs = [f"{words[i % 40]} {words[(i // 40) % 40]}" for i in range(m)]
+    calls += [("expansions", pairs[i], 2 + i % 3, (words[(5 * i) % 40],)) for i in range(m)] * 2
+    calls += [("neighbors", words[i % 40], 1 + i % 4, (words[(3 * i) % 40],)) for i in range(m)] * 2
+    want = [
+        getattr(oracle, name)(" ".join(arg) if name == "top_terms" else arg, j, ex)
+        for name, arg, j, ex in calls
+    ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(table.top_terms, t, j, ex) for t, j, ex in calls]
+            futures = [pool.submit(getattr(table, name), arg, j, ex) for name, arg, j, ex in calls]
             got = [f.result(timeout=30) for f in futures]
     finally:
         sys.setswitchinterval(interval)
