@@ -342,8 +342,6 @@ def step_greedy_hill(
     scored by its best retrieval similarity and the highest scorer wins (ties
     by candidate order; variant takes the next-ranked edit).
     """
-    if res.probe is None:
-        raise ValueError("greedy_hill requires retrieval-probe resources")
     q0 = state.original_query
     base = state.history[-1].query if state.history else q0
     edits = res.vocab.expansions(base, int(cfg.params["candidates"]), exclude=_used_terms(state))

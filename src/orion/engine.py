@@ -1,15 +1,16 @@
-"""Multi-turn episode execution: one turn step, beam search and the greedy runner.
+"""Multi-turn episode execution: one turn loop, and how each run prunes it.
 
-An episode repeats think/query/retrieve cycles until a target document lands
-in the top-k or the turn budget runs out. `expand_turn` is the one turn step;
-each candidate it returns is a search state ending with its new turn, and
-every fact about a candidate is read off that turn. Beam search and grouped
-collection (`rewards`) differ only in how they score and select candidates.
-Beam search scores each candidate state by the policy's relevance confidence
-(1/perplexity), pools candidates across beams, and keeps the top B; success
-is checked on the survivors after pruning. The greedy runner is beam search
-with B = M = 1. Relevance is asked only when a turn has more than one
-candidate, so a greedy run, remote or scripted, never asks it.
+`run_turns` is the one think/query/retrieve loop. Each turn, every live
+search state proposes actions, each action is retrieved once, and each
+candidate is a state ending with its new turn; every fact about a candidate
+is read off that turn. A run's `keep` rule picks the states that go on: the
+greedy runner keeps its one candidate, beam search the top B by relevance
+confidence (1/perplexity, asked only when a turn has several candidates, so
+a greedy run never asks it), and grouped collection (`rewards`) the one
+candidate it selects by reward. The loop alone ends an episode: success when
+a survivor's turn puts a target in its top-k, policy_error (keeping the
+previous best state) when none survives, and budget_exhausted (keeping the
+best survivor) when the turns run out.
 
 Only the `<search_query>` content is embedded for retrieval; think spans never
 reach the retriever. Each action costs one retrieval, logged in its turn. A
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import logging
 from concurrent import futures
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -186,38 +187,46 @@ def execute_action(retriever: Retriever, action: Action, config: EpisodeConfig) 
     )
 
 
-def expand_turn(
-    policy: Policy, retriever: Retriever, states: Sequence[SearchState], n: int, config: EpisodeConfig
-) -> list[SearchState]:
-    """The turn step: propose `n` actions per state and retrieve each once.
-
-    Each candidate is a state ending with its new turn, in state order, then
-    action order; a state whose `propose` raises `PolicyError` contributes
-    none.
+def run_turns(
+    policy: Policy,
+    retriever: Retriever,
+    q0: str,
+    n: int,
+    config: EpisodeConfig,
+    keep: Callable[[int, list[SearchState]], list[SearchState]],
+) -> TraceDocument:
+    """The episode loop (see the module docstring). `keep(turn, candidates)`
+    gets the turn's candidates in state order, then action order, and
+    returns the states that go on, best first. A state whose `propose`
+    raises `PolicyError` contributes no candidate.
     """
-    candidates = []
-    for state in states:
-        try:
-            actions = policy.propose(state, n)
-        except PolicyError as exc:
-            log.warning("expansion failed at turn %d: %s", len(state.history) + 1, exc)
-            continue
-        for action in actions:
-            turn = execute_action(retriever, action, config)
-            candidates.append(append_turn(state, turn, config.max_turns))
-    return candidates
-
-
-def _result(state: SearchState, reason: str, beam_sizes: Sequence[int]) -> EpisodeResult:
-    return EpisodeResult(TraceDocument(state=state, terminal_reason=reason), tuple(beam_sizes))
+    states = [SearchState(original_query=q0)]
+    for t in range(1, config.max_turns + 1):
+        candidates = []
+        for state in states:
+            try:
+                actions = policy.propose(state, n)
+            except PolicyError as exc:
+                log.warning("expansion failed at turn %d: %s", t, exc)
+                continue
+            for action in actions:
+                turn = execute_action(retriever, action, config)
+                candidates.append(append_turn(state, turn, config.max_turns))
+        survivors = keep(t, candidates)
+        if not survivors:
+            return TraceDocument(states[0], TERMINAL_POLICY_ERROR)
+        states = survivors
+        for state in states:
+            if check_success(state.last_turn(), config.k):
+                return TraceDocument(state, TERMINAL_SUCCESS)
+    return TraceDocument(states[0], TERMINAL_BUDGET)
 
 
 def run_episode(
     policy: Policy, retriever: Retriever, q0: str, config: EpisodeConfig
 ) -> EpisodeResult:
-    """Greedy multi-turn episode: beam search with one beam and one candidate
-    per turn, stopping on success. Its result carries no beam sizes."""
-    return replace(beam_search(policy, retriever, q0, 1, 1, config), beam_sizes=())
+    """Greedy episode: one candidate per turn, and it goes on."""
+    return EpisodeResult(run_turns(policy, retriever, q0, 1, config, lambda _t, c: c))
 
 
 def beam_search(
@@ -228,25 +237,18 @@ def beam_search(
     expansion: int,
     config: EpisodeConfig,
 ) -> EpisodeResult:
-    """Best-first beam search over think/query continuations.
+    """Beam search: each of the B beams proposes M candidates per turn, and
+    the top B of the pooled candidates by 1/relevance-perplexity go on
+    (ties by query).
 
-    Per turn, every live beam proposes `expansion` candidate actions; each
-    candidate retrieves, extends the state, and is scored by
-    1/relevance-perplexity. Candidates pool across beams, survivors are the
-    top `beam_size` by confidence (ties broken by lexicographic query), and
-    the search returns the best successful survivor immediately, else the
-    highest-confidence beam at the budget.
-
-    A lone candidate is not scored. A policy error on a candidate removes
-    only that candidate; if a whole turn yields none, the episode ends as
-    policy_error.
+    A lone candidate is not scored; a candidate whose relevance call fails
+    is dropped. `beam_sizes` counts each turn's survivors.
     """
     if beam_size < 1 or expansion < 1:
         raise ValueError("beam_size and expansion must be >= 1")
-    beams = [SearchState(original_query=q0)]
     sizes: list[int] = []
-    for t in range(1, config.max_turns + 1):
-        candidates = expand_turn(policy, retriever, beams, expansion, config)
+
+    def keep(t: int, candidates: list[SearchState]) -> list[SearchState]:
         if len(candidates) > 1:
             scored = []
             for c in candidates:
@@ -257,15 +259,13 @@ def beam_search(
                     continue
                 scored.append(((-1.0 / ppl, c.last_turn().query), c))
             candidates = [c for _, c in sorted(scored, key=lambda kc: kc[0])]
-        if not candidates:
-            # survivors are sorted by confidence, so the first is the most confident
-            return _result(beams[0], TERMINAL_POLICY_ERROR, sizes)
-        beams = candidates[:beam_size]
-        sizes.append(len(beams))
-        winners = [s for s in beams if check_success(s.last_turn(), config.k)]
-        if winners:
-            return _result(winners[0], TERMINAL_SUCCESS, sizes)
-    return _result(beams[0], TERMINAL_BUDGET, sizes)
+        survivors = candidates[:beam_size]
+        if survivors:
+            sizes.append(len(survivors))
+        return survivors
+
+    trace = run_turns(policy, retriever, q0, expansion, config, keep)
+    return EpisodeResult(trace, tuple(sizes))
 
 
 # --- batch running and the episode log ----------------------------------------

@@ -27,7 +27,14 @@ from typing import Protocol, Sequence
 
 from .archetypes import ArchetypeConfig, PolicyResources, archetype_step
 from .embed import post_json
-from .trace import _ALL_TAG_LITERALS, Action, SearchState, render_prompt, serialize_state
+from .trace import (
+    Action,
+    SearchState,
+    numbered_results,
+    render_prompt,
+    reserved_literal,
+    serialize_state,
+)
 
 API_KEY_ENV = "ORION_API_KEY"
 DEFAULT_MAX_QUERY_CHARS = 300
@@ -136,11 +143,10 @@ def _baseline_header(q0: str) -> str:
 def _baseline_turns(state: SearchState, k: int) -> str:
     blocks = []
     for i, turn in enumerate(state.history, 1):
-        results = "".join(f"{j}. {d.text}\n" for j, d in enumerate(turn.results, 1))
         blocks.append(
             f"Turn {i} Analysis: {turn.think}\n"
             f"Turn {i} Search Query: {turn.query}\n"
-            f"Top-{k} results:\n{results}\n"
+            f"Top-{k} results:\n{numbered_results(turn)}\n"
         )
     return "".join(blocks)
 
@@ -179,10 +185,6 @@ def _strip_tags(text: str, closing_tag: str) -> str:
     if closing_tag in text:
         text = text.split(closing_tag, 1)[0]
     return text.strip()
-
-
-def _has_tag_literal(text: str) -> bool:
-    return any(tag in text for tag in _ALL_TAG_LITERALS)
 
 
 class RemotePolicy:
@@ -248,19 +250,19 @@ class RemotePolicy:
         if self.mode == "structured":
             think_raw, _ = self._complete(render_prompt(state, "think"))
             think = _strip_tags(think_raw, "</think>")
-            if not think or _has_tag_literal(think):
+            if not think or reserved_literal(think):
                 return None
             query_raw, _ = self._complete(render_prompt(state, "search_query", think=think))
             query = _strip_tags(query_raw, "</search_query>")
         else:
             think_raw, _ = self._complete(planning_phase_prompt(state, self.k))
             think = think_raw.strip()
-            if not think or _has_tag_literal(think):
+            if not think or reserved_literal(think):
                 return None
             query_raw, _ = self._complete(search_query_phase_prompt(state, think, self.k))
             query = query_raw.strip()
         query = " ".join(query.split())
-        if not query or _has_tag_literal(query):
+        if not query or reserved_literal(query):
             return None
         return Action(think=think, query=clip_query(query, self.max_query_chars))
 

@@ -9,7 +9,9 @@ each normalized to [0, 1]:
   absent (NOT_FOUND).
 
 Both signals are read off the candidate's logged turn: no candidate is
-scored against the corpus a second time.
+scored against the corpus a second time. A group (`GroupSample`) holds its
+candidates' turns with their reward breakdowns, and its logged candidate
+records are projected from them.
 
 Advantages are group-relative: reward minus the group mean, or z-scores under
 the optional normalization mode (guarded to all-zero when the group standard
@@ -30,13 +32,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import NOT_FOUND
-from .engine import EpisodeConfig, Retriever, check_success, expand_turn
+from .engine import EpisodeConfig, Retriever, run_turns
 from .engine import execute_action  # not called here; perfbench/tracer.py patches it
 from .policy import Policy
 from .trace import (
-    TERMINAL_BUDGET,
-    TERMINAL_POLICY_ERROR,
-    TERMINAL_SUCCESS,
     SearchState,
     TraceDocument,
     Turn,
@@ -174,35 +173,26 @@ def select_candidate(
 
 
 @dataclass(frozen=True)
-class CandidateOutcome:
-    think: str
-    query: str
-    result_ids: tuple[str, ...]
-    breakdown: RewardBreakdown
-
-    def to_dict(self) -> dict:
-        return {
-            "think": self.think,
-            "query": self.query,
-            "result_ids": list(self.result_ids),
-            **self.breakdown.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
 class GroupSample:
-    """One turn's G candidates with their advantages and the advanced pick."""
+    """One turn's G candidate turns, their rewards and advantages, and the
+    index of the one that advanced the context."""
 
-    candidates: tuple[CandidateOutcome, ...]
+    turns: tuple[Turn, ...]
+    breakdowns: tuple[RewardBreakdown, ...]
     advantages: tuple[float, ...]
     selected: int
 
-    def rewards(self) -> list[float]:
-        return [c.breakdown.reward for c in self.candidates]
-
     def to_dict(self) -> dict:
         return {
-            "candidates": [c.to_dict() for c in self.candidates],
+            "candidates": [
+                {
+                    "think": turn.think,
+                    "query": turn.query,
+                    "result_ids": [d.doc_id for d in turn.results],
+                    **breakdown.to_dict(),
+                }
+                for turn, breakdown in zip(self.turns, self.breakdowns)
+            ],
             "advantages": list(self.advantages),
             "selected": self.selected,
         }
@@ -241,45 +231,27 @@ def collect_grouped_episode(
     grpo: GrpoConfig,
     rng: random.Random,
 ) -> tuple[TraceDocument, list[GroupSample]]:
-    """Grouped sampling: per turn, score G candidates and advance one.
+    """Grouped sampling: per turn, reward G candidates and advance one.
 
-    The selected candidate's turn extends the context; the episode stops when
-    its retrieval succeeds, the budget runs out or the policy cannot propose.
+    The episode loop is `engine.run_turns`; each turn's group is recorded
+    here, and only its selected candidate goes on.
     """
-    state = SearchState(original_query=q0)
     groups: list[GroupSample] = []
     corpus_size = len(retriever.index)
-    reason = TERMINAL_BUDGET
-    for _t in range(1, config.max_turns + 1):
-        candidates = expand_turn(policy, retriever, [state], grpo.group_size, config)
+
+    def keep(_t: int, candidates: list[SearchState]) -> list[SearchState]:
         if not candidates:
-            reason = TERMINAL_POLICY_ERROR
-            break
-        turns = [c.last_turn() for c in candidates]
-        outcomes = [
-            CandidateOutcome(
-                think=turn.think,
-                query=turn.query,
-                result_ids=tuple(d.doc_id for d in turn.results),
-                breakdown=turn_reward(*candidate_signals(turn), corpus_size),
-            )
-            for turn in turns
-        ]
-        rewards = [o.breakdown.reward for o in outcomes]
+            return []
+        turns = tuple(c.last_turn() for c in candidates)
+        breakdowns = tuple(turn_reward(*candidate_signals(t), corpus_size) for t in turns)
+        rewards = [b.reward for b in breakdowns]
         advantages = group_advantages(rewards, grpo.advantage_mode)
         selected = select_candidate(rewards, grpo.selection, rng)
-        groups.append(
-            GroupSample(
-                candidates=tuple(outcomes),
-                advantages=tuple(advantages),
-                selected=selected,
-            )
-        )
-        state = candidates[selected]
-        if check_success(turns[selected], config.k):
-            reason = TERMINAL_SUCCESS
-            break
-    return TraceDocument(state=state, terminal_reason=reason), groups
+        groups.append(GroupSample(turns, breakdowns, tuple(advantages), selected))
+        return [candidates[selected]]
+
+    trace = run_turns(policy, retriever, q0, grpo.group_size, config, keep)
+    return trace, groups
 
 
 # --- masked training-record export ----------------------------------------------

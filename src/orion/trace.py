@@ -58,12 +58,17 @@ class BudgetExceededError(TraceError):
     """Appending a turn would exceed the turn budget."""
 
 
-def _check_content(label: str, text: str) -> None:
+def reserved_literal(text: str) -> str | None:
+    """The first reserved tag literal found in `text`, or None."""
     if "<" not in text:  # every reserved literal starts with "<"
-        return
-    for literal in _ALL_TAG_LITERALS:
-        if literal in text:
-            raise TraceError(f"{label} contains reserved tag literal {literal!r}")
+        return None
+    return next((literal for literal in _ALL_TAG_LITERALS if literal in text), None)
+
+
+def _check_content(label: str, text: str) -> None:
+    literal = reserved_literal(text)
+    if literal is not None:
+        raise TraceError(f"{label} contains reserved tag literal {literal!r}")
 
 
 def clean_snippet(text: str, budget: int = DEFAULT_SNIPPET_CHARS) -> str:
@@ -181,9 +186,9 @@ class TraceSpan:
     trainable: bool
 
 
-def _topk_block(turn: Turn) -> str:
-    lines = "".join(f"{i}. {doc.text}\n" for i, doc in enumerate(turn.results, 1))
-    return f"<{TAG_TOPK}>\n{lines}</{TAG_TOPK}>"
+def numbered_results(turn: Turn) -> str:
+    """The turn's result texts as a list numbered from 1, one line each."""
+    return "".join(f"{i}. {doc.text}\n" for i, doc in enumerate(turn.results, 1))
 
 
 def serialize_spans(trace: TraceDocument) -> list[TraceSpan]:
@@ -208,7 +213,7 @@ def serialize_spans(trace: TraceDocument) -> list[TraceSpan]:
                 TraceSpan(turn.query, True),
                 TraceSpan(f"</{TAG_QUERY}>", True),
                 TraceSpan(SEP, False),
-                TraceSpan(_topk_block(turn), False),
+                TraceSpan(f"<{TAG_TOPK}>\n{numbered_results(turn)}</{TAG_TOPK}>", False),
             ]
         )
     return spans

@@ -20,6 +20,7 @@ from orion.engine import (
     SCORE_MEMO_SIZE,
     SNIPPET_MEMO_SIZE,
     EpisodeConfig,
+    EpisodeResult,
     Retriever,
     beam_search,
     check_success,
@@ -30,7 +31,14 @@ from orion.engine import (
     run_episode,
 )
 from orion.policy import Action, ArchetypeConfig, PolicyError, ScriptedPolicy, derive_rng
-from orion.rewards import GrpoConfig, collect_grouped_episode
+from orion.rewards import (
+    GrpoConfig,
+    candidate_signals,
+    collect_grouped_episode,
+    group_advantages,
+    select_candidate,
+    turn_reward,
+)
 from orion.trace import (
     SearchState,
     TraceDocument,
@@ -76,15 +84,20 @@ class TablePolicy:
         return math.exp(1.0 - best)
 
 
-class FailAtTurnPolicy(ConstantPolicy):
-    def __init__(self, query: str, fail_turn: int):
-        super().__init__(query)
+class FailAtTurnPolicy:
+    """Delegates to a policy until turn `fail_turn`, where `propose` starts failing."""
+
+    def __init__(self, inner, fail_turn: int):
+        self.inner = inner
         self.fail_turn = fail_turn
 
     def propose(self, state, n):
         if len(state.history) + 1 >= self.fail_turn:
             raise PolicyError("scripted failure")
-        return super().propose(state, n)
+        return self.inner.propose(state, n)
+
+    def relevance_perplexity(self, state):
+        return self.inner.relevance_perplexity(state)
 
 
 class CountingRelevance:
@@ -126,6 +139,94 @@ def reference_greedy(policy, retriever, q0, config):
             break
     ranks = tuple(t.target_rank for t in state.history)
     return TraceDocument(state=state, terminal_reason=reason), success_turn, ranks
+
+
+def hit(turn, config):
+    """A target among the turn's top-k results: the success rule the oracles use."""
+    return any(d.doc_id in config.target_ids for d in turn.results[: config.k])
+
+
+def reference_beam(policy, retriever, q0, beam_size, expansion, config):
+    """The beam loop written out: an `EpisodeResult` with its beam sizes."""
+    beams = [SearchState(original_query=q0)]
+    sizes = []
+    for _t in range(1, config.max_turns + 1):
+        candidates = []
+        for state in beams:
+            try:
+                actions = policy.propose(state, expansion)
+            except PolicyError:
+                continue
+            for action in actions:
+                turn = execute_action(retriever, action, config)
+                candidates.append(append_turn(state, turn, config.max_turns))
+        if len(candidates) > 1:
+            scored = []
+            for c in candidates:
+                try:
+                    ppl = policy.relevance_perplexity(c)
+                except PolicyError:
+                    continue
+                scored.append(((-1.0 / ppl, c.last_turn().query), c))
+            candidates = [c for _, c in sorted(scored, key=lambda kc: kc[0])]
+        if not candidates:
+            return EpisodeResult(TraceDocument(beams[0], "policy_error"), tuple(sizes))
+        beams = candidates[:beam_size]
+        sizes.append(len(beams))
+        for state in beams:
+            if hit(state.last_turn(), config):
+                return EpisodeResult(TraceDocument(state, "success"), tuple(sizes))
+    return EpisodeResult(TraceDocument(beams[0], "budget_exhausted"), tuple(sizes))
+
+
+def reference_grouped(policy, retriever, q0, config, grpo, rng):
+    """The grouped loop written out: (trace, the logged group dicts)."""
+    state = SearchState(original_query=q0)
+    groups = []
+    reason = "budget_exhausted"
+    for _t in range(1, config.max_turns + 1):
+        try:
+            actions = policy.propose(state, grpo.group_size)
+        except PolicyError:
+            reason = "policy_error"
+            break
+        turns = [execute_action(retriever, a, config) for a in actions]
+        breakdowns = [turn_reward(*candidate_signals(t), len(retriever.index)) for t in turns]
+        rewards = [b.reward for b in breakdowns]
+        selected = select_candidate(rewards, grpo.selection, rng)
+        groups.append(
+            {
+                "candidates": [
+                    {
+                        "think": t.think,
+                        "query": t.query,
+                        "result_ids": [d.doc_id for d in t.results],
+                        **b.to_dict(),
+                    }
+                    for t, b in zip(turns, breakdowns)
+                ],
+                "advantages": group_advantages(rewards, grpo.advantage_mode),
+                "selected": selected,
+            }
+        )
+        state = append_turn(state, turns[selected], config.max_turns)
+        if hit(turns[selected], config):
+            reason = "success"
+            break
+    return TraceDocument(state=state, terminal_reason=reason), groups
+
+
+# target sets: none, one, several, an absent id alone and beside a present one
+TARGET_SETS = [(), ("t2",), ("t3a", "t3b", "o1"), ("ghost",), ("t3b", "ghost")]
+
+
+def drawn_policy(resources, kind, seed, fail_turn, failing_relevance=False):
+    policy = ScriptedPolicy(ArchetypeConfig(kind=kind, seed=seed), resources)
+    if fail_turn is not None:
+        policy = FailAtTurnPolicy(policy, fail_turn)
+    if failing_relevance:
+        policy = CountingRelevance(policy, fail=True)
+    return policy
 
 
 def turn_with_rank(rank):
@@ -188,7 +289,7 @@ class TestRunEpisode:
 
     def test_policy_error_keeps_partial_trace(self):
         retriever = immediate_hit_retriever()
-        policy = FailAtTurnPolicy("find it", fail_turn=2)
+        policy = FailAtTurnPolicy(ConstantPolicy("find it"), fail_turn=2)
         cfg = EpisodeConfig(k=1, max_turns=5, target_ids=frozenset({"miss1"}))
         result = run_episode(policy, retriever, "find it", cfg)
         assert result.trace.terminal_reason == "policy_error"
@@ -358,7 +459,7 @@ class TestBeamSearch:
 
     def test_all_candidates_failing_ends_policy_error(self):
         retriever, _, cfg = two_branch_fixture()
-        failing = FailAtTurnPolicy("bright start", fail_turn=1)
+        failing = FailAtTurnPolicy(ConstantPolicy("bright start"), fail_turn=1)
         result = beam_search(failing, retriever, "root question", 2, 2, cfg)
         assert result.trace.terminal_reason == "policy_error"
         assert result.trace.state.history == ()
@@ -443,11 +544,62 @@ def test_not_found_rank_recorded_for_absent_target():
 def test_grouped_collection_ends_as_policy_error_when_propose_fails(tree_retriever, fail_turn):
     cfg = EpisodeConfig(k=5, max_turns=5, target_ids=frozenset({"ghost"}))
     trace, groups = collect_grouped_episode(
-        FailAtTurnPolicy(TREE_QUERY, fail_turn), tree_retriever, TREE_QUERY, cfg,
+        FailAtTurnPolicy(ConstantPolicy(TREE_QUERY), fail_turn), tree_retriever, TREE_QUERY, cfg,
         GrpoConfig(group_size=3), derive_rng(0, "fail"),
     )
     assert trace.terminal_reason == "policy_error"
     assert len(groups) == len(trace.state.history) == fail_turn - 1
+
+
+class TestTheWrittenOutLoops:
+    """Beam and grouped runs on the tree corpus equal their written-out loops."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**16),
+        shape=st.sampled_from([(1, 2), (2, 2), (3, 1), (2, 3)]),
+        targets=st.sampled_from(TARGET_SETS),
+        k=st.integers(1, 5),
+        max_turns=st.integers(1, 4),
+        fail_turn=st.sampled_from([None, 1, 2]),
+        failing_relevance=st.booleans(),
+    )
+    def test_beam_search(
+        self, tree_retriever, tree_resources, kind, seed, shape, targets, k, max_turns,
+        fail_turn, failing_relevance,
+    ):
+        cfg = EpisodeConfig(k=k, max_turns=max_turns, target_ids=frozenset(targets))
+        policy = drawn_policy(tree_resources, kind, seed, fail_turn, failing_relevance)
+        want = reference_beam(policy, tree_retriever, TREE_QUERY, *shape, cfg)
+        assert beam_search(policy, tree_retriever, TREE_QUERY, *shape, cfg) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**16),
+        group_size=st.sampled_from([2, 3, 4]),
+        selection=st.sampled_from(["argmax", "proportional"]),
+        advantage_mode=st.sampled_from(["mean_center", "z_score"]),
+        targets=st.sampled_from(TARGET_SETS),
+        k=st.integers(1, 5),
+        max_turns=st.integers(1, 4),
+        fail_turn=st.sampled_from([None, 1, 2]),
+    )
+    def test_grouped_collection(
+        self, tree_retriever, tree_resources, kind, seed, group_size, selection,
+        advantage_mode, targets, k, max_turns, fail_turn,
+    ):
+        cfg = EpisodeConfig(k=k, max_turns=max_turns, target_ids=frozenset(targets))
+        grpo = GrpoConfig(group_size=group_size, selection=selection, advantage_mode=advantage_mode)
+        policy = drawn_policy(tree_resources, kind, seed, fail_turn)
+        want = reference_grouped(
+            policy, tree_retriever, TREE_QUERY, cfg, grpo, derive_rng(seed, "grpo")
+        )
+        trace, groups = collect_grouped_episode(
+            policy, tree_retriever, TREE_QUERY, cfg, grpo, derive_rng(seed, "grpo")
+        )
+        assert (trace, [g.to_dict() for g in groups]) == want
 
 
 # --- the retrieval memo ------------------------------------------------------------
@@ -482,7 +634,7 @@ class TestRetrieverMemo:
         _, groups = collect_grouped_episode(
             policy, retriever, TREE_QUERY, cfg, GrpoConfig(group_size=4), derive_rng(0, "memo")
         )
-        assert [c.query for c in groups[0].candidates] == [TREE_QUERY] * 4
+        assert [t.query for t in groups[0].turns] == [TREE_QUERY] * 4
         assert embed.calls == {TREE_QUERY: 1}
 
     def test_beam_embeds_each_distinct_query_once_per_turn(self, tree_retriever):

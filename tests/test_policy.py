@@ -365,6 +365,13 @@ class TestBaselinePrompts:
         assert "Top-5 results:" in prompt
         assert prompt.endswith("based on the user query.")
 
+    def test_each_turn_numbers_its_results_from_one(self):
+        turn = Turn(think="th", query="qq", results=(RetrievedDoc("alpha"), RetrievedDoc("beta")))
+        prompt = planning_phase_prompt(SearchState("Q", (turn, turn)), k=3)
+        for i in (1, 2):
+            block = f"Turn {i} Analysis: th\nTurn {i} Search Query: qq\nTop-3 results:\n1. alpha\n2. beta\n\n"
+            assert block in prompt
+
     def test_query_prompt_mentions_current_analysis(self):
         state = state_with_sims([0.5])
         prompt = search_query_phase_prompt(state, "fresh analysis", k=5)

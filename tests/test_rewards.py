@@ -224,14 +224,12 @@ class TestCollectGrouped:
         )
         assert 1 <= len(groups) <= 2
         assert len(trace.state.history) == len(groups)
-        for group in groups:
-            assert len(group.candidates) == 4
+        for turn, group in zip(trace.state.history, groups):
+            assert len(group.turns) == len(group.breakdowns) == 4
             assert sum(group.advantages) == pytest.approx(0.0, abs=1e-9)
-            assert group.selected == max(
-                range(4), key=lambda i: (group.rewards()[i], -i)
-            )
-            chosen = group.candidates[group.selected]
-            assert trace.state.history[groups.index(group)].query == chosen.query
+            rewards = [b.reward for b in group.breakdowns]
+            assert group.selected == max(range(4), key=lambda i: (rewards[i], -i))
+            assert group.turns[group.selected] is turn
 
     def test_success_stops_collection(self, tree_retriever, tree_resources):
         policy = ScriptedPolicy(ArchetypeConfig(kind="depth_first", seed=2), tree_resources)

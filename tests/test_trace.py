@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orion.policy import PolicyError, RemotePolicy
 from orion.trace import (
     _ALL_TAG_LITERALS,
     BudgetExceededError,
@@ -15,6 +16,7 @@ from orion.trace import (
     append_turn,
     clean_snippet,
     render_prompt,
+    reserved_literal,
     serialize_spans,
     serialize_trace,
     trace_from_dict,
@@ -143,6 +145,21 @@ class TestParse:
         assert parsed.state.history[0].query == " q "
 
 
+class BaselineEndpoint:
+    """A chat endpoint answering baseline prompts: `query` to the query
+    prompt, `think` to the planning prompt."""
+
+    def __init__(self, think: str, query: str):
+        self.think, self.query = think, query
+        self.prompts: list[str] = []
+
+    def __call__(self, payload: dict) -> dict:
+        prompt = payload["messages"][0]["content"]
+        self.prompts.append(prompt)
+        text = self.query if "Output ONLY the search query" in prompt else self.think
+        return {"choices": [{"message": {"content": text}}]}
+
+
 class TestContentValidation:
     def test_tag_literal_in_think_rejected(self):
         with pytest.raises(TraceError, match="reserved tag"):
@@ -178,6 +195,18 @@ class TestContentValidation:
                     check()
             else:
                 check()
+        assert reserved_literal(text) == (found[0] if found else None)
+        # a remote policy whose think or query holds a literal retries once, then fails
+        # (2 prompts when the think is refused, 4 when the query is)
+        for think, query, prompts in ((f"t{text}", "q", 2), ("t", f"q{text}", 4)):
+            endpoint = BaselineEndpoint(think, query)
+            policy = RemotePolicy("http://e", "m", mode="baseline", post=endpoint, api_key="k")
+            if found:
+                with pytest.raises(PolicyError, match="after retry"):
+                    policy.propose(SearchState(original_query="Q"), 1)
+                assert len(endpoint.prompts) == prompts
+            else:
+                assert len(policy.propose(SearchState(original_query="Q"), 1)) == 1
 
     def test_multiline_result_text_rejected(self):
         with pytest.raises(TraceError, match="single line"):
