@@ -9,12 +9,16 @@ on each step function, and the tests hand-simulate those rules.
 The `variant` argument shifts ranked choices (take the i-th best instead of
 the best) so that a beam expansion of width M gets M distinct continuations.
 
-`BEHAVIORS` is the one list of behaviors, each kind's step function and default
-knobs; a new behavior is one step function plus one row.
+`BEHAVIORS` is the one list of behaviors: each kind's step function, default
+knobs and opening. Seven kinds open by issuing the user's query with a fixed
+think, which `archetype_step` renders from the table on turn 1, so their step
+functions decide only the later turns; the other three (opening None) make
+their own first move. A new behavior is one step function plus one row.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -88,17 +92,10 @@ def step_adaptive_context(
 ) -> Action:
     """Adopt the top tf*idf keywords of the last results into the query.
 
-    Turn 1 issues the original query; later turns append the `adopt_terms`
-    best new terms of the previous turn's result texts (variant shifts the
-    window down the ranking).
+    Each later turn appends the `adopt_terms` best new terms of the previous
+    turn's result texts (variant shifts the window down the ranking).
     """
-    if not state.history:
-        return Action(
-            think=f"Probe the corpus with the user's own wording for '{state.original_query}' "
-            "and learn keywords from whatever comes back.",
-            query=state.original_query,
-        )
-    j = int(cfg.params["adopt_terms"])
+    j = cfg.params["adopt_terms"]
     last = state.history[-1]
     ranked = res.vocab.top_terms(_result_texts(last), j + variant, exclude=tokenize(last.query))
     terms = ranked[variant : variant + j] or ranked[-j:]
@@ -116,19 +113,15 @@ def step_random_walk(
 ) -> Action:
     """Swap one random query token for a corpus-vocabulary neighbor.
 
-    The query is rebuilt from its content tokens; the replaced position and
-    the neighbor are drawn from the per-call seeded generator.
+    Each later turn rebuilds the last query from its content tokens; the
+    replaced position and the neighbor are drawn from the per-call seeded
+    generator.
     """
-    if not state.history:
-        return Action(
-            think="No firm plan; start from the given query and wander from there.",
-            query=state.original_query,
-        )
     tokens = tokenize(state.history[-1].query)
     if not tokens:
         return _fallback(state.original_query, "query has no content tokens")
     idx = rng.randrange(len(tokens))
-    pool = int(cfg.params["neighbor_pool"])
+    pool = cfg.params["neighbor_pool"]
     cands = res.vocab.neighbors(tokens[idx], pool, exclude=tokens)
     if not cands:
         return _fallback(state.original_query, f"no neighbors for '{tokens[idx]}'")
@@ -146,18 +139,12 @@ def step_breadth_first(
 ) -> Action:
     """Survey sibling subtopics of the original query before deepening.
 
-    Siblings are the top `fanout` expansions of q0. Turn 1 issues q0, the
-    following turns visit one sibling each, and once all are visited the
-    best-scoring sibling turn is deepened with its own first expansion.
+    Siblings are the top `fanout` expansions of q0. The turns after the
+    opening visit one sibling each, and once all are visited the best-scoring
+    sibling turn is deepened with its own first expansion.
     """
-    fanout = int(cfg.params["fanout"])
+    fanout = cfg.params["fanout"]
     q0 = state.original_query
-    if not state.history:
-        return Action(
-            think="Map the territory first: issue the original query, then cover each "
-            "sibling subtopic before drilling into any of them.",
-            query=q0,
-        )
     siblings = res.vocab.expansions(q0, fanout)
     if not siblings:
         return _fallback(q0, "no sibling subtopics found")
@@ -235,17 +222,12 @@ def step_wrong_direction(
 ) -> Action:
     """Drift onto tangents, then diagnose the failure when similarity falls.
 
-    While scores are not falling the query chases a weak expansion (the
-    `drift_rank`-th candidate); after a drop the think span names the failure
-    and the query re-anchors to q0 plus the best turn's strongest keyword.
+    After the opening, while scores are not falling the query chases a weak
+    expansion (the `drift_rank`-th candidate); after a drop the think span
+    names the failure and the query re-anchors to q0 plus the best turn's
+    strongest keyword.
     """
     q0 = state.original_query
-    if not state.history:
-        return Action(
-            think="Follow whatever looks interesting and stay alert for signs the "
-            "search is going wrong.",
-            query=q0,
-        )
     sims = _best_sims(state)
     prev = state.history[-1].query
     if len(sims) >= 2 and sims[-1] < sims[-2]:
@@ -256,7 +238,7 @@ def step_wrong_direction(
             "Re-anchoring to the original question.",
             query=f"{q0} {term}" if term else q0,
         )
-    drift_rank = int(cfg.params["drift_rank"])
+    drift_rank = cfg.params["drift_rank"]
     exps = res.vocab.expansions(prev, drift_rank + variant, exclude=_used_terms(state))
     if not exps:
         return _fallback(q0, "no tangent available")
@@ -273,20 +255,14 @@ def step_early_success(
 ) -> Action:
     """Recognize when results already work and refine only minimally.
 
-    Turn 1 validates q0 as-is. Afterwards, if the best similarity is rising
+    After the opening validates q0 as-is, if the best similarity is rising
     (or above `good_sim` on turn 2) the previous query gains one keyword from
     its top result; otherwise the best query so far is re-taken and lightly
     refined the same way.
     """
     q0 = state.original_query
-    if not state.history:
-        return Action(
-            think="Try the original query first; if the results already look successful "
-            "there is no reason to change course, only to refine lightly.",
-            query=q0,
-        )
     sims = _best_sims(state)
-    good = float(cfg.params["good_sim"])
+    good = cfg.params["good_sim"]
     rising = sims[-1] >= sims[-2] if len(sims) >= 2 else sims[-1] >= good
     base_turn = state.history[-1] if rising else _best_turn(state)
     term = _refinement(res, state, base_turn, variant)
@@ -310,16 +286,10 @@ def step_exploitation_heavy(
 ) -> Action:
     """Never explore: always re-optimize the best-scoring query so far.
 
-    Each turn takes the highest-similarity query from the history and appends
-    one fresh keyword from that turn's top result.
+    Each later turn takes the highest-similarity query from the history and
+    appends one fresh keyword from that turn's top result.
     """
     q0 = state.original_query
-    if not state.history:
-        return Action(
-            think="Find one query that works and keep optimizing it rather than "
-            "exploring alternatives.",
-            query=q0,
-        )
     base_turn = _best_turn(state)
     term = _refinement(res, state, base_turn, variant)
     if term is None:
@@ -344,7 +314,7 @@ def step_greedy_hill(
     """
     q0 = state.original_query
     base = state.history[-1].query if state.history else q0
-    edits = res.vocab.expansions(base, int(cfg.params["candidates"]), exclude=_used_terms(state))
+    edits = res.vocab.expansions(base, cfg.params["candidates"], exclude=_used_terms(state))
     if not edits:
         return _fallback(q0, "no candidate edits")
     scored = sorted(
@@ -371,7 +341,7 @@ def step_best_first(
     keyword from its top result.
     """
     q0 = state.original_query
-    pool = [q0] + [f"{q0} {e}" for e in res.vocab.expansions(q0, int(cfg.params["pool_size"]))]
+    pool = [q0] + [f"{q0} {e}" for e in res.vocab.expansions(q0, cfg.params["pool_size"])]
     if not state.history:
         return Action(
             think=f"Holding {len(pool)} candidate directions; starting with the most "
@@ -381,7 +351,7 @@ def step_best_first(
     issued = {t.query for t in state.history}
     unissued = [h for h in pool if h not in issued]
     sims = _best_sims(state)
-    if sims[-1] < float(cfg.params["try_threshold"]) and unissued:
+    if sims[-1] < cfg.params["try_threshold"] and unissued:
         nxt = unissued[variant % len(unissued)]
         return Action(
             think=f"The last hypothesis underperformed; promoting the next one in the "
@@ -405,17 +375,12 @@ def step_multi_beam(
 
     Lane 0 reads keywords out of the last results (q0 plus the top result
     term), lane 1 specializes q0 with its first expansion, lane 2 runs the
-    second expansion as an independent thread. Turn t advances lane (t-1) mod 3.
+    second expansion as an independent thread. Turn t advances lane (t-1) mod 3;
+    lane 0's first turn is the opening.
     """
     q0 = state.original_query
     lane = len(state.history) % 3
     if lane == 0:
-        if not state.history:
-            return Action(
-                think="Running parallel lanes over this topic; lane one starts from the "
-                "original query.",
-                query=q0,
-            )
         term = _top_term(res, _result_texts(state.history[-1]), variant, tokenize(q0))
         if term is None:
             return _fallback(q0, "lane one found no fresh keyword")
@@ -434,21 +399,43 @@ def step_multi_beam(
     )
 
 
-# engine-chosen knobs; the source material never parameterizes the behaviors
-BEHAVIORS: dict[str, tuple[Callable[..., Action], dict[str, float]]] = {
-    "adaptive_context": (step_adaptive_context, {"adopt_terms": 2}),
-    "random_walk": (step_random_walk, {"neighbor_pool": 5}),
-    "breadth_first": (step_breadth_first, {"fanout": 3}),
-    "depth_first": (step_depth_first, {}),
-    "wrong_direction": (step_wrong_direction, {"drift_rank": 4}),
-    "early_success": (step_early_success, {"good_sim": 0.5}),
-    "exploitation_heavy": (step_exploitation_heavy, {}),
-    "greedy_hill": (step_greedy_hill, {"candidates": 3}),
-    "best_first": (step_best_first, {"pool_size": 3, "try_threshold": 0.4}),
-    "multi_beam": (step_multi_beam, {}),
+# (step, knobs, opening): knobs are engine-chosen, as the source material never
+# parameterizes the behaviors; an opening is the turn-1 think that goes with q0,
+# where "{q0}" stands for q0, and None leaves turn 1 to the step
+BEHAVIORS: dict[str, tuple[Callable[..., Action], dict[str, float], str | None]] = {
+    "adaptive_context": (step_adaptive_context, {"adopt_terms": 2},
+        "Probe the corpus with the user's own wording for '{q0}' and learn keywords from "
+        "whatever comes back."),
+    "random_walk": (step_random_walk, {"neighbor_pool": 5},
+        "No firm plan; start from the given query and wander from there."),
+    "breadth_first": (step_breadth_first, {"fanout": 3},
+        "Map the territory first: issue the original query, then cover each sibling "
+        "subtopic before drilling into any of them."),
+    "depth_first": (step_depth_first, {}, None),
+    "wrong_direction": (step_wrong_direction, {"drift_rank": 4},
+        "Follow whatever looks interesting and stay alert for signs the search is going wrong."),
+    "early_success": (step_early_success, {"good_sim": 0.5},
+        "Try the original query first; if the results already look successful there is no "
+        "reason to change course, only to refine lightly."),
+    "exploitation_heavy": (step_exploitation_heavy, {},
+        "Find one query that works and keep optimizing it rather than exploring alternatives."),
+    "greedy_hill": (step_greedy_hill, {"candidates": 3}, None),
+    "best_first": (step_best_first, {"pool_size": 3, "try_threshold": 0.4}, None),
+    "multi_beam": (step_multi_beam, {},
+        "Running parallel lanes over this topic; lane one starts from the original query."),
 }
 
 KINDS = tuple(BEHAVIORS)
+
+
+def _fits_knob(default: float, value: object) -> bool:
+    """Whether `value` may set a knob: an int knob takes an int >= 0, a float
+    knob a finite int or float; a bool is neither."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, int) and value >= 0
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -462,10 +449,14 @@ class ArchetypeConfig:
     def __post_init__(self) -> None:
         if self.kind not in BEHAVIORS:
             raise ValueError(f"unknown archetype {self.kind!r}; expected one of {KINDS}")
-        _, defaults = BEHAVIORS[self.kind]
+        _, defaults, _ = BEHAVIORS[self.kind]
         unknown = set(self.params) - set(defaults)
         if unknown:
             raise ValueError(f"unknown params for {self.kind}: {sorted(unknown)}")
+        for name, value in self.params.items():
+            if not _fits_knob(defaults[name], value):
+                want = "an int >= 0" if isinstance(defaults[name], int) else "a finite number"
+                raise ValueError(f"{self.kind} param {name!r} must be {want}, got {value!r}")
         object.__setattr__(self, "params", {**defaults, **self.params})
 
 
@@ -476,6 +467,11 @@ def archetype_step(
     rng: random.Random,
     variant: int = 0,
 ) -> Action:
-    """Run one behavior step (see the step functions for the per-kind rules)."""
-    step, _ = BEHAVIORS[config.kind]
+    """Run one behavior step: on turn 1 a kind with an opening issues q0 with
+    it, whatever the variant; otherwise the kind's step function decides (see
+    the step functions for the per-kind rules)."""
+    step, _, opening = BEHAVIORS[config.kind]
+    if opening is not None and not state.history:
+        q0 = state.original_query
+        return Action(think=opening.format(q0=q0), query=q0)
     return step(config, state, resources, rng, variant)

@@ -93,17 +93,14 @@ def _build_config(
     return cfg
 
 
-# documents per embedding-service request when a corpus is embedded
+# documents per `embed_batch` call (one service request) when a corpus is embedded
 EMBED_CHUNK = 64
 
 
-def _embed_corpus(cfg: RunConfig, docs: list[Document]) -> dict:
-    """Embed each document's title and text: one call per document on the
-    hash backend, chunks of `EMBED_CHUNK` in document order on the service."""
-    embedder = _query_embedder(cfg)
+def _embed_corpus(embedder, docs: list[Document]) -> dict:
+    """Embed each document's title and text, in chunks of `EMBED_CHUNK` in
+    document order."""
     texts = [f"{d.title} {d.text}".strip() for d in docs]
-    if not isinstance(embedder, EmbeddingServiceClient):
-        return {d.doc_id: embedder(text) for d, text in zip(docs, texts)}
     vectors = []
     for start in range(0, len(docs), EMBED_CHUNK):
         try:
@@ -115,25 +112,27 @@ def _embed_corpus(cfg: RunConfig, docs: list[Document]) -> dict:
     return {d.doc_id: v for d, v in zip(docs, vectors)}
 
 
-def _load_index(cfg: RunConfig) -> tuple[CorpusIndex, TfidfTable]:
+def _load_index(cfg: RunConfig, embedder) -> tuple[CorpusIndex, TfidfTable]:
+    """The index and term table of `cfg.corpus`; documents are embedded with
+    `embedder` unless `cfg.embeddings` holds their vectors."""
     docs = dataio.read_corpus(cfg.corpus)
     if cfg.embeddings:
         embeddings = dataio.read_embeddings(cfg.embeddings)
     else:
-        embeddings = _embed_corpus(cfg, docs)
+        embeddings = _embed_corpus(embedder, docs)
     index = build_index(docs, embeddings)
     return index, TfidfTable.from_documents(docs)
 
 
-def _query_embedder(cfg: RunConfig):
+def _embedder(cfg: RunConfig):
     if cfg.embed_backend == "service":
         return EmbeddingServiceClient(cfg.embed_endpoint, cfg.embed_model or "default")
     return HashEmbedder(cfg.embed_dim)
 
 
 def _retriever(cfg: RunConfig) -> tuple[Retriever, TfidfTable]:
-    index, vocab = _load_index(cfg)
-    embedder = _query_embedder(cfg)
+    embedder = _embedder(cfg)
+    index, vocab = _load_index(cfg, embedder)
     # a mismatch would fail every query; a service's dim is known only from its replies
     if isinstance(embedder, HashEmbedder) and embedder.dim != index.dim:
         raise ConfigError(f"{cfg.embeddings}: dim {index.dim}, but embed_dim is {embedder.dim}")
@@ -189,7 +188,7 @@ def _read_episode_log(path: str) -> list[tuple[str, EpisodeResult]]:
 
 def cmd_index(args: argparse.Namespace) -> int:
     cfg = _build_config(args, needs=("corpus",))
-    index, _ = _load_index(cfg)
+    index, _ = _load_index(cfg, _embedder(cfg))
     out = _out_dir(cfg) / "index"
     out.mkdir(parents=True, exist_ok=True)
     embeddings = {d.doc_id: index.embedding_of(d.doc_id) for d in index.documents}
@@ -266,6 +265,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     unknown = [kind for kind in kinds if kind not in KINDS]
     if unknown:
         raise ConfigError(f"unknown archetypes {unknown}; expected some of {KINDS}")
+    repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
+    if repeated:
+        raise ConfigError(f"archetypes repeated: {repeated}")
+    if args.sft_total is not None and args.sft_total < 1:
+        raise ConfigError(f"sft_total must be >= 1, got {args.sft_total}")
     retriever, vocab = _retriever(cfg)
     resources = PolicyResources(vocab=vocab, probe=retriever.best_similarity)
 
@@ -288,7 +292,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = _out_dir(cfg)
     _write_log(out / "pool.jsonl", cfg, [r.to_dict() for r in pool.records])
     print(f"pool of {len(pool)} trajectories -> {out / 'pool.jsonl'}")
-    if args.sft_total:
+    if args.sft_total is not None:
         share = 1.0 / len(kinds)
         manifest = DatasetManifest({k: share for k in kinds}, args.sft_total)
         sft = sample_sft_dataset(pool, manifest, seed=cfg.seed)
@@ -336,12 +340,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _build_config(args, check_paths=False)
     episodes = _read_episode_log(args.episodes)
-    corpus_size = args.corpus_size
-    if corpus_size is None:
-        if not cfg.corpus:
-            raise ConfigError("report needs --corpus or --corpus-size")
-        corpus_size = len(dataio.read_corpus(cfg.corpus))
-    report = analyze_behavior(episodes, corpus_size, relaxed_stagnation=args.relaxed_stagnation)
+    report = analyze_behavior(episodes, relaxed_stagnation=args.relaxed_stagnation)
     out = _out_dir(cfg)
     write_behavior_report(report, out, meta=cfg.meta())
     print(json.dumps(report.summary(), sort_keys=True))
@@ -373,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("eval", "report"):
             p.add_argument("--episodes", required=True, help="episode log (episodes.jsonl)")
         if name == "report":
-            p.add_argument("--corpus-size", type=int, help="corpus size |C| (else from --corpus)")
             p.add_argument("--relaxed-stagnation", action="store_true")
     return parser
 

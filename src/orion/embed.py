@@ -91,6 +91,9 @@ class HashEmbedder:
             vec[0] = 1.0
         return vec / np.linalg.norm(vec)
 
+    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+        return [self(text) for text in texts]
+
 
 class EmbeddingServiceClient:
     """Client for the prevailing embeddings wire convention."""

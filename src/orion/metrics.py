@@ -123,9 +123,9 @@ def evaluate_episodes(
 # --- behavioral analytics -------------------------------------------------------
 
 
-def goodness_from_ranks(ranks: Sequence[int], corpus_size: int) -> list[float]:
+def goodness_from_ranks(ranks: Sequence[int]) -> list[float]:
     """Per-turn goodness: negative rank, NOT_FOUND pinned to the worst value."""
-    return [-float(corpus_size) if r == NOT_FOUND else -float(r) for r in ranks]
+    return [-math.inf if r == NOT_FOUND else -float(r) for r in ranks]
 
 
 def detect_backtracking(goodness: Sequence[float]) -> int:
@@ -215,7 +215,7 @@ class BehaviorReport:
 
 def analyze_behavior(
     episodes: Sequence[tuple[str, EpisodeResult]],
-    corpus_size: int,
+    *,
     relaxed_stagnation: bool = False,
 ) -> BehaviorReport:
     """Aggregate the behavior measures over an episode log.
@@ -232,7 +232,7 @@ def analyze_behavior(
         if len(ranks) != len(result.per_turn_ranks) or not ranks:
             continue
         with_ranks += 1
-        if detect_backtracking(goodness_from_ranks(ranks, corpus_size)) >= 1:
+        if detect_backtracking(goodness_from_ranks(ranks)) >= 1:
             backtracked += 1
         if rank_stagnation(ranks, relaxed=relaxed_stagnation):
             stagnant += 1

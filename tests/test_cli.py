@@ -17,6 +17,7 @@ from orion.engine import EpisodeResult, episode_to_dict
 from orion.metrics import analyze_behavior, evaluate_episodes
 from orion.trace import TERMINAL_POLICY_ERROR, SearchState, TraceDocument
 
+from cli_digests import seeded_inputs
 from conftest import write_corpus
 
 
@@ -86,7 +87,7 @@ def test_policy_params_flag_takes_a_json_object(capsys, text):
 
 
 def test_flags_override_the_config_file_before_validation(tmp_path):
-    inputs = _seeded_inputs(tmp_path)
+    inputs = seeded_inputs(tmp_path)
     (tmp_path / "c.json").write_text(json.dumps({"k": 0, "max_turns": 2}))
     argv = ["run", *inputs, "--config", str(tmp_path / "c.json"), "--top-k", "3"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
@@ -108,27 +109,6 @@ def test_index_of_an_orne_input_writes_the_same_bytes(tmp_path):
             "--embeddings", str(source), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
     assert (tmp_path / "out" / "index" / "embeddings.orne").read_bytes() == source.read_bytes()
-
-
-def _seeded_inputs(tmp_path) -> list[str]:
-    """A small corpus of three topics, with queries and qrels, as CLI flags."""
-    rng = np.random.default_rng(5)
-    topics = [["neural", "network", "training"], ["ocean", "coral", "reef"], ["stock", "market", "bond"]]
-    filler = ["alpha", "bravo", "delta", "gamma", "kappa", "sigma", "omega", "theta"]
-    docs, qrels = [], []
-    for i in range(36):
-        words = topics[i % 3] + list(rng.choice(filler, size=4)) + [f"tag{i}"]
-        docs.append(Document(f"d{i:02d}", " ".join(rng.permutation(words))))
-    write_corpus(docs, tmp_path / "corpus.jsonl")
-    with open(tmp_path / "queries.jsonl", "w") as fh:
-        for q in range(6):
-            target = f"d{q * 5:02d}"
-            text = f"{topics[q * 5 % 3][0]} {filler[q]}"
-            fh.write(json.dumps({"_id": f"q{q}", "text": text}) + "\n")
-            qrels.append(f"q{q}\t{target}\t1\n")
-    (tmp_path / "qrels.tsv").write_text("".join(qrels))
-    return ["--corpus", str(tmp_path / "corpus.jsonl"), "--queries", str(tmp_path / "queries.jsonl"),
-            "--qrels", str(tmp_path / "qrels.tsv"), "--embed-dim", "64", "--seed", "3"]
 
 
 # the log each batch command writes
@@ -156,7 +136,7 @@ def _records_after_meta(path) -> bytes:
     ],
 )
 def test_reruns_write_identical_records(tmp_path, command, log, extra):
-    inputs = _seeded_inputs(tmp_path)
+    inputs = seeded_inputs(tmp_path)
     written = []
     for rerun in ("a", "b"):
         out = tmp_path / rerun
@@ -167,7 +147,7 @@ def test_reruns_write_identical_records(tmp_path, command, log, extra):
 
 @pytest.mark.parametrize("command", list(LOGS))
 def test_worker_pool_writes_the_serial_records(tmp_path, command):
-    inputs = _seeded_inputs(tmp_path)
+    inputs = seeded_inputs(tmp_path)
     written = []
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
@@ -187,7 +167,7 @@ BAD_QUERY = "coral zulu"
 def test_a_failing_query_leaves_the_rest_of_the_batch_logged(
     tmp_path, monkeypatch, capsys, command, workers
 ):
-    inputs = _seeded_inputs(tmp_path)
+    inputs = seeded_inputs(tmp_path)
     argv = [command, *inputs, "--policy", "adaptive_context", "--workers", workers]
     assert main([*argv, "--out", str(tmp_path / "clean")]) == 0
     queries = (tmp_path / "queries.jsonl").read_text().splitlines(keepends=True)
@@ -213,7 +193,7 @@ def test_a_failing_query_leaves_the_rest_of_the_batch_logged(
 
 
 def test_generate_clips_queries_to_the_configured_length(tmp_path):
-    inputs = _seeded_inputs(tmp_path)
+    inputs = seeded_inputs(tmp_path)
     (tmp_path / "clip.json").write_text(json.dumps({"max_query_chars": 25}))
     lengths = {}
     for name, extra in (("default", []), ("clipped", ["--config", str(tmp_path / "clip.json")])):
@@ -224,7 +204,7 @@ def test_generate_clips_queries_to_the_configured_length(tmp_path):
 
 
 def test_eval_and_report_of_a_beam_log_match_the_in_memory_episodes(tmp_path, monkeypatch):
-    inputs = _seeded_inputs(tmp_path)
+    inputs = seeded_inputs(tmp_path)
     logged = []
 
     def capture(qid, result):
@@ -235,12 +215,13 @@ def test_eval_and_report_of_a_beam_log_match_the_in_memory_episodes(tmp_path, mo
     log_path = tmp_path / "beam" / "episodes.jsonl"
     assert main(["beam", *inputs, "--beam-size", "2", "--expansion", "2", "--out", str(log_path.parent)]) == 0
     assert main(["eval", *inputs, "--episodes", str(log_path), "--out", str(tmp_path / "eval")]) == 0
+    monkeypatch.setattr(dataio, "read_corpus", _no_corpus)  # report reads only its log
     argv = ["report", *inputs, "--episodes", str(log_path), "--out", str(tmp_path / "report")]
     assert main(argv) == 0
 
     qrels = dataio.read_qrels(tmp_path / "qrels.tsv")
     want_metrics = evaluate_episodes(logged, qrels, RunConfig().k).summary()
-    want_behavior = analyze_behavior(logged, corpus_size=36).summary()
+    want_behavior = analyze_behavior(logged).summary()
     metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
     behavior = json.loads((tmp_path / "report" / "behavior.json").read_text())
     assert len(logged) == 6 and want_behavior["successful_episodes"] > 0
@@ -248,9 +229,13 @@ def test_eval_and_report_of_a_beam_log_match_the_in_memory_episodes(tmp_path, mo
     assert {k: behavior[k] for k in want_behavior} == want_behavior
 
 
+def _no_corpus(path):
+    raise AssertionError(f"{path} was read")
+
+
 def _episode_log(tmp_path, edit) -> str:
     """A one-episode `run` log with `edit` applied to its episode record."""
-    inputs = _seeded_inputs(tmp_path)
+    inputs = seeded_inputs(tmp_path)
     assert main(["run", *inputs, "--out", str(tmp_path / "run")]) == 0
     meta, first, *_ = (tmp_path / "run" / "episodes.jsonl").read_text().splitlines()
     record = json.loads(first)
@@ -289,8 +274,6 @@ def _wrong_ranks(record):
 def test_a_malformed_episode_log_names_its_file_and_line(tmp_path, capsys, command, edit, cause):
     path = _episode_log(tmp_path, edit)
     argv = [command, "--qrels", str(tmp_path / "qrels.tsv")]
-    if command == "report":
-        argv += ["--corpus-size", "36"]
     capsys.readouterr()
     assert main([*argv, "--episodes", path, "--out", str(tmp_path / "out")]) == 1
     [error] = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
@@ -299,8 +282,12 @@ def test_a_malformed_episode_log_names_its_file_and_line(tmp_path, capsys, comma
     assert cause in error["error"]
 
 
-def _no_index(cfg):
+def _no_index(*args):
     raise AssertionError("an index was built for a run that cannot start")
+
+
+def _params(kind: str, params: str) -> list[str]:
+    return ["--policy", kind, "--policy-params", params]
 
 
 @pytest.mark.parametrize(
@@ -322,17 +309,39 @@ def _no_index(cfg):
         ("run", ["--policy", "remote"], None,
          {"remote_endpoint": "http://localhost:1", "policy_params": {"adopt_terms": 3}},
          "policy_params apply to archetype policies, not 'remote'"),
+        # each knob takes its default's type: an int >= 0, or a finite number
+        ("run", _params("breadth_first", '{"fanout": "x"}'), None, {},
+         "breadth_first param 'fanout' must be an int >= 0, got 'x'"),
+        ("run", _params("breadth_first", '{"fanout": 1.9}'), None, {},
+         "breadth_first param 'fanout' must be an int >= 0, got 1.9"),
+        ("run", _params("breadth_first", '{"fanout": -2}'), None, {},
+         "breadth_first param 'fanout' must be an int >= 0, got -2"),
+        ("beam", _params("breadth_first", '{"fanout": true}'), None, {},
+         "breadth_first param 'fanout' must be an int >= 0, got True"),
+        ("run", _params("early_success", '{"good_sim": true}'), None, {},
+         "early_success param 'good_sim' must be a finite number, got True"),
+        ("grpo-collect", _params("best_first", '{"try_threshold": NaN}'), None, {},
+         "best_first param 'try_threshold' must be a finite number, got nan"),
+        ("run", ["--policy", "greedy_hill"], None, {"policy_params": {"candidates": "3"}},
+         "greedy_hill param 'candidates' must be an int >= 0, got '3'"),
+        ("generate", _params("random_walk", '{"neighbor_pool": 2.0}'), None, {},
+         "random_walk param 'neighbor_pool' must be an int >= 0, got 2.0"),
+        ("generate", ["--archetypes", "adaptive_context,adaptive_context", "--sft-total", "2"],
+         None, {}, "archetypes repeated: ['adaptive_context']"),
+        ("generate", ["--sft-total", "0"], None, {}, "sft_total must be >= 1, got 0"),
+        ("generate", ["--sft-total", "-1"], None, {}, "sft_total must be >= 1, got -1"),
     ],
 )
 def test_bad_settings_fail_before_any_work(
     tmp_path, monkeypatch, capsys, command, flags, drop, config, message
 ):
-    inputs = _seeded_inputs(tmp_path)
+    inputs = seeded_inputs(tmp_path)
     if drop:
         at = inputs.index(drop)
         inputs = inputs[:at] + inputs[at + 2:]
     (tmp_path / "config.json").write_text(json.dumps(config))
     monkeypatch.setattr(cli, "_load_index", _no_index)
+    monkeypatch.setattr(cli, "build_index", _no_index)
     capsys.readouterr()
     argv = [command, *inputs, *flags, "--config", str(tmp_path / "config.json")]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
@@ -344,7 +353,7 @@ def test_bad_settings_fail_before_any_work(
 
 @pytest.mark.parametrize("command", ["run", "grpo-collect"])
 def test_embeddings_of_another_dim_fail_before_any_episode(tmp_path, capsys, command):
-    inputs = _seeded_inputs(tmp_path)  # queries are hash-embedded at --embed-dim 64
+    inputs = seeded_inputs(tmp_path)  # queries are hash-embedded at --embed-dim 64
     docs = dataio.read_corpus(tmp_path / "corpus.jsonl")
     embedder = HashEmbedder(32)
     dataio.write_embeddings({d.doc_id: embedder(d.text) for d in docs}, tmp_path / "emb.orne")
@@ -358,7 +367,7 @@ def test_embeddings_of_another_dim_fail_before_any_episode(tmp_path, capsys, com
 
 
 def test_generate_gives_policy_params_to_the_policy_kind_only(tmp_path):
-    inputs = _seeded_inputs(tmp_path)
+    inputs = seeded_inputs(tmp_path)
     (tmp_path / "params.json").write_text(json.dumps({"policy_params": {"adopt_terms": 3}}))
     pools = {}
     for name, extra in (("default", []), ("params", ["--config", str(tmp_path / "params.json")])):
@@ -385,7 +394,7 @@ def test_eval_and_report_of_a_log_that_issued_no_query(tmp_path, records):
     qrels.write_text("q0\td00\t1\n")
     common = ["--qrels", str(qrels), "--episodes", str(log_path)]
     assert main(["eval", *common, "--out", str(tmp_path / "eval")]) == 0
-    assert main(["report", *common, "--corpus-size", "36", "--out", str(tmp_path / "report")]) == 0
+    assert main(["report", *common, "--out", str(tmp_path / "report")]) == 0
     behavior = json.loads((tmp_path / "report" / "behavior.json").read_text())
     assert behavior["episodes"] == len(records)
     assert behavior["query_length"] is None
@@ -419,14 +428,35 @@ def _service_config(n_docs: int, tmp_path) -> tuple[RunConfig, list[Document]]:
 def test_service_corpus_embeddings_are_batched(tmp_path, monkeypatch, n_docs):
     cfg, docs = _service_config(n_docs, tmp_path)
     requests = _fake_embedding_service(monkeypatch)
-    batched = cli._embed_corpus(cfg, docs)
+    batched = cli._embed_corpus(cli._embedder(cfg), docs)
     texts = [f"{d.title} {d.text}" for d in docs]
     assert requests == [texts[i : i + cli.EMBED_CHUNK] for i in range(0, n_docs, cli.EMBED_CHUNK)]
     assert len(requests) == math.ceil(n_docs / cli.EMBED_CHUNK)
-    client = cli._query_embedder(cfg)
+    client = cli._embedder(cfg)
     assert list(batched) == [d.doc_id for d in docs]
     for doc, text in zip(docs, texts):
         assert np.array_equal(batched[doc.doc_id], client(text))
+
+
+@pytest.mark.parametrize("command", ["index", "run", "generate"])
+def test_one_embedder_serves_the_corpus_and_the_queries(tmp_path, monkeypatch, command):
+    inputs = seeded_inputs(tmp_path)
+    built, batches = [], []
+    make, embed_batch = cli._embedder, HashEmbedder.embed_batch
+
+    def counting_make(cfg):
+        built.append(make(cfg))
+        return built[-1]
+
+    def counting_batch(self, texts):
+        batches.append(len(texts))
+        return embed_batch(self, texts)
+
+    monkeypatch.setattr(cli, "_embedder", counting_make)
+    monkeypatch.setattr(HashEmbedder, "embed_batch", counting_batch)
+    assert main([command, *inputs, "--out", str(tmp_path / "out")]) == 0
+    assert len(built) == 1
+    assert batches == [36]  # the corpus, in one chunk of at most EMBED_CHUNK
 
 
 def test_a_failed_embedding_chunk_names_its_first_document(tmp_path, monkeypatch, capsys):

@@ -31,7 +31,8 @@ def test_hash_memo_leaves_vectors_bitwise_equal():
         cold = [embedder(t) for t in texts]
         warm = [embedder(t) for t in texts]
         fresh = [HashEmbedder(dim)(t) for t in texts]
-        for text, a, b, c in zip(texts, cold, warm, fresh):
+        batch = HashEmbedder(dim).embed_batch(texts)
+        for text, a, b, c, d in zip(texts, cold, warm, fresh, batch, strict=True):
             expected = _inline_hash_embedding(text, dim)
-            for vec in (a, b, c):
+            for vec in (a, b, c, d):
                 assert vec.tobytes() == expected.tobytes()

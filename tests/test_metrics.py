@@ -106,9 +106,17 @@ class TestBacktracking:
             detect_backtracking([])
 
     def test_absence_is_the_worst_goodness(self):
-        goodness = goodness_from_ranks([3, NOT_FOUND, 0], corpus_size=10)
-        assert goodness == [-3.0, -10.0, -0.0]
+        goodness = goodness_from_ranks([3, NOT_FOUND, 0])
+        assert goodness == [-3.0, -math.inf, -0.0]
         assert detect_backtracking(goodness) == 1
+
+    @pytest.mark.parametrize(
+        "ranks, dips",
+        [([10, NOT_FOUND, 12], 1), ([NOT_FOUND, NOT_FOUND, 4], 0), ([4, NOT_FOUND, NOT_FOUND], 0)],
+    )
+    def test_absence_is_worse_than_any_rank(self, ranks, dips):
+        # a corpus size stood in for absence before, and a too-small one hid this dip
+        assert detect_backtracking(goodness_from_ranks(ranks)) == dips
 
 
 class TestStagnation:
@@ -165,7 +173,7 @@ class TestAnalyzeBehavior:
             ("partly ranked", episode([None, 3])),
             ("won", episode([0], "success")),
         ]
-        report = analyze_behavior(episodes, corpus_size=10)
+        report = analyze_behavior(episodes)
         assert report.episodes == 5
         assert report.backtrack_rate == pytest.approx(1 / 3)
         assert report.stagnation_rate == pytest.approx(1 / 3)
@@ -176,17 +184,17 @@ class TestAnalyzeBehavior:
 
     def test_relaxed_stagnation(self):
         episodes = [("a", episode([4, 4, 5])), ("b", episode([1, 2]))]
-        assert analyze_behavior(episodes, 10).stagnation_rate == 0.0
-        assert analyze_behavior(episodes, 10, relaxed_stagnation=True).stagnation_rate == 0.5
+        assert analyze_behavior(episodes).stagnation_rate == 0.0
+        assert analyze_behavior(episodes, relaxed_stagnation=True).stagnation_rate == 0.5
 
     @pytest.mark.parametrize("episodes", [[], [("a", episode([], "policy_error"))]])
     def test_a_log_without_queries_has_no_query_lengths(self, episodes):
-        report = analyze_behavior(episodes, 10)
+        report = analyze_behavior(episodes)
         assert report.query_length is None
         assert report.summary()["query_length"] is None
         assert report.episodes == len(episodes)
 
     def test_summary_flags_no_successes(self):
-        summary = analyze_behavior([("a", episode([1, 2]))], 10).summary()
+        summary = analyze_behavior([("a", episode([1, 2]))]).summary()
         assert summary["no_successes"] is True
         assert summary["turnwise_success"] == {}

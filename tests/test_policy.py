@@ -90,6 +90,25 @@ class TestArchetypeConfig:
         cfg = ArchetypeConfig(kind="greedy_hill", params={"candidates": 5})
         assert cfg.params["candidates"] == 5
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("breadth_first", {"fanout": 0}), ("early_success", {"good_sim": 1}),
+         ("best_first", {"pool_size": 2, "try_threshold": -0.5})],
+    )
+    def test_a_knob_takes_its_defaults_type(self, kind, params):
+        # an int is a float knob's value as given: params are hashed as given
+        assert ArchetypeConfig(kind=kind, params=params).params.items() >= params.items()
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [({"candidates": 2.0}, "must be an int >= 0, got 2.0"),
+         ({"candidates": False}, "must be an int >= 0, got False"),
+         ({"candidates": -1}, "must be an int >= 0, got -1")],
+    )
+    def test_a_knob_of_another_type_is_refused(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            ArchetypeConfig(kind="greedy_hill", params=params)
+
 
 class TestPropose:
     def test_depth_first_turn_one_hand_simulated(self, tree_resources):
@@ -123,6 +142,114 @@ class TestPropose:
     def test_action_requires_query(self):
         with pytest.raises(ValueError, match="non-empty"):
             Action(think="t", query="   ")
+
+
+# A q0 that a format or %-interpolation of an already-rendered think would garble.
+ODD_QUERY = "machine learning {for} 'beginners' {q0} at 100%s"
+
+# The opening thinks, kept byte for byte from before the openings became a column
+# of `BEHAVIORS`; the seven kinds that open with q0 issue it as is.
+OPENS_WITH_Q0 = {
+    "adaptive_context": {
+        TREE_QUERY: "Probe the corpus with the user's own wording for 'machine learning for "
+        "beginners' and learn keywords from whatever comes back.",
+        ODD_QUERY: "Probe the corpus with the user's own wording for 'machine learning {for} "
+        "'beginners' {q0} at 100%s' and learn keywords from whatever comes back.",
+    },
+    "random_walk": "No firm plan; start from the given query and wander from there.",
+    "breadth_first": "Map the territory first: issue the original query, then cover each "
+    "sibling subtopic before drilling into any of them.",
+    "wrong_direction": "Follow whatever looks interesting and stay alert for signs the search "
+    "is going wrong.",
+    "early_success": "Try the original query first; if the results already look successful "
+    "there is no reason to change course, only to refine lightly.",
+    "exploitation_heavy": "Find one query that works and keep optimizing it rather than "
+    "exploring alternatives.",
+    "multi_beam": "Running parallel lanes over this topic; lane one starts from the original "
+    "query.",
+}
+
+# The other three kinds' own first moves, variants 0-2, on the tree corpus.
+OWN_OPENINGS = {
+    ("depth_first", TREE_QUERY): [
+        ("Commit to one line of attack: start from 'machine learning' and keep specializing, "
+         "first with 'neural'.", "machine learning neural"),
+        ("Commit to one line of attack: start from 'machine learning' and keep specializing, "
+         "first with 'transformers'.", "machine learning transformers"),
+        ("Commit to one line of attack: start from 'machine learning' and keep specializing, "
+         "first with 'attention'.", "machine learning attention"),
+    ],
+    ("greedy_hill", TREE_QUERY): [
+        ("Tested 3 candidate refinements of 'machine learning for beginners'; 'neural' "
+         "retrieved best (similarity 0.671), so climbing that way.",
+         "machine learning for beginners neural"),
+        ("Tested 3 candidate refinements of 'machine learning for beginners'; 'transformers' "
+         "retrieved best (similarity 0.600), so climbing that way.",
+         "machine learning for beginners transformers"),
+        ("Tested 3 candidate refinements of 'machine learning for beginners'; 'attention' "
+         "retrieved best (similarity 0.548), so climbing that way.",
+         "machine learning for beginners attention"),
+    ],
+    ("best_first", TREE_QUERY): [
+        ("Holding 4 candidate directions; starting with the most direct one and ranking the "
+         "rest as evidence arrives.", "machine learning for beginners"),
+        ("Holding 4 candidate directions; starting with the most direct one and ranking the "
+         "rest as evidence arrives.", "machine learning for beginners neural"),
+        ("Holding 4 candidate directions; starting with the most direct one and ranking the "
+         "rest as evidence arrives.", "machine learning for beginners transformers"),
+    ],
+    ("depth_first", ODD_QUERY): [
+        ("Commit to one line of attack: start from 'machine learning' and keep specializing, "
+         "first with 'neural'.", "machine learning neural"),
+        ("Commit to one line of attack: start from 'machine learning' and keep specializing, "
+         "first with 'transformers'.", "machine learning transformers"),
+        ("Commit to one line of attack: start from 'machine learning' and keep specializing, "
+         "first with 'attention'.", "machine learning attention"),
+    ],
+    ("greedy_hill", ODD_QUERY): [
+        ("Tested 3 candidate refinements of 'machine learning {for} 'beginners' {q0} at "
+         "100%s'; 'neural' retrieved best (similarity 0.500), so climbing that way.",
+         "machine learning {for} 'beginners' {q0} at 100%s neural"),
+        ("Tested 3 candidate refinements of 'machine learning {for} 'beginners' {q0} at "
+         "100%s'; 'transformers' retrieved best (similarity 0.447), so climbing that way.",
+         "machine learning {for} 'beginners' {q0} at 100%s transformers"),
+        ("Tested 3 candidate refinements of 'machine learning {for} 'beginners' {q0} at "
+         "100%s'; 'attention' retrieved best (similarity 0.408), so climbing that way.",
+         "machine learning {for} 'beginners' {q0} at 100%s attention"),
+    ],
+    ("best_first", ODD_QUERY): [
+        ("Holding 4 candidate directions; starting with the most direct one and ranking the "
+         "rest as evidence arrives.", "machine learning {for} 'beginners' {q0} at 100%s"),
+        ("Holding 4 candidate directions; starting with the most direct one and ranking the "
+         "rest as evidence arrives.", "machine learning {for} 'beginners' {q0} at 100%s neural"),
+        ("Holding 4 candidate directions; starting with the most direct one and ranking the "
+         "rest as evidence arrives.", "machine learning {for} 'beginners' {q0} at 100%s transformers"),
+    ],
+}
+
+
+def test_the_pins_cover_every_kind():
+    assert set(OPENS_WITH_Q0) | {kind for kind, _ in OWN_OPENINGS} == set(KINDS)
+
+
+@pytest.mark.parametrize("q0", [TREE_QUERY, ODD_QUERY], ids=["tree", "odd"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_turn_one_actions_are_pinned(tree_resources, kind, q0):
+    policy = ScriptedPolicy(ArchetypeConfig(kind=kind, seed=7), tree_resources)
+    actions = [(a.think, a.query) for a in policy.propose(SearchState(original_query=q0), 3)]
+    if kind in OPENS_WITH_Q0:
+        think = OPENS_WITH_Q0[kind]
+        want = [(think[q0] if isinstance(think, dict) else think, q0)] * 3
+    else:
+        want = OWN_OPENINGS[kind, q0]
+    assert actions == want
+
+
+@pytest.mark.parametrize("kind", OPENS_WITH_Q0)
+def test_an_opening_query_is_clipped(tree_resources, kind):
+    policy = ScriptedPolicy(ArchetypeConfig(kind=kind), tree_resources, max_query_chars=18)
+    [action] = policy.propose(SearchState(original_query=TREE_QUERY), 1)
+    assert action.query == clip_query(TREE_QUERY, 18) == "machine learning"
 
 
 class TestArchetypeSteps:
