@@ -9,11 +9,12 @@ on each step function, and the tests hand-simulate those rules.
 The `variant` argument shifts ranked choices (take the i-th best instead of
 the best) so that a beam expansion of width M gets M distinct continuations.
 
-`BEHAVIORS` is the one list of behaviors: each kind's step function, default
-knobs and opening. Seven kinds open by issuing the user's query with a fixed
-think, which `archetype_step` renders from the table on turn 1, so their step
-functions decide only the later turns; the other three (opening None) make
-their own first move. A new behavior is one step function plus one row.
+`BEHAVIORS` is the one list of behaviors: each kind's step function, knobs
+(each with its default and, for a count, its lowest value) and opening.
+Seven kinds open by issuing the user's query with a fixed think, which
+`archetype_step` renders from the table on turn 1, so their step functions
+decide only the later turns; the other three (opening None) make their own
+first move. A new behavior is one step function plus one row.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .trace import Action, SearchState, Turn
 from .vocab import TfidfTable, head_phrase, tokenize
@@ -399,28 +400,38 @@ def step_multi_beam(
     )
 
 
+class Knob(NamedTuple):
+    """A behavior's knob: its default, and for an int knob its lowest
+    meaningful value (a float knob takes any finite number)."""
+
+    default: float
+    floor: int | None = None
+
+
 # (step, knobs, opening): knobs are engine-chosen, as the source material never
 # parameterizes the behaviors; an opening is the turn-1 think that goes with q0,
-# where "{q0}" stands for q0, and None leaves turn 1 to the step
-BEHAVIORS: dict[str, tuple[Callable[..., Action], dict[str, float], str | None]] = {
-    "adaptive_context": (step_adaptive_context, {"adopt_terms": 2},
+# where "{q0}" stands for q0, and None leaves turn 1 to the step. A count knob
+# at 0 would leave its step nothing to choose from, so it starts at 1; a pool
+# of q0 alone is a pool, so pool_size starts at 0
+BEHAVIORS: dict[str, tuple[Callable[..., Action], dict[str, Knob], str | None]] = {
+    "adaptive_context": (step_adaptive_context, {"adopt_terms": Knob(2, floor=1)},
         "Probe the corpus with the user's own wording for '{q0}' and learn keywords from "
         "whatever comes back."),
-    "random_walk": (step_random_walk, {"neighbor_pool": 5},
+    "random_walk": (step_random_walk, {"neighbor_pool": Knob(5, floor=1)},
         "No firm plan; start from the given query and wander from there."),
-    "breadth_first": (step_breadth_first, {"fanout": 3},
+    "breadth_first": (step_breadth_first, {"fanout": Knob(3, floor=1)},
         "Map the territory first: issue the original query, then cover each sibling "
         "subtopic before drilling into any of them."),
     "depth_first": (step_depth_first, {}, None),
-    "wrong_direction": (step_wrong_direction, {"drift_rank": 4},
+    "wrong_direction": (step_wrong_direction, {"drift_rank": Knob(4, floor=1)},
         "Follow whatever looks interesting and stay alert for signs the search is going wrong."),
-    "early_success": (step_early_success, {"good_sim": 0.5},
+    "early_success": (step_early_success, {"good_sim": Knob(0.5)},
         "Try the original query first; if the results already look successful there is no "
         "reason to change course, only to refine lightly."),
     "exploitation_heavy": (step_exploitation_heavy, {},
         "Find one query that works and keep optimizing it rather than exploring alternatives."),
-    "greedy_hill": (step_greedy_hill, {"candidates": 3}, None),
-    "best_first": (step_best_first, {"pool_size": 3, "try_threshold": 0.4}, None),
+    "greedy_hill": (step_greedy_hill, {"candidates": Knob(3, floor=1)}, None),
+    "best_first": (step_best_first, {"pool_size": Knob(3, floor=0), "try_threshold": Knob(0.4)}, None),
     "multi_beam": (step_multi_beam, {},
         "Running parallel lanes over this topic; lane one starts from the original query."),
 }
@@ -428,13 +439,13 @@ BEHAVIORS: dict[str, tuple[Callable[..., Action], dict[str, float], str | None]]
 KINDS = tuple(BEHAVIORS)
 
 
-def _fits_knob(default: float, value: object) -> bool:
-    """Whether `value` may set a knob: an int knob takes an int >= 0, a float
-    knob a finite int or float; a bool is neither."""
+def _fits_knob(knob: Knob, value: object) -> bool:
+    """Whether `value` may set a knob: an int knob takes an int >= its
+    floor, a float knob a finite int or float; a bool is neither."""
     if isinstance(value, bool):
         return False
-    if isinstance(default, int):
-        return isinstance(value, int) and value >= 0
+    if isinstance(knob.default, int):
+        return isinstance(value, int) and value >= knob.floor
     return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
 
 
@@ -449,14 +460,16 @@ class ArchetypeConfig:
     def __post_init__(self) -> None:
         if self.kind not in BEHAVIORS:
             raise ValueError(f"unknown archetype {self.kind!r}; expected one of {KINDS}")
-        _, defaults, _ = BEHAVIORS[self.kind]
-        unknown = set(self.params) - set(defaults)
+        _, knobs, _ = BEHAVIORS[self.kind]
+        unknown = set(self.params) - set(knobs)
         if unknown:
             raise ValueError(f"unknown params for {self.kind}: {sorted(unknown)}")
         for name, value in self.params.items():
-            if not _fits_knob(defaults[name], value):
-                want = "an int >= 0" if isinstance(defaults[name], int) else "a finite number"
+            knob = knobs[name]
+            if not _fits_knob(knob, value):
+                want = f"an int >= {knob.floor}" if isinstance(knob.default, int) else "a finite number"
                 raise ValueError(f"{self.kind} param {name!r} must be {want}, got {value!r}")
+        defaults = {name: knob.default for name, knob in knobs.items()}
         object.__setattr__(self, "params", {**defaults, **self.params})
 
 

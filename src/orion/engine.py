@@ -19,10 +19,10 @@ its top-k: the index derives both from one score order. A retrieval repeated
 within the last `RETRIEVE_MEMO_SIZE` distinct ones (a GRPO group or beam turn
 whose candidates issue the same query, archetypes that open with the user's
 query) is answered from `Retriever`'s memo without a new embedding or scan.
-Below that memo, `Retriever` keeps the score vectors of the last
+Below that memo, `Retriever` keeps the screens (`corpus.Screen`) of the last
 `SCORE_MEMO_SIZE` queries it embedded, so greedy_hill's probes
 (`best_similarity`) and the retrieval of the edit they chose share one
-embedding and one scan. Next to them, `Retriever` remembers the
+embedding and one screen. Next to them, `Retriever` remembers the
 `clean_snippet` of the last `SNIPPET_MEMO_SIZE` documents it showed; a
 snippet depends only on the document and `snippet_chars`, so a document that
 comes back in a later result list is not cleaned again. Freezing a turn
@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusIndex, RankedResults
+from .corpus import CorpusIndex, RankedResults, Screen
 from .policy import Policy, PolicyError
 from .trace import (
     DEFAULT_SNIPPET_CHARS,
@@ -62,9 +62,9 @@ from .trace import (
 log = logging.getLogger(__name__)
 
 
-# Distinct (query, k, targets) retrievals, score vectors, and documents'
-# snippets a Retriever remembers. Score vectors are few: each is a float per
-# document, and 64 of them raised the benchmark's peak RSS by a tenth.
+# Distinct (query, k, targets) retrievals, screens, and documents' snippets
+# a Retriever remembers. Screens are few: each holds a float per document,
+# and 64 of them raised the benchmark's peak RSS by a tenth.
 RETRIEVE_MEMO_SIZE = 64
 SCORE_MEMO_SIZE = 8
 SNIPPET_MEMO_SIZE = 1024
@@ -75,12 +75,15 @@ class Retriever:
 
     `retrieve` keeps the results of the last `RETRIEVE_MEMO_SIZE` distinct
     (query, k, target set) keys in an LRU memo, so a repeated query costs
-    neither an embedding nor a scan. Below it, the score vectors of the last
-    `SCORE_MEMO_SIZE` distinct queries are kept read-only, so one query
-    under another (k, target set), or retrieved after `best_similarity`
-    probed it, is selected again from its vector without a new embedding or
-    scan. `snippet` keeps the result lines of the last `SNIPPET_MEMO_SIZE`
-    documents in a third LRU memo. The memos assume `embed` is a pure
+    neither an embedding nor a scan. Below it, the read-only screens of the
+    last `SCORE_MEMO_SIZE` distinct queries are kept: each holds every row's
+    score over the query's nonzero dimensions, within `index.eps` of the
+    full scan's, and `CorpusIndex.select` recomputes exactly only the rows
+    that reach its answer, so every score it returns is the full scan's to
+    the bit. One query under another (k, target set), or retrieved after
+    `best_similarity` probed it, is selected again from its screen without a
+    new embedding or screen. `snippet` keeps the result lines of the last
+    `SNIPPET_MEMO_SIZE` documents in a third LRU memo. The memos assume `embed` is a pure
     function of the text. They are safe to share across threads: two
     threads missing on one key both compute it, with equal results, and an
     exception is never stored, so a failed embedding is retried on the next
@@ -99,10 +102,8 @@ class Retriever:
         # closures, not bound methods, so the memos hold no reference back
         # to the Retriever and a dropped Retriever frees its index at once
         @functools.lru_cache(maxsize=SCORE_MEMO_SIZE)
-        def scores(query: str) -> np.ndarray:
-            vector = index.scores(embed(query))
-            vector.flags.writeable = False
-            return vector
+        def scores(query: str) -> Screen:
+            return index.scores(embed(query))
 
         @functools.lru_cache(maxsize=RETRIEVE_MEMO_SIZE)
         def search(query: str, k: int, targets: frozenset[str]) -> RankedResults:
@@ -122,12 +123,12 @@ class Retriever:
     def best_similarity(self, query: str) -> float:
         """Best corpus similarity for a query (greedy_hill's probe signal).
 
-        The first maximum of the score vector, that is the smallest id among
-        tied rows: the score `retrieve(query, 1)` would rank first, to the
-        bit, without selecting a top-k.
+        The score `retrieve(query, 1)` ranks first, to the bit: the top-1
+        `select` of the query's memoised screen, which recomputes exactly
+        only the rows within the screen's band of its maximum. No result
+        memo entry is made.
         """
-        s = self._scores(query)
-        return float(s[np.argmax(s)])
+        return self.index.select(self._scores(query), 1).entries[0].score
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """The sha256 of every file that `orion`'s batch commands write on a small
 seeded corpus, for checking that a refactor leaves every logged byte as it was.
 
-The matrix is 62 in-process runs: for each of the ten kinds, `run`, `beam` at
+The matrix is 63 in-process runs: for each of the ten kinds, `run`, `beam` at
 (B, M) = (2, 2) and (3, 1), and `grpo-collect` with argmax selection, with
 proportional selection and with `--zscore`; plus `generate` with and without
-`--sft-total`. Each file is hashed whole, meta line included.
+`--sft-total`, and `index`, whose `embeddings.orne` is read back from the
+index's stored matrix. Each file is hashed whole, meta line included.
 
     PYTHONPATH=src python tests/cli_digests.py
     PYTHONPATH=src python tests/cli_digests.py --against HEAD~1
@@ -73,7 +74,11 @@ def matrix(kinds: tuple[str, ...]) -> list[tuple[str, list[str]]]:
             (f"grpo-proportional-{kind}", ["grpo-collect", *policy, "--selection", "proportional"]),
             (f"grpo-zscore-{kind}", ["grpo-collect", *policy, "--zscore"]),
         ]
-    return runs + [("generate", ["generate"]), ("generate-sft", ["generate", "--sft-total", "20"])]
+    return runs + [
+        ("generate", ["generate"]),
+        ("generate-sft", ["generate", "--sft-total", "20"]),
+        ("index", ["index"]),
+    ]
 
 
 def run_matrix(inputs: list[str], out: Path) -> dict:

@@ -309,27 +309,40 @@ def _params(kind: str, params: str) -> list[str]:
         ("run", ["--policy", "remote"], None,
          {"remote_endpoint": "http://localhost:1", "policy_params": {"adopt_terms": 3}},
          "policy_params apply to archetype policies, not 'remote'"),
-        # each knob takes its default's type: an int >= 0, or a finite number
+        # each knob takes its default's type: an int >= its floor, or a finite number
         ("run", _params("breadth_first", '{"fanout": "x"}'), None, {},
-         "breadth_first param 'fanout' must be an int >= 0, got 'x'"),
+         "breadth_first param 'fanout' must be an int >= 1, got 'x'"),
         ("run", _params("breadth_first", '{"fanout": 1.9}'), None, {},
-         "breadth_first param 'fanout' must be an int >= 0, got 1.9"),
+         "breadth_first param 'fanout' must be an int >= 1, got 1.9"),
         ("run", _params("breadth_first", '{"fanout": -2}'), None, {},
-         "breadth_first param 'fanout' must be an int >= 0, got -2"),
+         "breadth_first param 'fanout' must be an int >= 1, got -2"),
         ("beam", _params("breadth_first", '{"fanout": true}'), None, {},
-         "breadth_first param 'fanout' must be an int >= 0, got True"),
+         "breadth_first param 'fanout' must be an int >= 1, got True"),
         ("run", _params("early_success", '{"good_sim": true}'), None, {},
          "early_success param 'good_sim' must be a finite number, got True"),
         ("grpo-collect", _params("best_first", '{"try_threshold": NaN}'), None, {},
          "best_first param 'try_threshold' must be a finite number, got nan"),
         ("run", ["--policy", "greedy_hill"], None, {"policy_params": {"candidates": "3"}},
-         "greedy_hill param 'candidates' must be an int >= 0, got '3'"),
+         "greedy_hill param 'candidates' must be an int >= 1, got '3'"),
         ("generate", _params("random_walk", '{"neighbor_pool": 2.0}'), None, {},
-         "random_walk param 'neighbor_pool' must be an int >= 0, got 2.0"),
+         "random_walk param 'neighbor_pool' must be an int >= 1, got 2.0"),
         ("generate", ["--archetypes", "adaptive_context,adaptive_context", "--sft-total", "2"],
          None, {}, "archetypes repeated: ['adaptive_context']"),
         ("generate", ["--sft-total", "0"], None, {}, "sft_total must be >= 1, got 0"),
         ("generate", ["--sft-total", "-1"], None, {}, "sft_total must be >= 1, got -1"),
+        # a count knob starts at 1, best_first's pool at 0
+        ("run", _params("adaptive_context", '{"adopt_terms": 0}'), None, {},
+         "adaptive_context param 'adopt_terms' must be an int >= 1, got 0"),
+        ("run", _params("random_walk", '{"neighbor_pool": 0}'), None, {},
+         "random_walk param 'neighbor_pool' must be an int >= 1, got 0"),
+        ("run", _params("breadth_first", '{"fanout": 0}'), None, {},
+         "breadth_first param 'fanout' must be an int >= 1, got 0"),
+        ("run", _params("wrong_direction", '{"drift_rank": 0}'), None, {},
+         "wrong_direction param 'drift_rank' must be an int >= 1, got 0"),
+        ("run", _params("greedy_hill", '{"candidates": 0}'), None, {},
+         "greedy_hill param 'candidates' must be an int >= 1, got 0"),
+        ("run", _params("best_first", '{"pool_size": -1}'), None, {},
+         "best_first param 'pool_size' must be an int >= 0, got -1"),
     ],
 )
 def test_bad_settings_fail_before_any_work(

@@ -92,8 +92,8 @@ class TestArchetypeConfig:
 
     @pytest.mark.parametrize(
         "kind, params",
-        [("breadth_first", {"fanout": 0}), ("early_success", {"good_sim": 1}),
-         ("best_first", {"pool_size": 2, "try_threshold": -0.5})],
+        [("breadth_first", {"fanout": 1}), ("early_success", {"good_sim": 1}),
+         ("best_first", {"pool_size": 0, "try_threshold": -0.5})],
     )
     def test_a_knob_takes_its_defaults_type(self, kind, params):
         # an int is a float knob's value as given: params are hashed as given
@@ -101,13 +101,27 @@ class TestArchetypeConfig:
 
     @pytest.mark.parametrize(
         "params, message",
-        [({"candidates": 2.0}, "must be an int >= 0, got 2.0"),
-         ({"candidates": False}, "must be an int >= 0, got False"),
-         ({"candidates": -1}, "must be an int >= 0, got -1")],
+        [({"candidates": 2.0}, "must be an int >= 1, got 2.0"),
+         ({"candidates": False}, "must be an int >= 1, got False"),
+         ({"candidates": -1}, "must be an int >= 1, got -1")],
     )
     def test_a_knob_of_another_type_is_refused(self, params, message):
         with pytest.raises(ValueError, match=message):
             ArchetypeConfig(kind="greedy_hill", params=params)
+
+    @pytest.mark.parametrize(
+        "kind, knob, floor",
+        [("adaptive_context", "adopt_terms", 1), ("random_walk", "neighbor_pool", 1),
+         ("breadth_first", "fanout", 1), ("wrong_direction", "drift_rank", 1),
+         ("greedy_hill", "candidates", 1), ("best_first", "pool_size", 0)],
+    )
+    def test_a_count_knob_below_its_floor_is_refused(self, kind, knob, floor):
+        # at 0, adopt_terms adopted the whole ranking and the other counts
+        # left every later turn a fallback; a pool of q0 alone is a pool
+        assert ArchetypeConfig(kind=kind, params={knob: floor}).params[knob] == floor
+        with pytest.raises(ValueError, match=f"{kind} param '{knob}' must be an int >= {floor}, "
+                                             f"got {floor - 1}"):
+            ArchetypeConfig(kind=kind, params={knob: floor - 1})
 
 
 class TestPropose:
