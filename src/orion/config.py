@@ -170,13 +170,6 @@ def read_config_file(path: str | Path) -> dict:
     return settings
 
 
-def load_config(path: str | Path, check_paths: bool = True) -> RunConfig:
-    """Load and validate a config file."""
-    cfg = RunConfig(**read_config_file(path))
-    cfg.validate(check_paths=check_paths)
-    return cfg
-
-
 def episode_seed(root_seed: int, query_id: str) -> int:
     """Per-episode seed derived from the root seed (stable across processes)."""
     return derive_seed(root_seed, query_id)

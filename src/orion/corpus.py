@@ -7,10 +7,11 @@ Ranks are 0-based everywhere; absence of a document is the ``NOT_FOUND``
 sentinel, not an error.
 
 A logged score is, to the bit, the one a full BLAS scan of the C-contiguous
-unit matrix gives: ``unit @ q̂`` with ``q̂ = q / ‖q‖``. The index computes it
-for only the few rows that reach an answer:
+unit matrix gives: ``unit @ q̂`` with ``q̂ = q / ‖q‖``. `CorpusIndex.search`,
+the one method that scores a query, computes it for only the few rows that
+reach an answer, in one pass:
 
-* **Screen.** `CorpusIndex.scores` keeps the unit matrix transposed (``UT``,
+* **Sparse screen.** The index keeps the unit matrix transposed (``UT``,
   dim × n) and sums each row over the query's nonzero dimensions only,
   ``q̂[nz] @ UT[nz]``. A hashed bag-of-words query touches a handful of the
   dimensions (signed feature hashing, Weinberger et al., arXiv:0902.2206),
@@ -20,13 +21,15 @@ for only the few rows that reach an answer:
   whole matrix. Each side of a dot product of unit vectors errs by at most
   γ_dim·Σ|u_j q̂_j| ≤ γ_dim, so every screen score is within
   ``eps = 4·dim·2⁻⁵³`` of the full scan's.
-* **Band.** `CorpusIndex.select` asks for exact scores only where the screen
-  cannot decide: the rows within ``2·eps`` of the k-th screen score (and
-  above it), and, with targets, the rows within ``2·eps`` of the best
-  target's screen score. Every other row is strictly above or below the
-  answer whatever its last bits are. A row the query does not touch scores
-  exactly +0.0 on both sides and is never recomputed.
-* **Padding rule.** The exact scores come from one gather per call,
+* **Band.** Exact scores overwrite the screen where it cannot decide: the
+  rows within ``2·eps`` of the k-th screen score (and above it), and, with
+  targets, the rows within ``2·eps`` of the best target's screen score. The
+  top-k, the best target and its rank are then read off the patched vector
+  by the plain rules. Every other row is more than ``eps`` from each answer,
+  so it compares with it the same way whatever its last bits are. A row the
+  query does not touch scores exactly +0.0 on both sides and is never
+  recomputed.
+* **Padding rule.** The exact scores come from one gather per search,
   ``UT.T[rows] @ q̂``, padded to a multiple of 4 rows; when it needs any of
   the matrix's last ``n % 4`` rows, it ends with those rows and the 4 before
   them. OpenBLAS's ``dgemv_t`` computes 4 rows per kernel call and the last
@@ -43,9 +46,8 @@ for only the few rows that reach an answer:
   scores are defined by a fixed-order sum of their own, the band and the
   rule go away.
 
-`select` reads the top-k and, when targets are given, the best target
-similarity and rank off one `Screen`; `search` is `scores` then `select`.
-The index is immutable after construction and safe for concurrent readers.
+The index is immutable after construction and safe for concurrent readers:
+each search screens into an array of its own.
 """
 
 from __future__ import annotations
@@ -142,18 +144,6 @@ def padded_gather(n: int, rows: list[int]) -> tuple[list[int], list[int]]:
 
 
 @dataclass(frozen=True, eq=False)
-class Screen:
-    """A query as `CorpusIndex.scores` screened it: the unit query, its
-    nonzero dimensions (ascending), and every row's screen score, each
-    within the index's `eps` of the row's full-scan score. All three are
-    read-only, so one screen may serve many selections."""
-
-    query: np.ndarray
-    dims: np.ndarray
-    scores: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class CorpusIndex:
     """Immutable flat index over a document corpus.
 
@@ -191,14 +181,13 @@ class CorpusIndex:
         row = self._row_of[doc_id]
         return self._ut[:, row] * self._norms[row]
 
-    def scores(self, query_emb: Sequence[float] | np.ndarray) -> Screen:
-        """Screen the query against every row (see the module docstring).
-
-        The one place that scores a query; `select` reads every answer about
-        the query off the screen. For a sparse query only its nonzero rows
-        of the transposed matrix are read, and copied; a query nonzero on
-        more than a third of the dimensions reads the whole matrix in place.
-        """
+    def _screen(
+        self, query_emb: Sequence[float] | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(unit query, its nonzero dimensions ascending, every row's screen
+        score). A sparse query copies only its nonzero rows of the transposed
+        matrix; one nonzero on more than a third of the dimensions reads the
+        whole matrix in place."""
         q = as_embedding(query_emb)
         if q.shape[0] != self.dim:
             raise CorpusError(f"query dim {q.shape[0]} does not match index dim {self.dim}")
@@ -211,14 +200,12 @@ class CorpusIndex:
             # copy and read cost the same near a third of the dims, timed at
             # 5000 x 384 and 2000 x 128; a dense service embedding copying
             # every row would cost about 3x the in-place read
-            screen = unit @ self._ut
-        else:
-            screen = unit[dims] @ self._ut[dims]
-        for a in (unit, dims, screen):
-            a.flags.writeable = False
-        return Screen(unit, dims, screen)
+            return unit, dims, unit @ self._ut
+        return unit, dims, unit[dims] @ self._ut[dims]
 
-    def _exact(self, screen: Screen, rows: np.ndarray) -> np.ndarray:
+    def _exact(
+        self, unit: np.ndarray, dims: np.ndarray, screen: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
         """The full-scan scores of `rows` (ascending), to the bit.
 
         A row whose screen score is not 0.0 touches the query; of the rest,
@@ -227,28 +214,32 @@ class CorpusIndex:
         are recomputed in one gather by the padding rule.
         """
         exact = np.zeros(rows.size)
-        touched = screen.scores[rows] != 0.0
+        touched = screen[rows] != 0.0
         if not touched.all():
             zero = ~touched
-            touched[zero] = np.any(self._ut[np.ix_(screen.dims, rows[zero])] != 0.0, axis=0)
+            touched[zero] = np.any(self._ut[np.ix_(dims, rows[zero])] != 0.0, axis=0)
         todo = rows[touched].tolist()
         if todo:
             gather, at = padded_gather(len(self), todo)
-            exact[touched] = (self._ut.T[gather] @ screen.query)[at]
+            exact[touched] = (self._ut.T[gather] @ unit)[at]
         return exact
 
-    def select(self, screen: Screen, k: int, target_ids: Iterable[str] = ()) -> RankedResults:
-        """Exact top-k of a query's screen; ties broken by ascending doc id.
+    def search(
+        self,
+        query_emb: Sequence[float] | np.ndarray,
+        k: int,
+        target_ids: Iterable[str] = (),
+    ) -> RankedResults:
+        """Exact top-k by cosine similarity, ties broken by ascending doc id,
+        plus the best target's similarity and rank (see the module docstring).
 
         A target's rank is its position in the full ordering: the count of
         higher scores plus the count of equal scores on smaller ids. The target
         with the highest score, then the smallest id, has the lowest rank.
-        Every logged score is the full scan's; the screen is only read, so a
-        caller may keep it and select again.
         """
         if k < 1:
             raise CorpusError(f"k must be >= 1, got {k}")
-        s = screen.scores
+        unit, dims, s = self._screen(query_emb)
         n = s.shape[0]
         kk = min(k, n)
         band = 2 * self.eps
@@ -261,47 +252,26 @@ class CorpusIndex:
             top = np.arange(n)
         targets = set(target_ids)
         trows = np.array(sorted(self._row_of[t] for t in targets if t in self._row_of), dtype=int)
+        rows = top
         if trows.size:
             # the rows that may tie with or pass the best target
             near = s[trows].max()
-            around = np.flatnonzero((s >= near - band) & (s <= near + band))
-            rows = np.union1d(top, around)
-        else:
-            rows = top
-        exact = self._exact(screen, rows)
-        top_s = exact if rows is top else exact[np.searchsorted(rows, top)]
-        order = np.lexsort((top, -top_s))[:kk]
-        entries = tuple(
-            ScoredDoc(self._ids[i], v) for i, v in zip(top[order].tolist(), top_s[order].tolist())
-        )
+            rows = np.union1d(top, np.flatnonzero((s >= near - band) & (s <= near + band)))
+        # the screen is this call's own: patch both bands with exact scores; a
+        # row outside them is more than eps from every answer, so it compares
+        # with each the same way whether its score is exact or not
+        s[rows] = self._exact(unit, dims, s, rows)
+        order = np.lexsort((top, -s[top]))[:kk]
+        entries = tuple(ScoredDoc(self._ids[i], float(s[i])) for i in top[order].tolist())
         if not targets:
             return RankedResults(entries=entries, k=k)
         if not trows.size:
             return RankedResults(entries=entries, k=k, target_rank=NOT_FOUND)
-        # a target below the band is below the best one; argmax takes the
-        # first maximum, i.e. the smallest id among tied targets
-        cands = trows[s[trows] >= near - band]
-        cand_s = exact[np.searchsorted(rows, cands)]
-        i = int(np.argmax(cand_s))
-        best, b = cands[i], cand_s[i]
-        around_s = exact[np.searchsorted(rows, around)]
-        # rows above the band pass the best target, rows below it do not
-        rank = (
-            int(np.count_nonzero(s > near + band))
-            + int(np.count_nonzero(around_s > b))
-            + int(np.count_nonzero((around_s == b) & (around < best)))
-        )
+        # argmax takes the first maximum, i.e. the smallest id among tied targets
+        best = trows[np.argmax(s[trows])]
+        b = s[best]
+        rank = int(np.count_nonzero(s > b)) + int(np.count_nonzero(s[:best] == b))
         return RankedResults(entries=entries, k=k, target_sim=float(b), target_rank=rank)
-
-    def search(
-        self,
-        query_emb: Sequence[float] | np.ndarray,
-        k: int,
-        target_ids: Iterable[str] = (),
-    ) -> RankedResults:
-        """`select` over the query's screen: exact top-k by cosine
-        similarity, plus the best target's similarity and rank."""
-        return self.select(self.scores(query_emb), k, target_ids)
 
 
 def build_index(

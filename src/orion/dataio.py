@@ -57,17 +57,27 @@ def _text(path: str | Path, lineno: int, key: str, value: object) -> str:
     return value
 
 
+def _unique_id(path: str | Path, lineno: int, value: object, seen: dict[str, int]) -> str:
+    """`_id` as a string, refused (CorpusError) when an earlier line of the file had it."""
+    key = str(value)
+    if key in seen:
+        raise CorpusError(f"{path}:{lineno}: duplicate `_id` {key!r} (first on line {seen[key]})")
+    seen[key] = lineno
+    return key
+
+
 def read_corpus(path: str | Path) -> list[Document]:
     """Read a JSON Lines corpus with `_id`, `title`, `text` fields; a missing
-    or null title is empty."""
+    or null title is empty, and a repeated `_id` is a CorpusError."""
     docs: list[Document] = []
+    seen: dict[str, int] = {}
     for lineno, obj in _json_lines(path):
         if "_id" not in obj or "text" not in obj:
             raise CorpusError(f"{path}:{lineno}: corpus line needs `_id` and `text`")
         title = obj.get("title")
         docs.append(
             Document(
-                doc_id=str(obj["_id"]),
+                doc_id=_unique_id(path, lineno, obj["_id"], seen),
                 text=_text(path, lineno, "text", obj["text"]),
                 title=_text(path, lineno, "title", "" if title is None else title),
             )
@@ -76,7 +86,8 @@ def read_corpus(path: str | Path) -> list[Document]:
 
 
 def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
-    """Read tab-separated qrels `query-id<TAB>doc-id<TAB>score`; header optional."""
+    """Read tab-separated qrels `query-id<TAB>doc-id<TAB>score`; header
+    optional. A (query, doc) pair given twice is a CorpusError."""
     qrels: dict[str, dict[str, int]] = {}
     for lineno, line in _lines(path):
         line = line.rstrip("\n")
@@ -92,17 +103,23 @@ def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
             if lineno == 1:  # header row
                 continue
             raise CorpusError(f"{path}:{lineno}: non-integer score {score!r}")
-        qrels.setdefault(qid, {})[did] = grade
+        grades = qrels.setdefault(qid, {})
+        if did in grades:
+            raise CorpusError(f"{path}:{lineno}: repeated pair ({qid!r}, {did!r})")
+        grades[did] = grade
     return qrels
 
 
 def read_queries(path: str | Path) -> list[tuple[str, str]]:
-    """Read a JSON Lines queries file of `{"_id": ..., "text": ...}` pairs."""
+    """Read a JSON Lines queries file of `{"_id": ..., "text": ...}` pairs; a
+    repeated `_id` is a CorpusError."""
     out: list[tuple[str, str]] = []
+    seen: dict[str, int] = {}
     for lineno, obj in _json_lines(path):
         if "_id" not in obj or "text" not in obj:
             raise CorpusError(f"{path}:{lineno}: query line needs `_id` and `text`")
-        out.append((str(obj["_id"]), _text(path, lineno, "text", obj["text"])))
+        qid = _unique_id(path, lineno, obj["_id"], seen)
+        out.append((qid, _text(path, lineno, "text", obj["text"])))
     return out
 
 

@@ -13,21 +13,23 @@ previous best state) when none survives, and budget_exhausted (keeping the
 best survivor) when the turns run out.
 
 Only the `<search_query>` content is embedded for retrieval; think spans never
-reach the retriever. Each action costs one retrieval, logged in its turn. A
-turn succeeds when its target rank is below k, the same fact as a target in
-its top-k: the index derives both from one score order. A retrieval repeated
-within the last `RETRIEVE_MEMO_SIZE` distinct ones (a GRPO group or beam turn
-whose candidates issue the same query, archetypes that open with the user's
-query) is answered from `Retriever`'s memo without a new embedding or scan.
-Below that memo, `Retriever` keeps the screens (`corpus.Screen`) of the last
-`SCORE_MEMO_SIZE` queries it embedded, so greedy_hill's probes
+reach the retriever. Each action costs one retrieval, logged in its turn, and
+each retrieval is at most one `CorpusIndex.search`, the index's one scoring
+call. A turn succeeds when its target rank is below k, the same fact as a
+target in its top-k: the search reads both off one score order.
+
+`Retriever` keeps three memos. A retrieval repeated within the last
+`RETRIEVE_MEMO_SIZE` distinct ones (a GRPO group or beam turn whose
+candidates issue the same query, archetypes that open with the user's query)
+is answered without a new embedding or search. The embeddings of the last
+`EMBED_MEMO_SIZE` queries are kept, so greedy_hill's probes
 (`best_similarity`) and the retrieval of the edit they chose share one
-embedding and one screen. Next to them, `Retriever` remembers the
-`clean_snippet` of the last `SNIPPET_MEMO_SIZE` documents it showed; a
-snippet depends only on the document and `snippet_chars`, so a document that
-comes back in a later result list is not cleaned again. Freezing a turn
-still checks every result line for reserved tags, so a document holding one
-fails each retrieval.
+embedding; each searches on its own, as a search costs far less than an
+embedding call to a service. The `clean_snippet` of the last
+`SNIPPET_MEMO_SIZE` documents shown is kept too; a snippet depends only on
+the document and `snippet_chars`, so a document that comes back in a later
+result list is not cleaned again. Freezing a turn still checks every result
+line for reserved tags, so a document holding one fails each retrieval.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusIndex, RankedResults, Screen
+from .corpus import CorpusIndex, RankedResults
 from .policy import Policy, PolicyError
 from .trace import (
     DEFAULT_SNIPPET_CHARS,
@@ -62,11 +64,10 @@ from .trace import (
 log = logging.getLogger(__name__)
 
 
-# Distinct (query, k, targets) retrievals, screens, and documents' snippets
-# a Retriever remembers. Screens are few: each holds a float per document,
-# and 64 of them raised the benchmark's peak RSS by a tenth.
+# Distinct (query, k, targets) retrievals, query embeddings, and documents'
+# snippets a Retriever remembers.
 RETRIEVE_MEMO_SIZE = 64
-SCORE_MEMO_SIZE = 8
+EMBED_MEMO_SIZE = 8
 SNIPPET_MEMO_SIZE = 1024
 
 
@@ -75,15 +76,13 @@ class Retriever:
 
     `retrieve` keeps the results of the last `RETRIEVE_MEMO_SIZE` distinct
     (query, k, target set) keys in an LRU memo, so a repeated query costs
-    neither an embedding nor a scan. Below it, the read-only screens of the
-    last `SCORE_MEMO_SIZE` distinct queries are kept: each holds every row's
-    score over the query's nonzero dimensions, within `index.eps` of the
-    full scan's, and `CorpusIndex.select` recomputes exactly only the rows
-    that reach its answer, so every score it returns is the full scan's to
-    the bit. One query under another (k, target set), or retrieved after
-    `best_similarity` probed it, is selected again from its screen without a
-    new embedding or screen. `snippet` keeps the result lines of the last
-    `SNIPPET_MEMO_SIZE` documents in a third LRU memo. The memos assume `embed` is a pure
+    neither an embedding nor a scan. Each miss is one `CorpusIndex.search`.
+    Below it, the embeddings of the last `EMBED_MEMO_SIZE` distinct queries
+    are kept: one query under another (k, target set), or retrieved after
+    `best_similarity` probed it, is scanned again but not embedded again (an
+    HTTP call under the service backend, where a scan costs tens of µs).
+    `snippet` keeps the result lines of the last `SNIPPET_MEMO_SIZE`
+    documents in a third LRU memo. The memos assume `embed` is a pure
     function of the text. They are safe to share across threads: two
     threads missing on one key both compute it, with equal results, and an
     exception is never stored, so a failed embedding is retried on the next
@@ -101,19 +100,19 @@ class Retriever:
 
         # closures, not bound methods, so the memos hold no reference back
         # to the Retriever and a dropped Retriever frees its index at once
-        @functools.lru_cache(maxsize=SCORE_MEMO_SIZE)
-        def scores(query: str) -> Screen:
-            return index.scores(embed(query))
+        @functools.lru_cache(maxsize=EMBED_MEMO_SIZE)
+        def embedding(query: str) -> np.ndarray:
+            return embed(query)
 
         @functools.lru_cache(maxsize=RETRIEVE_MEMO_SIZE)
         def search(query: str, k: int, targets: frozenset[str]) -> RankedResults:
-            return index.select(scores(query), k, targets)
+            return index.search(embedding(query), k, targets)
 
         @functools.lru_cache(maxsize=SNIPPET_MEMO_SIZE)
         def snippet(doc_id: str) -> str:
             return clean_snippet(index.doc(doc_id).text, snippet_chars)
 
-        self._scores = scores
+        self._embedding = embedding
         self._search = search
         self.snippet = snippet
 
@@ -121,14 +120,10 @@ class Retriever:
         return self._search(query, k, frozenset(target_ids))
 
     def best_similarity(self, query: str) -> float:
-        """Best corpus similarity for a query (greedy_hill's probe signal).
-
-        The score `retrieve(query, 1)` ranks first, to the bit: the top-1
-        `select` of the query's memoised screen, which recomputes exactly
-        only the rows within the screen's band of its maximum. No result
-        memo entry is made.
-        """
-        return self.index.select(self._scores(query), 1).entries[0].score
+        """Best corpus similarity for a query (greedy_hill's probe signal):
+        the score `retrieve(query, 1)` ranks first, from a top-1 search of
+        the memoised embedding. No result memo entry is made."""
+        return self.index.search(self._embedding(query), 1).entries[0].score
 
 
 @dataclass(frozen=True)

@@ -379,6 +379,28 @@ def test_embeddings_of_another_dim_fail_before_any_episode(tmp_path, capsys, com
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "name, extra",
+    [
+        ("corpus.jsonl", '{"_id": "d00", "text": "again"}\n'),
+        ("queries.jsonl", '{"_id": "q0", "text": "again"}\n'),
+        ("qrels.tsv", "q0\td00\t0\n"),
+    ],
+)
+def test_a_repeated_id_or_qrels_pair_fails_the_run_naming_its_line(tmp_path, capsys, name, extra):
+    inputs = seeded_inputs(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().count("\n")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(extra)
+    capsys.readouterr()
+    assert main(["run", *inputs, "--out", str(tmp_path / "out")]) == 1
+    [error] = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert error["type"] == "CorpusError"
+    assert error["error"].startswith(f"{path}:{lines + 1}: ")
+    assert not (tmp_path / "out" / "episodes.jsonl").exists()
+
+
 def test_generate_gives_policy_params_to_the_policy_kind_only(tmp_path):
     inputs = seeded_inputs(tmp_path)
     (tmp_path / "params.json").write_text(json.dumps({"policy_params": {"adopt_terms": 3}}))

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from orion.config import ConfigError, RunConfig, episode_seed, load_config
+from orion.config import ConfigError, RunConfig, episode_seed, read_config_file
 
 
 def test_config_hash_ignores_where_and_how_parallel_a_run_is_written():
@@ -47,6 +47,13 @@ def test_episode_seed_is_pinned():
     assert episode_seed(7, "q42") == 14956209672476689988
 
 
+def config_from_file(path) -> RunConfig:
+    """A config file's settings as the CLI takes them: read, then validated."""
+    cfg = RunConfig(**read_config_file(path))
+    cfg.validate(check_paths=False)
+    return cfg
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -65,7 +72,7 @@ def test_config_file_values_must_fit_their_field(tmp_path, fields, message):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(fields))
     with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
-        load_config(path, check_paths=False)
+        config_from_file(path)
 
 
 @pytest.mark.parametrize(
@@ -75,7 +82,7 @@ def test_config_file_values_must_fit_their_field(tmp_path, fields, message):
 def test_config_file_values_that_fit_load(tmp_path, fields):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(fields))
-    cfg = load_config(path, check_paths=False)
+    cfg = config_from_file(path)
     assert {name: getattr(cfg, name) for name in fields} == fields
 
 
@@ -83,7 +90,7 @@ def test_config_file_values_that_fit_load(tmp_path, fields):
 def test_an_int_for_a_float_field_is_read_as_a_float(tmp_path, suffix, text):
     path = tmp_path / f"c{suffix}"
     path.write_text(text)
-    cfg = load_config(path, check_paths=False)
+    cfg = config_from_file(path)
     assert type(cfg.beta) is float
     assert cfg.config_hash() == RunConfig(beta=1.0).config_hash()
 
@@ -92,4 +99,4 @@ def test_yaml_config_values_are_checked_too(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("k: 3\nzscore: 'yes'\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}: zscore must be bool")):
-        load_config(path, check_paths=False)
+        config_from_file(path)

@@ -303,25 +303,6 @@ def test_search_matches_a_full_stable_argsort(case):
         assert (rank is not None and 0 <= rank < k) == in_top_k
 
 
-@settings(max_examples=200, deadline=None)
-@given(tie_heavy_case())
-def test_select_over_scores_equals_search(case):
-    """`search` is `select` over the query's screen; one read-only screen
-    serves every (k, targets) selection, matches the full scan bit for bit
-    and is left as it was."""
-    vectors, query, _, targets = case
-    index = build_index(docs_for(vectors), vectors)
-    screen = index.scores(query)
-    before = [a.tobytes() for a in (screen.query, screen.dims, screen.scores)]
-    assert not any(a.flags.writeable for a in (screen.query, screen.dims, screen.scores))
-    for k in range(1, len(vectors) + 2):
-        for tset in (frozenset(), targets):
-            got = index.select(screen, k, tset)
-            assert got == index.search(query, k, tset)
-            assert as_bits(got) == argsort_search(index, query, k, tset)
-    assert [a.tobytes() for a in (screen.query, screen.dims, screen.scores)] == before
-
-
 # --- the screen against the full scan -----------------------------------------
 
 ROW_KINDS = ("normal", "small", "repeat", "nudge", "untouched", "cancel")
@@ -380,12 +361,11 @@ def test_select_and_best_similarity_match_the_full_scan_to_the_bit(case):
     eps of it."""
     vectors, query, targets = case
     index = build_index(docs_for(vectors), vectors)
-    screen = index.scores(query)
     full = full_scan(index, query)
-    assert np.all(np.abs(screen.scores - full) <= index.eps)
+    assert np.all(np.abs(index._screen(query)[2] - full) <= index.eps)
     for k in range(1, len(vectors) + 2):
         for tset in (frozenset(), targets):
-            assert as_bits(index.select(screen, k, tset)) == argsort_search(index, query, k, tset)
+            assert as_bits(index.search(query, k, tset)) == argsort_search(index, query, k, tset)
     retriever = Retriever(index, lambda text: query)
     assert retriever.best_similarity("q").hex() == float(full[np.argmax(full)]).hex()
 
@@ -401,7 +381,7 @@ def test_best_similarity_is_the_full_scans_where_the_screen_differs():
         query[rng.choice(384, 12, replace=False)] = rng.normal(size=12)
         index = build_index(docs_for(vectors), vectors)
         best = float(full_scan(index, query).max())
-        differ += float(index.scores(query).scores.max()).hex() != best.hex()
+        differ += float(index._screen(query)[2].max()).hex() != best.hex()
         assert Retriever(index, lambda text: query).best_similarity("q").hex() == best.hex()
     assert differ
 
@@ -409,18 +389,20 @@ def test_best_similarity_is_the_full_scans_where_the_screen_differs():
 @pytest.mark.parametrize("nonzero", [1, 5, 128, 129, 384])
 def test_the_screen_copies_at_most_the_querys_nonzero_rows(nonzero):
     """A sparse query copies its nonzero rows of the transposed matrix; one
-    nonzero on more than a third of the dimensions copies none of them."""
+    nonzero on more than a third of the dimensions copies none of them. A
+    top-1 search adds only its own screen and a small gather to that."""
     rng = np.random.default_rng(2)
     vectors = {f"d{i:04d}": rng.normal(size=384) for i in range(2000)}
     index = build_index(docs_for(vectors), vectors)
     query = np.zeros(384)
     query[rng.choice(384, nonzero, replace=False)] = 1.0
-    tracemalloc.start()
-    index.scores(query)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
     copied = nonzero if 3 * nonzero <= 384 else 0
-    assert peak <= (copied + 1) * 2000 * 8 + 64 * 1024
+    for scan in (index._screen, lambda q: index.search(q, 1)):
+        tracemalloc.start()
+        scan(query)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= (copied + 1) * 2000 * 8 + 64 * 1024
 
 
 def test_build_index_gives_every_block_the_whole_matrix_bits(monkeypatch):

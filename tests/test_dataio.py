@@ -50,6 +50,24 @@ def test_qrels_rejects_bad_row(tmp_path):
         dataio.read_qrels(path)
 
 
+@pytest.mark.parametrize("reader", [dataio.read_corpus, dataio.read_queries])
+def test_a_repeated_id_names_its_line(tmp_path, reader):
+    # 7 and "7" are one id once read as a string
+    path = tmp_path / "lines.jsonl"
+    path.write_text('{"_id": 7, "text": "x"}\n{"_id": "b", "text": "y"}\n{"_id": "7", "text": "z"}\n')
+    with pytest.raises(CorpusError, match=r"lines.jsonl:3: duplicate `_id` '7' \(first on line 1\)"):
+        reader(path)
+
+
+@pytest.mark.parametrize("header", ["", "query-id\tdoc-id\tscore\n"])
+def test_a_repeated_qrels_pair_names_its_line(tmp_path, header):
+    # the second grade would silently replace the first, here dropping a target
+    path = tmp_path / "qrels.tsv"
+    path.write_text(header + "q1\ta\t1\nq1\tb\t1\nq2\ta\t1\nq1\ta\t0\n")
+    with pytest.raises(CorpusError, match=rf"qrels.tsv:{4 + bool(header)}: repeated pair \('q1', 'a'\)"):
+        dataio.read_qrels(path)
+
+
 def test_queries(tmp_path):
     path = tmp_path / "queries.jsonl"
     path.write_text('{"_id": "q1", "text": "what is x"}\n{"_id": "q2", "text": "y"}\n')

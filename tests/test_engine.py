@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from orion.archetypes import KINDS, PolicyResources
 from orion.corpus import NOT_FOUND, CorpusIndex
 from orion.engine import (
+    EMBED_MEMO_SIZE,
     RETRIEVE_MEMO_SIZE,
-    SCORE_MEMO_SIZE,
     SNIPPET_MEMO_SIZE,
     EpisodeConfig,
     EpisodeResult,
@@ -662,8 +662,8 @@ class TestRetrieverMemo:
         )
 
     def test_k_and_target_set_are_part_of_the_key(self, tree_retriever):
-        # while the query's score vector is remembered, its four keys share
-        # one embedding, and each key still gets its own answer
+        # while the query's embedding is remembered, its four keys share
+        # it, and each key still gets its own answer
         retriever, embed = counting_retriever(tree_retriever)
         keys = [(5, ()), (1, ()), (5, frozenset({"t2"})), (5, ["o1"])]
         plain, top1, targeted, other = [retriever.retrieve(TREE_QUERY, k, t) for k, t in keys]
@@ -678,23 +678,47 @@ class TestRetrieverMemo:
         assert retriever.retrieve(TREE_QUERY, 5, ("t2", "t2")) is targeted
         assert embed.calls[TREE_QUERY] == 1
 
-    @pytest.mark.parametrize("others, embeds", [(SCORE_MEMO_SIZE - 1, 1), (SCORE_MEMO_SIZE, 2)])
-    def test_a_new_key_rescans_once_the_vector_is_evicted(self, tree_retriever, others, embeds):
+    @pytest.mark.parametrize("others, embeds", [(EMBED_MEMO_SIZE - 1, 1), (EMBED_MEMO_SIZE, 2)])
+    def test_a_new_key_re_embeds_once_the_embedding_is_evicted(self, tree_retriever, others, embeds):
         retriever, embed = counting_retriever(tree_retriever)
         retriever.retrieve(TREE_QUERY, 5)
         for i in range(others):
             retriever.retrieve(f"machine learning {i}", 5)
         retriever.retrieve(TREE_QUERY, 3)
         assert embed.calls[TREE_QUERY] == embeds
-        assert retriever._scores.cache_info().currsize == min(others + 1, SCORE_MEMO_SIZE)
+        assert retriever._embedding.cache_info().currsize == min(others + 1, EMBED_MEMO_SIZE)
 
-    def test_a_greedy_hill_step_embeds_each_probe_once_and_retrieves_from_its_scan(
+    def test_each_memo_miss_is_one_search(self, tree_retriever, monkeypatch):
+        retriever, embed = counting_retriever(tree_retriever)
+        searches = []
+        search = CorpusIndex.search
+        monkeypatch.setattr(
+            CorpusIndex, "search", lambda index, *args: searches.append(args) or search(index, *args)
+        )
+        calls = [
+            ("retrieve", TREE_QUERY, 5, ()),
+            ("retrieve", TREE_QUERY, 5, ("t2",)),
+            ("retrieve", TREE_QUERY, 5, ()),  # a hit
+            ("best_similarity", TREE_QUERY),
+            ("best_similarity", TREE_QUERY),  # a probe is never a hit
+            ("retrieve", "machine learning neural", 1, ()),
+            ("retrieve", TREE_QUERY, 1, ()),
+        ]
+        for name, *args in calls:
+            getattr(retriever, name)(*args)
+        assert retriever._search.cache_info().misses == 4
+        assert len(searches) == 4 + 2
+        assert embed.calls == {TREE_QUERY: 1, "machine learning neural": 1}
+
+    def test_a_greedy_hill_step_embeds_each_probe_once_and_retrieves_from_its_embedding(
         self, tree_retriever, tree_vocab, monkeypatch
     ):
         retriever, embed = counting_retriever(tree_retriever)
         scans = []
-        scores = CorpusIndex.scores
-        monkeypatch.setattr(CorpusIndex, "scores", lambda index, q: scans.append(q) or scores(index, q))
+        search = CorpusIndex.search
+        monkeypatch.setattr(
+            CorpusIndex, "search", lambda index, q, *args: scans.append(q) or search(index, q, *args)
+        )
         probed = []
         resources = PolicyResources(
             vocab=tree_vocab, probe=lambda q: probed.append(q) or retriever.best_similarity(q)
@@ -706,7 +730,9 @@ class TestRetrieverMemo:
         assert len(issued) == 2 and len(probed) == 6
         assert set(issued) <= set(probed)
         assert embed.calls == Counter(probed) == Counter(set(probed))
-        assert len(scans) == len(probed)
+        # one scan per probe and one per retrieval, each of a memoised embedding
+        assert len(scans) == len(probed) + len(issued)
+        assert {id(q) for q in scans} == {id(retriever._embedding(q)) for q in probed}
         # the episode a probe that selects a top-1 from a fresh search gives
         fresh = PolicyResources(
             vocab=tree_vocab,
