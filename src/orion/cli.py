@@ -1,11 +1,11 @@
 """Command-line entry points tying the engine together.
 
-Subcommands: index, run, beam, generate, grpo-collect, eval, report. The
-settings flags are generated from `RunConfig`, one per field; a `--config`
-file provides defaults, flags override it, and the merged settings are
-validated once. Every output file starts with a meta record carrying the config
-hash and engine version. Failures exit nonzero with a machine-readable error
-record on stderr.
+Subcommands: index, run, beam, generate, grpo-collect, eval, report. Every
+subcommand takes the same flags, `--config` and one per `RunConfig` field;
+the file provides defaults, flags override it, and `main` validates the
+merged settings once and hands them to the command's handler. Every output
+file starts with a meta record carrying the config hash and engine version.
+Failures exit nonzero with a machine-readable error record on stderr.
 
 run, beam, generate and grpo-collect run one job per query on `--workers`
 threads and log in input order. A query whose job raises gets its own error
@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import dataio
-from .archetypes import KINDS, PolicyResources
+from .archetypes import PolicyResources
 from .config import ConfigError, RunConfig, episode_seed, field_type, flag_name, read_config_file
 from .corpus import CorpusError, CorpusIndex, Document, build_index
 from .embed import EmbeddingServiceClient, EmbeddingServiceError, HashEmbedder
@@ -78,7 +78,7 @@ def _add_settings(p: argparse.ArgumentParser) -> None:
 def _build_config(
     args: argparse.Namespace, check_paths: bool = True, needs: tuple[str, ...] = ()
 ) -> RunConfig:
-    """The config file overridden by flags, then validated; each path field in
+    """The config file overridden by flags, then validated; each field in
     `needs` must be set (`ConfigError("<command> needs --<field>")`)."""
     settings = read_config_file(args.config) if args.config else {}
     for f in dataclasses.fields(RunConfig):
@@ -116,11 +116,13 @@ def _load_index(cfg: RunConfig, embedder) -> tuple[CorpusIndex, TfidfTable]:
     """The index and term table of `cfg.corpus`; documents are embedded with
     `embedder` unless `cfg.embeddings` holds their vectors."""
     docs = dataio.read_corpus(cfg.corpus)
-    if cfg.embeddings:
-        embeddings = dataio.read_embeddings(cfg.embeddings)
-    else:
-        embeddings = _embed_corpus(embedder, docs)
-    index = build_index(docs, embeddings)
+    if not cfg.embeddings:
+        return build_index(docs, _embed_corpus(embedder, docs)), TfidfTable.from_documents(docs)
+    embeddings = dataio.read_embeddings(cfg.embeddings)
+    try:
+        index = build_index(docs, embeddings)
+    except CorpusError as exc:  # a bad vector, or an id the file lacks or adds
+        raise CorpusError(f"{cfg.embeddings} for {cfg.corpus}: {exc}") from exc
     return index, TfidfTable.from_documents(docs)
 
 
@@ -150,10 +152,9 @@ def _policy_factory(cfg: RunConfig, retriever: Retriever, vocab: TfidfTable):
             max_query_chars=cfg.max_query_chars,
         )
         return lambda qid: shared
-    kind = cfg.policy
 
     def make(qid: str) -> ScriptedPolicy:
-        arch = ArchetypeConfig(kind=kind, seed=episode_seed(cfg.seed, qid), params=cfg.policy_params)
+        arch = ArchetypeConfig(kind=cfg.policy, seed=episode_seed(cfg.seed, qid), params=cfg.policy_params)
         return ScriptedPolicy(arch, resources, max_query_chars=cfg.max_query_chars)
 
     return make
@@ -186,8 +187,7 @@ def _read_episode_log(path: str) -> list[tuple[str, EpisodeResult]]:
     return episodes
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, needs=("corpus",))
+def cmd_index(cfg: RunConfig, command: str) -> int:
     index, _ = _load_index(cfg, _embedder(cfg))
     out = _out_dir(cfg) / "index"
     out.mkdir(parents=True, exist_ok=True)
@@ -197,10 +197,6 @@ def cmd_index(args: argparse.Namespace) -> int:
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"indexed {len(index)} docs (dim {index.dim}) -> {out}")
     return 0
-
-
-# the inputs every episode command needs
-_EPISODE_INPUTS = ("corpus", "queries")
 
 
 def _error_record(exc: Exception, command: str, **extra: str) -> str:
@@ -233,19 +229,18 @@ def _each_query(cfg: RunConfig, command: str, job) -> tuple[list, int]:
     return [value for value, error in done if not error], int(any(e for _, e in done))
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(cfg: RunConfig, command: str) -> int:
     """`run` (greedy) and `beam`: one episode per query, logged to episodes.jsonl."""
-    cfg = _build_config(args, needs=_EPISODE_INPUTS)
     retriever, vocab = _retriever(cfg)
     policy_for = _policy_factory(cfg, retriever, vocab)
 
     def job(qid: str, text: str, episode_cfg: EpisodeConfig):
         policy = policy_for(qid)
-        if args.command == "beam":
+        if command == "beam":
             return qid, beam_search(policy, retriever, text, cfg.beam_size, cfg.expansion, episode_cfg)
         return qid, run_episode(policy, retriever, text, episode_cfg)
 
-    results, status = _each_query(cfg, args.command, job)
+    results, status = _each_query(cfg, command, job)
     out = _out_dir(cfg)
     _write_log(out / "episodes.jsonl", cfg, [episode_to_dict(q, r) for q, r in results])
     rendered = [
@@ -258,18 +253,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(cfg: RunConfig, command: str) -> int:
     """Pool trajectories of each archetype; `policy_params` go to `policy`'s kind only."""
-    cfg = _build_config(args, needs=_EPISODE_INPUTS)
-    kinds = args.archetypes.split(",") if args.archetypes else list(KINDS)
-    unknown = [kind for kind in kinds if kind not in KINDS]
-    if unknown:
-        raise ConfigError(f"unknown archetypes {unknown}; expected some of {KINDS}")
-    repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
-    if repeated:
-        raise ConfigError(f"archetypes repeated: {repeated}")
-    if args.sft_total is not None and args.sft_total < 1:
-        raise ConfigError(f"sft_total must be >= 1, got {args.sft_total}")
+    kinds = cfg.kinds()
     retriever, vocab = _retriever(cfg)
     resources = PolicyResources(vocab=vocab, probe=retriever.best_similarity)
 
@@ -287,22 +273,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
             for kind in kinds
         ]
 
-    per_query, status = _each_query(cfg, args.command, job)
+    per_query, status = _each_query(cfg, command, job)
     pool = assemble_pool(r for records in per_query for r in records)
     out = _out_dir(cfg)
     _write_log(out / "pool.jsonl", cfg, [r.to_dict() for r in pool.records])
     print(f"pool of {len(pool)} trajectories -> {out / 'pool.jsonl'}")
-    if args.sft_total is not None:
-        share = 1.0 / len(kinds)
-        manifest = DatasetManifest({k: share for k in kinds}, args.sft_total)
+    if cfg.sft_total:
+        manifest = DatasetManifest(dict.fromkeys(kinds, 1.0 / len(kinds)), cfg.sft_total)
         sft = sample_sft_dataset(pool, manifest, seed=cfg.seed)
         _write_log(out / "sft.jsonl", cfg, [r.to_dict() for r in sft])
         print(f"sft dataset of {len(sft)} records -> {out / 'sft.jsonl'}")
     return status
 
 
-def cmd_grpo_collect(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, needs=_EPISODE_INPUTS)
+def cmd_grpo_collect(cfg: RunConfig, command: str) -> int:
     retriever, vocab = _retriever(cfg)
     grpo = GrpoConfig(
         group_size=cfg.group_size,
@@ -319,32 +303,38 @@ def cmd_grpo_collect(args: argparse.Namespace) -> int:
         )
         return make_training_record(trace, groups, grpo).to_dict()
 
-    records, status = _each_query(cfg, args.command, job)
+    records, status = _each_query(cfg, command, job)
     out = _out_dir(cfg)
     _write_log(out / "training_records.jsonl", cfg, records)
     print(f"{len(records)} training records -> {out / 'training_records.jsonl'}")
     return status
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, check_paths=False, needs=("qrels",))
-    episodes = _read_episode_log(args.episodes)
-    qrels = dataio.read_qrels(cfg.qrels)
-    report = evaluate_episodes(episodes, qrels, cfg.k)
-    out = _out_dir(cfg)
-    write_metrics_report(report, out, meta=cfg.meta())
+def cmd_eval(cfg: RunConfig, command: str) -> int:
+    report = evaluate_episodes(_read_episode_log(cfg.episodes), dataio.read_qrels(cfg.qrels), cfg.k)
+    write_metrics_report(report, _out_dir(cfg), meta=cfg.meta())
     print(json.dumps(report.summary(), sort_keys=True))
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, check_paths=False)
-    episodes = _read_episode_log(args.episodes)
-    report = analyze_behavior(episodes, relaxed_stagnation=args.relaxed_stagnation)
-    out = _out_dir(cfg)
-    write_behavior_report(report, out, meta=cfg.meta())
+def cmd_report(cfg: RunConfig, command: str) -> int:
+    episodes = _read_episode_log(cfg.episodes)
+    report = analyze_behavior(episodes, relaxed_stagnation=cfg.relaxed_stagnation)
+    write_behavior_report(report, _out_dir(cfg), meta=cfg.meta())
     print(json.dumps(report.summary(), sort_keys=True))
     return 0
+
+
+# name: (handler(cfg, name), help, the fields it needs, whether its input paths must exist)
+COMMANDS = {
+    "index": (cmd_index, "build and persist an index", ("corpus",), True),
+    "run": (cmd_run, "run greedy multi-turn episodes", ("corpus", "queries"), True),
+    "beam": (cmd_run, "run beam-search episodes", ("corpus", "queries"), True),
+    "generate": (cmd_generate, "generate synthetic trajectory pool / SFT data", ("corpus", "queries"), True),
+    "grpo-collect": (cmd_grpo_collect, "collect grouped samples with rewards", ("corpus", "queries"), True),
+    "eval": (cmd_eval, "IR metrics over an episode log", ("episodes", "qrels"), False),
+    "report": (cmd_report, "behavior analytics over an episode log", ("episodes",), False),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,35 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orion", description="Adaptive multi-turn retrieval engine"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    specs = {
-        "index": (cmd_index, "build and persist an index"),
-        "run": (cmd_run, "run greedy multi-turn episodes"),
-        "beam": (cmd_run, "run beam-search episodes"),
-        "generate": (cmd_generate, "generate synthetic trajectory pool / SFT data"),
-        "grpo-collect": (cmd_grpo_collect, "collect grouped samples with rewards"),
-        "eval": (cmd_eval, "IR metrics over an episode log"),
-        "report": (cmd_report, "behavior analytics over an episode log"),
-    }
-    for name, (handler, help_text) in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_settings(p)
-        p.set_defaults(handler=handler)
-        if name == "generate":
-            p.add_argument("--archetypes", help="comma-separated kinds (default: all ten)")
-            p.add_argument("--sft-total", type=int, help="also emit a balanced SFT dataset")
-        if name in ("eval", "report"):
-            p.add_argument("--episodes", required=True, help="episode log (episodes.jsonl)")
-        if name == "report":
-            p.add_argument("--relaxed-stagnation", action="store_true")
+    for name, (_, help_text, _, _) in COMMANDS.items():
+        _add_settings(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    handler, _, needs, check_paths = COMMANDS[args.command]
     try:
-        return args.handler(args)
+        return handler(_build_config(args, check_paths, needs), args.command)
     except Exception as exc:
         print(_error_record(exc, args.command), file=sys.stderr)
         return 1

@@ -1,7 +1,8 @@
 """Run configuration: file loading, validation, defaults, and seeding.
 
-`RunConfig`'s fields are the one list of run settings: each is a config-file
-key and an `orion` flag. Secrets come from the environment only
+`RunConfig`'s fields are the one list of settings: each is a config-file key,
+an `orion` flag (the only other flag is `--config`), and, but for `out_dir`
+and `workers`, a part of `config_hash`. Secrets come from the environment only
 (`ORION_API_KEY`, `ORION_EMBED_API_KEY`). All randomness flows from the single
 root seed, split per episode, so a run is reproducible from (config, seed,
 corpus files) alone.
@@ -12,11 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .archetypes import KINDS
 from .policy import REMOTE_MODES, ArchetypeConfig, derive_seed
+from .rewards import SELECTION_MODES
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +48,7 @@ class RunConfig:
     qrels: str | None = _setting(None, "qrels TSV file")
     queries: str | None = _setting(None, "queries JSON Lines file")
     embeddings: str | None = _setting(None, "embedding file (else documents are embedded)")
+    episodes: str | None = _setting(None, "episode log (episodes.jsonl) of eval and report")
     embed_backend: str = _setting("hash", "embedder: 'hash' or 'service'")
     embed_dim: int = _setting(384, "hash embedder dimension", at_least=1)
     embed_endpoint: str | None = _setting(None, "embedding service URL (service backend)")
@@ -61,11 +65,14 @@ class RunConfig:
     beam_size: int = _setting(2, "beam survivors per turn (B)", at_least=1)
     expansion: int = _setting(2, "candidates per beam per turn (M)", at_least=1)
     group_size: int = _setting(4, "grouped-sampling size (G)", at_least=2)
-    selection: str = _setting("argmax", "grouped-sample selection: 'argmax' or 'proportional'")
+    selection: str = _setting("argmax", f"grouped-sample selection ({', '.join(SELECTION_MODES)})")
     zscore: bool = _setting(False, "z-score group advantages (else mean-centred)")
     beta: float = _setting(0.1, "KL coefficient echoed in training records for the trainer")
     max_query_chars: int = _setting(300, "longest query a policy may issue", at_least=1)
     snippet_chars: int = _setting(512, "characters shown of each retrieved document", at_least=1)
+    archetypes: str | None = _setting(None, "kinds generate pools, comma-separated (default: all)")
+    sft_total: int = _setting(0, "size of generate's balanced SFT dataset (0: none)", at_least=0)
+    relaxed_stagnation: bool = _setting(False, "report: a repeated consecutive rank is stagnation")
 
     seed: int = _setting(0, "root RNG seed")
     workers: int = _setting(1, "query worker threads (every batch command)", at_least=1)
@@ -76,8 +83,18 @@ class RunConfig:
             lo, value = f.metadata["at_least"], getattr(self, f.name)
             if lo is not None and value < lo:
                 raise ConfigError(f"{f.name} must be >= {lo}, got {value}")
-        if self.selection not in ("argmax", "proportional"):
+            if isinstance(value, float) and not math.isfinite(value):
+                # json.dumps would log it as NaN or Infinity, which is not JSON
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.selection not in SELECTION_MODES:
             raise ConfigError(f"unknown selection mode {self.selection!r}")
+        kinds = self.kinds()
+        unknown = [kind for kind in kinds if kind not in KINDS]
+        if unknown:
+            raise ConfigError(f"unknown archetypes {unknown}; expected some of {KINDS}")
+        repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
+        if repeated:
+            raise ConfigError(f"archetypes repeated: {repeated}")
         if self.embed_backend not in ("hash", "service"):
             raise ConfigError(f"unknown embed backend {self.embed_backend!r}")
         if self.embed_backend == "service" and not self.embed_endpoint:
@@ -95,10 +112,14 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"policy: {exc}") from exc
         if check_paths:
-            for name in ("corpus", "qrels", "queries", "embeddings"):
+            for name in ("corpus", "qrels", "queries", "embeddings", "episodes"):
                 value = getattr(self, name)
                 if value and not Path(value).exists():
                     raise ConfigError(f"{name} path does not exist: {value}")
+
+    def kinds(self) -> list[str]:
+        """The kinds `generate` pools: `archetypes` split at commas, or all."""
+        return self.archetypes.split(",") if self.archetypes else list(KINDS)
 
     def config_hash(self) -> str:
         """Hash of the fields that shape a run's records (not out_dir or workers)."""

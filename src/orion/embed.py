@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .corpus import CorpusError, as_embedding
 from .vocab import words
 
 EMBED_KEY_ENV = "ORION_EMBED_API_KEY"
@@ -119,14 +120,16 @@ class EmbeddingServiceClient:
         payload = {"input": list(texts), "model": self.model}
         body = self._post(payload)
         try:
-            data = body["data"]
-            vectors = [np.asarray(item["embedding"], dtype=np.float64) for item in data]
+            vectors = [item["embedding"] for item in body["data"]]
         except (KeyError, TypeError) as exc:
             raise EmbeddingServiceError(f"malformed embedding response: {exc}") from exc
         if len(vectors) != len(texts):
-            raise EmbeddingServiceError(
-                f"expected {len(texts)} embeddings, got {len(vectors)}"
-            )
+            raise EmbeddingServiceError(f"expected {len(texts)} embeddings, got {len(vectors)}")
+        for i, values in enumerate(vectors):
+            try:
+                vectors[i] = as_embedding(values)
+            except CorpusError as exc:
+                raise EmbeddingServiceError(f"embedding {i} from {self.endpoint}: {exc}") from exc
         return vectors
 
     def __call__(self, text: str) -> np.ndarray:

@@ -138,6 +138,9 @@ def group_advantages(
     raise RewardError(f"unknown advantage mode {mode!r}")
 
 
+SELECTION_MODES = ("argmax", "proportional")  # the modes `select_candidate` takes
+
+
 def select_candidate(
     rewards: Sequence[float], mode: str = "argmax", rng: random.Random | None = None
 ) -> int:

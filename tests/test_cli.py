@@ -31,7 +31,8 @@ def test_common_flags_land_on_their_config_fields():
         "--remote-mode", "baseline", "--top-k", "3", "--max-turns", "4", "--beam-size", "5",
         "--expansion", "6", "--group-size", "7", "--selection", "proportional", "--zscore",
         "--beta", "0.25", "--max-query-chars", "40", "--snippet-chars", "50", "--seed", "8",
-        "--workers", "2", "--out", "o",
+        "--workers", "2", "--out", "o", "--episodes", "ep.jsonl", "--archetypes", "depth_first",
+        "--sft-total", "9", "--relaxed-stagnation",
     ]
     cfg = _build_config(build_parser().parse_args(argv), check_paths=False)
     set_by_flags = {
@@ -42,6 +43,7 @@ def test_common_flags_land_on_their_config_fields():
         "remote_mode": "baseline", "k": 3, "max_turns": 4, "beam_size": 5, "expansion": 6,
         "group_size": 7, "selection": "proportional", "zscore": True, "beta": 0.25,
         "max_query_chars": 40, "snippet_chars": 50, "seed": 8, "workers": 2, "out_dir": "o",
+        "episodes": "ep.jsonl", "archetypes": "depth_first", "sft_total": 9, "relaxed_stagnation": True,
     }
     defaults = dataclasses.asdict(RunConfig())
     assert set_by_flags.keys() == {f.name for f in dataclasses.fields(RunConfig)}
@@ -66,10 +68,10 @@ def test_absent_flags_keep_defaults():
 
 @pytest.mark.parametrize("command", ["index", "run", "beam", "generate", "grpo-collect", "eval", "report"])
 def test_every_command_has_one_flag_per_config_field(command):
-    argv = [command] + (["--episodes", "e.jsonl"] if command in ("eval", "report") else [])
-    args = vars(build_parser().parse_args(argv))
+    args = vars(build_parser().parse_args([command]))
     names = [f.name for f in dataclasses.fields(RunConfig)]
     assert {name: args[name] for name in names} == dict.fromkeys(names)
+    assert args.keys() <= {*names, "config", "command", "handler"}
 
 
 @pytest.mark.parametrize("flags, want", [([], True), (["--no-zscore"], False), (["--zscore"], True)])
@@ -328,8 +330,8 @@ def _params(kind: str, params: str) -> list[str]:
          "random_walk param 'neighbor_pool' must be an int >= 1, got 2.0"),
         ("generate", ["--archetypes", "adaptive_context,adaptive_context", "--sft-total", "2"],
          None, {}, "archetypes repeated: ['adaptive_context']"),
-        ("generate", ["--sft-total", "0"], None, {}, "sft_total must be >= 1, got 0"),
-        ("generate", ["--sft-total", "-1"], None, {}, "sft_total must be >= 1, got -1"),
+        ("generate", [], None, {"sft_total": -1}, "sft_total must be >= 0, got -1"),
+        ("generate", ["--sft-total", "-1"], None, {}, "sft_total must be >= 0, got -1"),
         # a count knob starts at 1, best_first's pool at 0
         ("run", _params("adaptive_context", '{"adopt_terms": 0}'), None, {},
          "adaptive_context param 'adopt_terms' must be an int >= 1, got 0"),
@@ -343,6 +345,13 @@ def _params(kind: str, params: str) -> list[str]:
          "greedy_hill param 'candidates' must be an int >= 1, got 0"),
         ("run", _params("best_first", '{"pool_size": -1}'), None, {},
          "best_first param 'pool_size' must be an int >= 0, got -1"),
+        # a float setting is finite: a NaN would be logged as `NaN`, which is not JSON
+        ("grpo-collect", ["--beta", "nan"], None, {}, "beta must be finite, got nan"),
+        ("grpo-collect", [], None, {"beta": math.nan}, "beta must be finite, got nan"),
+        # the command settings are fields: checked by `needs` and `validate`, not argparse
+        ("eval", [], None, {}, "eval needs --episodes"),
+        ("report", [], None, {}, "report needs --episodes"),
+        ("generate", [], None, {"archetypes": "depth_first,nope"}, "unknown archetypes ['nope']"),
     ],
 )
 def test_bad_settings_fail_before_any_work(
@@ -413,6 +422,67 @@ def test_generate_gives_policy_params_to_the_policy_kind_only(tmp_path):
     assert {source for source, _ in pools["params"]} == set(KINDS)
     changed = {key[0] for key in pools["params"] if pools["params"][key] != pools["default"][key]}
     assert changed == {"adaptive_context"}
+
+
+def test_generate_settings_move_the_config_hash(tmp_path):
+    inputs = seeded_inputs(tmp_path)
+    runs = {"all": [], "one": ["--archetypes", "depth_first", "--sft-total", "1"]}
+    for name, extra in runs.items():
+        assert main(["generate", *inputs, *extra, "--out", str(tmp_path / name)]) == 0
+    pools = {name: (tmp_path / name / "pool.jsonl").read_text().splitlines() for name in runs}
+    assert {json.loads(r)["source"] for r in pools["one"][1:]} == {"depth_first"}
+    assert len(pools["all"]) > len(pools["one"])
+    assert json.loads(pools["all"][0])["config_hash"] != json.loads(pools["one"][0])["config_hash"]
+    assert len((tmp_path / "one" / "sft.jsonl").read_text().splitlines()) == 2  # meta, 1 record
+
+
+def test_sft_total_0_writes_no_sft_dataset(tmp_path):
+    inputs = seeded_inputs(tmp_path)
+    assert main(["generate", *inputs, "--sft-total", "0", "--out", str(tmp_path / "out")]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["pool.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "command, flags, setting",
+    [
+        ("generate", ["--archetypes", "depth_first,random_walk"], {"archetypes": "depth_first,random_walk"}),
+        ("generate", ["--sft-total", "3"], {"sft_total": 3}),
+        ("eval", ["--episodes", "LOG"], {"episodes": "LOG"}),
+        ("report", ["--relaxed-stagnation"], {"relaxed_stagnation": True}),
+    ],
+    ids=["archetypes", "sft_total", "episodes", "relaxed_stagnation"],
+)
+def test_a_command_setting_in_the_config_file_acts_as_its_flag(tmp_path, command, flags, setting):
+    inputs = seeded_inputs(tmp_path)
+    log = str(tmp_path / "run" / "episodes.jsonl")
+    assert main(["run", *inputs, "--out", str(tmp_path / "run")]) == 0
+    if command == "report":
+        inputs += ["--episodes", log]
+    flags = [log if arg == "LOG" else arg for arg in flags]
+    (tmp_path / "c.json").write_text(json.dumps({k: log if v == "LOG" else v for k, v in setting.items()}))
+    written = {}
+    for name, extra in (("flag", flags), ("file", ["--config", str(tmp_path / "c.json")]), ("none", [])):
+        main([command, *inputs, *extra, "--out", str(tmp_path / name)])
+        out = tmp_path / name
+        written[name] = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    assert written["flag"] and written["flag"] == written["file"] != written["none"]
+
+
+def test_a_bad_vector_in_the_embeddings_file_names_the_file(tmp_path, capsys):
+    write_corpus([Document("a", "alpha"), Document("b", "bravo")], tmp_path / "corpus.jsonl")
+    path = tmp_path / "bad.orne"
+    dataio.write_embeddings({"a": np.array([1.0, 2.0]), "b": np.array([2.0, 1.0])}, path)
+    good, nan = (np.array([1.0, x], "<f4").tobytes() for x in (2.0, math.nan))
+    assert path.read_bytes().count(good) == 1
+    path.write_bytes(path.read_bytes().replace(good, nan))
+    capsys.readouterr()
+    argv = ["index", "--corpus", str(tmp_path / "corpus.jsonl"), "--embeddings", str(path)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    [error] = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert error["type"] == "CorpusError"
+    assert error["error"] == (
+        f"{path} for {tmp_path / 'corpus.jsonl'}: doc 'a': embedding contains non-finite values"
+    )
 
 
 def _policy_error_record() -> dict:

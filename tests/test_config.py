@@ -1,17 +1,34 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
 import pytest
 
-from orion.config import ConfigError, RunConfig, episode_seed, read_config_file
+from orion.config import ConfigError, RunConfig, episode_seed, field_type, read_config_file
 
 
 def test_config_hash_ignores_where_and_how_parallel_a_run_is_written():
     base = RunConfig()
     assert RunConfig(out_dir="elsewhere", workers=4).config_hash() == base.config_hash()
     assert RunConfig(k=3).config_hash() != base.config_hash()
+
+
+def _other_value(f: dataclasses.Field):
+    """A value of the field `f` that is not its default."""
+    default, kind = getattr(RunConfig(), f.name), field_type(f)
+    if kind is bool:
+        return not default
+    if kind in (int, float):
+        return default + 1
+    return {"changed": 1} if kind is dict else "changed"
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+def test_every_field_but_out_dir_and_workers_moves_the_config_hash(f):
+    moved = RunConfig(**{f.name: _other_value(f)}).config_hash() != RunConfig().config_hash()
+    assert moved is (f.name not in ("out_dir", "workers"))
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 
 import numpy as np
+import pytest
 
-from orion.embed import HashEmbedder
+from orion.embed import EmbeddingServiceClient, EmbeddingServiceError, HashEmbedder
 
 
 def _inline_hash_embedding(text: str, dim: int) -> np.ndarray:
@@ -36,3 +38,22 @@ def test_hash_memo_leaves_vectors_bitwise_equal():
             expected = _inline_hash_embedding(text, dim)
             for vec in (a, b, c, d):
                 assert vec.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "vector, cause",
+    [
+        ("abc", "embedding is not a vector of numbers"),
+        ([1.0, math.nan], "embedding contains non-finite values"),
+        ([[1.0], [2.0]], "got shape (2, 1)"),
+        ([], "got shape (0,)"),
+    ],
+    ids=["text", "nan", "matrix", "empty"],
+)
+def test_a_bad_service_vector_is_a_service_error_naming_its_item(vector, cause):
+    reply = {"data": [{"embedding": [0.6, 0.8]}, {"embedding": vector}]}
+    client = EmbeddingServiceClient("http://localhost:1/embed", "m", post=lambda payload: reply)
+    with pytest.raises(EmbeddingServiceError) as info:
+        client.embed_batch(["first", "second"])
+    assert str(info.value).startswith("embedding 1 from http://localhost:1/embed: ")
+    assert cause in str(info.value)
