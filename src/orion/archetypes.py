@@ -19,7 +19,6 @@ first move. A new behavior is one step function plus one row.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -402,7 +401,7 @@ def step_multi_beam(
 
 class Knob(NamedTuple):
     """A behavior's knob: its default, and for an int knob its lowest
-    meaningful value (a float knob takes any finite number)."""
+    meaningful value (a float knob is a cosine threshold, in [-1, 1])."""
 
     default: float
     floor: int | None = None
@@ -412,7 +411,8 @@ class Knob(NamedTuple):
 # parameterizes the behaviors; an opening is the turn-1 think that goes with q0,
 # where "{q0}" stands for q0, and None leaves turn 1 to the step. A count knob
 # at 0 would leave its step nothing to choose from, so it starts at 1; a pool
-# of q0 alone is a pool, so pool_size starts at 0
+# of q0 alone is a pool, so pool_size starts at 0; good_sim and try_threshold
+# are compared with cosines, so they lie in [-1, 1]
 BEHAVIORS: dict[str, tuple[Callable[..., Action], dict[str, Knob], str | None]] = {
     "adaptive_context": (step_adaptive_context, {"adopt_terms": Knob(2, floor=1)},
         "Probe the corpus with the user's own wording for '{q0}' and learn keywords from "
@@ -441,12 +441,12 @@ KINDS = tuple(BEHAVIORS)
 
 def _fits_knob(knob: Knob, value: object) -> bool:
     """Whether `value` may set a knob: an int knob takes an int >= its
-    floor, a float knob a finite int or float; a bool is neither."""
+    floor, a float knob an int or float in [-1, 1]; a bool is neither."""
     if isinstance(value, bool):
         return False
     if isinstance(knob.default, int):
         return isinstance(value, int) and value >= knob.floor
-    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, (int, float)) and -1 <= value <= 1
 
 
 @dataclass(frozen=True)
@@ -467,7 +467,7 @@ class ArchetypeConfig:
         for name, value in self.params.items():
             knob = knobs[name]
             if not _fits_knob(knob, value):
-                want = f"an int >= {knob.floor}" if isinstance(knob.default, int) else "a finite number"
+                want = f"an int >= {knob.floor}" if isinstance(knob.default, int) else "a number in [-1, 1]"
                 raise ValueError(f"{self.kind} param {name!r} must be {want}, got {value!r}")
         defaults = {name: knob.default for name, knob in knobs.items()}
         object.__setattr__(self, "params", {**defaults, **self.params})

@@ -7,10 +7,10 @@ merged settings once and hands them to the command's handler. Every output
 file starts with a meta record carrying the config hash and engine version.
 Failures exit nonzero with a machine-readable error record on stderr.
 
-run, beam, generate and grpo-collect run one job per query on `--workers`
-threads and log in input order. A query whose job raises gets its own error
-record (with its `query_id`) and is left out of the log; the rest is still
-written, and the command exits 1.
+run, beam, generate and grpo-collect hand one job per query to the batch
+driver, `engine.run_queries` (`--workers` threads, input order). A query whose
+job raises gets its own error record (with its `query_id`) and is left out of
+the log; the rest is still written, and the command exits 1.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ from .engine import (
     EpisodeConfig,
     EpisodeResult,
     Retriever,
-    beam_search,
     episode_from_dict,
+    episode_job,
     episode_to_dict,
-    ordered_map,
-    relevant_docs,
-    run_episode,
+    run_queries,
 )
 from .metrics import (
     analyze_behavior,
@@ -49,8 +47,6 @@ from .rewards import GrpoConfig, collect_grouped_episode, make_training_record
 from .synth import DatasetManifest, assemble_pool, generate_trajectory, sample_sft_dataset
 from .trace import TraceError, serialize_trace
 from .vocab import TfidfTable
-
-log = logging.getLogger("orion")
 
 
 def _json_object(text: str) -> dict:
@@ -204,42 +200,23 @@ def _error_record(exc: Exception, command: str, **extra: str) -> str:
 
 
 def _each_query(cfg: RunConfig, command: str, job) -> tuple[list, int]:
-    """The batch driver: `job(qid, text, episode_config)` for every query.
-
-    Jobs run on `cfg.workers` threads; results keep the input order. A job
-    that raises prints one error record to stderr and is left out. Returns
-    the results and the exit status, 1 if any job failed.
-    """
+    """`engine.run_queries` over the command's queries, with one error record on stderr
+    per failed query. Returns the other results and the exit status, 1 if any failed."""
     queries = dataio.read_queries(cfg.queries)
     qrels = dataio.read_qrels(cfg.qrels) if cfg.qrels else {}
-
-    def attempt(item: tuple[str, str]):
-        qid, text = item
-        try:
-            episode_cfg = EpisodeConfig(cfg.k, cfg.max_turns, relevant_docs(qrels.get(qid, {})))
-            return job(qid, text, episode_cfg), None
-        except Exception as exc:  # one failed query must not lose the batch
-            log.debug("query %s failed", qid, exc_info=exc)
-            return None, _error_record(exc, command, query_id=qid)
-
-    done = ordered_map(attempt, queries, cfg.workers)
-    for _, error in done:
-        if error:
-            print(error, file=sys.stderr)
-    return [value for value, error in done if not error], int(any(e for _, e in done))
+    outcomes = run_queries(queries, qrels, EpisodeConfig(cfg.k, cfg.max_turns), job, cfg.workers)
+    for (qid, _), outcome in zip(queries, outcomes):
+        if isinstance(outcome, Exception):
+            print(_error_record(outcome, command, query_id=qid), file=sys.stderr)
+    results = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
+    return results, int(len(results) < len(outcomes))
 
 
 def cmd_run(cfg: RunConfig, command: str) -> int:
     """`run` (greedy) and `beam`: one episode per query, logged to episodes.jsonl."""
     retriever, vocab = _retriever(cfg)
-    policy_for = _policy_factory(cfg, retriever, vocab)
-
-    def job(qid: str, text: str, episode_cfg: EpisodeConfig):
-        policy = policy_for(qid)
-        if command == "beam":
-            return qid, beam_search(policy, retriever, text, cfg.beam_size, cfg.expansion, episode_cfg)
-        return qid, run_episode(policy, retriever, text, episode_cfg)
-
+    beam_size = cfg.beam_size if command == "beam" else None
+    job = episode_job(_policy_factory(cfg, retriever, vocab), retriever, beam_size, cfg.expansion)
     results, status = _each_query(cfg, command, job)
     out = _out_dir(cfg)
     _write_log(out / "episodes.jsonl", cfg, [episode_to_dict(q, r) for q, r in results])

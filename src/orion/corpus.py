@@ -99,12 +99,8 @@ class RankedResults:
     """
 
     entries: tuple[ScoredDoc, ...]
-    k: int
     target_sim: float | None = None
     target_rank: int | None = None
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def as_embedding(values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -264,14 +260,14 @@ class CorpusIndex:
         order = np.lexsort((top, -s[top]))[:kk]
         entries = tuple(ScoredDoc(self._ids[i], float(s[i])) for i in top[order].tolist())
         if not targets:
-            return RankedResults(entries=entries, k=k)
+            return RankedResults(entries=entries)
         if not trows.size:
-            return RankedResults(entries=entries, k=k, target_rank=NOT_FOUND)
+            return RankedResults(entries=entries, target_rank=NOT_FOUND)
         # argmax takes the first maximum, i.e. the smallest id among tied targets
         best = trows[np.argmax(s[trows])]
         b = s[best]
         rank = int(np.count_nonzero(s > b)) + int(np.count_nonzero(s[:best] == b))
-        return RankedResults(entries=entries, k=k, target_sim=float(b), target_rank=rank)
+        return RankedResults(entries=entries, target_sim=float(b), target_rank=rank)
 
 
 def build_index(

@@ -30,6 +30,9 @@ embedding call to a service. The `clean_snippet` of the last
 the document and `snippet_chars`, so a document that comes back in a later
 result list is not cleaned again. Freezing a turn still checks every result
 line for reserved tags, so a document holding one fails each retrieval.
+
+`run_queries` is the one batch driver, with the one per-query error boundary,
+for the CLI and `run_batch` alike; `episode_job` is its greedy/beam job.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import functools
 import logging
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -294,13 +297,43 @@ def relevant_docs(grades: Mapping[str, int]) -> frozenset[str]:
     return frozenset(d for d, g in grades.items() if g >= 1)
 
 
-def ordered_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
-    """`[fn(x) for x in items]`, on `workers` threads when workers > 1; results
-    keep the input order and the first exception in input order propagates."""
+def run_queries(
+    queries: Sequence[tuple[str, str]], qrels: Mapping[str, Mapping[str, int]],
+    config: EpisodeConfig, job: Callable[[str, str, EpisodeConfig], object], workers: int = 1,
+) -> list:
+    """The batch driver: `job(query_id, text, episode_config)` per query, the
+    config being `config` with the query's graded >= 1 docs as targets, on
+    `workers` threads, outcomes in input order. A job that raises an
+    `Exception` costs only its query: its outcome is the exception."""
+
+    def attempt(item: tuple[str, str]):
+        qid, text = item
+        try:
+            return job(qid, text, replace(config, target_ids=relevant_docs(qrels.get(qid, {}))))
+        except Exception as exc:  # one failed query must not lose the batch
+            log.debug("query %s failed", qid, exc_info=exc)
+            return exc
+
     if workers <= 1:
-        return [fn(x) for x in items]
+        return [attempt(item) for item in queries]
     with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(attempt, queries))
+
+
+def episode_job(
+    policy_for: Callable[[str], Policy], retriever: Retriever, beam_size: int | None = None,
+    expansion: int = 1,
+) -> Callable[[str, str, EpisodeConfig], tuple[str, EpisodeResult]]:
+    """The greedy/beam `run_queries` job: `(query_id, result)` of a greedy
+    episode, or of a beam search when `beam_size` is given, under the policy
+    `policy_for(query_id)` builds (a scripted one seeded per episode)."""
+
+    def job(qid: str, text: str, config: EpisodeConfig) -> tuple[str, EpisodeResult]:
+        if beam_size is None:
+            return qid, run_episode(policy_for(qid), retriever, text, config)
+        return qid, beam_search(policy_for(qid), retriever, text, beam_size, expansion, config)
+
+    return job
 
 
 def run_batch(
@@ -314,20 +347,11 @@ def run_batch(
     expansion: int = 1,
     workers: int = 1,
 ) -> list[tuple[str, EpisodeResult]]:
-    """Run one episode per query, in input order.
-
-    `policy_for(query_id)` builds the per-episode policy (scripted policies
-    get their per-episode seed there). Targets are the qrels docs with
-    relevance >= 1. Results keep the input order even under a worker pool.
-    """
-
-    def one(item: tuple[str, str]) -> tuple[str, EpisodeResult]:
-        qid, text = item
-        targets = relevant_docs(qrels.get(qid, {}))
-        cfg = EpisodeConfig(k=config.k, max_turns=config.max_turns, target_ids=targets)
-        policy = policy_for(qid)
-        if beam_size is None:
-            return qid, run_episode(policy, retriever, text, cfg)
-        return qid, beam_search(policy, retriever, text, beam_size, expansion, cfg)
-
-    return ordered_map(one, queries, workers)
+    """`run_queries` over `episode_job`: one episode per query, in input
+    order. Every query runs; then the first failure in input order is raised."""
+    job = episode_job(policy_for, retriever, beam_size, expansion)
+    outcomes = run_queries(queries, qrels, config, job, workers)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes

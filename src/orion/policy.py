@@ -236,14 +236,16 @@ class RemotePolicy:
         try:
             choice = body["choices"][0]
             text = choice["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            content = (choice.get("logprobs") or {}).get("content") if want_logprobs else None
+            logprobs = [item["logprob"] for item in content] if content else None
+            if not isinstance(text, str):
+                raise TypeError(f"content {text!r} is not text")
+            if not all(type(v) in (int, float) and math.isfinite(v) for v in logprobs or ()):
+                raise ValueError(f"logprobs {logprobs!r} are not all finite numbers")
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
             raise PolicyError(f"malformed completion response: {exc}") from exc
-        logprobs = None
-        if want_logprobs:
-            content = (choice.get("logprobs") or {}).get("content")
-            if not content:
-                raise CapabilityError("endpoint returned no token log-probabilities")
-            logprobs = [item["logprob"] for item in content]
+        if want_logprobs and not logprobs:
+            raise CapabilityError("endpoint returned no token log-probabilities")
         return text, logprobs
 
     def _elicit_once(self, state: SearchState) -> Action | None:

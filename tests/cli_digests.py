@@ -1,11 +1,12 @@
 """The sha256 of every file that `orion`'s batch commands write on a small
 seeded corpus, for checking that a refactor leaves every logged byte as it was.
 
-The matrix is 63 in-process runs: for each of the ten kinds, `run`, `beam` at
-(B, M) = (2, 2) and (3, 1), and `grpo-collect` with argmax selection, with
-proportional selection and with `--zscore`; plus `generate` with and without
-`--sft-total`, and `index`, whose `embeddings.orne` is read back from the
-index's stored matrix. Each file is hashed whole, meta line included.
+The matrix is 93 in-process runs: for each of the ten kinds, `run`, `beam` at
+(B, M) = (2, 2) and (3, 1), `grpo-collect` with argmax selection, with
+proportional selection and with `--zscore`, and `eval`, `report` and
+`report --relaxed-stagnation` over the kind's `run` log; plus `generate` with
+and without `--sft-total`, and `index`, whose `embeddings.orne` is read back
+from the index's stored matrix. Each file is hashed whole, meta line included.
 
     PYTHONPATH=src python tests/cli_digests.py
     PYTHONPATH=src python tests/cli_digests.py --against HEAD~1
@@ -13,8 +14,9 @@ index's stored matrix. Each file is hashed whole, meta line included.
 `--against REV` also runs the matrix on the `src` tree of git revision REV,
 exported with `git archive` into a temporary directory and run in a
 subprocess with that `src` first on PYTHONPATH. Both sides read the same
-input paths, because each meta line's config hash includes them. It prints
-each file whose bytes differ and exits 1 if any does.
+input paths, because each meta line's config hash includes them: each `run`
+log is copied into `logs/` beside the corpus, and `eval` and `report` read
+it there. It prints each file whose bytes differ and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -61,11 +64,13 @@ def seeded_inputs(directory: Path) -> list[str]:
             "--qrels", str(directory / "qrels.tsv"), "--embed-dim", "64", "--seed", "3"]
 
 
-def matrix(kinds: tuple[str, ...]) -> list[tuple[str, list[str]]]:
-    """(run name, command and flags) for each run of the matrix."""
+def matrix(kinds: tuple[str, ...], logs: Path) -> list[tuple[str, list[str]]]:
+    """(run name, command and flags) for each run of the matrix; `eval` and
+    `report` read the copy of the kind's `run` log in `logs`."""
     runs = []
     for kind in kinds:
         policy = ["--policy", kind]
+        log = ["--episodes", str(logs / f"run-{kind}.jsonl")]
         runs += [
             (f"run-{kind}", ["run", *policy]),
             (f"beam-2x2-{kind}", ["beam", *policy, "--beam-size", "2", "--expansion", "2"]),
@@ -73,6 +78,9 @@ def matrix(kinds: tuple[str, ...]) -> list[tuple[str, list[str]]]:
             (f"grpo-argmax-{kind}", ["grpo-collect", *policy]),
             (f"grpo-proportional-{kind}", ["grpo-collect", *policy, "--selection", "proportional"]),
             (f"grpo-zscore-{kind}", ["grpo-collect", *policy, "--zscore"]),
+            (f"eval-{kind}", ["eval", *log]),
+            (f"report-{kind}", ["report", *log]),
+            (f"report-relaxed-{kind}", ["report", *log, "--relaxed-stagnation"]),
         ]
     return runs + [
         ("generate", ["generate"]),
@@ -85,9 +93,13 @@ def run_matrix(inputs: list[str], out: Path) -> dict:
     """Run the matrix with the `orion` on sys.path; return its exit statuses
     and the sha256 of each file written, keyed by `<run>/<file>`."""
     status, files = {}, {}
-    for name, argv in matrix(KINDS):
+    logs = Path(inputs[inputs.index("--corpus") + 1]).parent / "logs"
+    logs.mkdir(exist_ok=True)
+    for name, argv in matrix(KINDS, logs):
         with contextlib.redirect_stdout(io.StringIO()):
             status[name] = orion_main([*argv, *inputs, "--out", str(out / name)])
+        if argv[0] == "run":
+            shutil.copyfile(out / name / "episodes.jsonl", logs / f"{name}.jsonl")
         for path in sorted((out / name).rglob("*")):
             if path.is_file():
                 files[path.relative_to(out).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()

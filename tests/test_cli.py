@@ -311,7 +311,7 @@ def _params(kind: str, params: str) -> list[str]:
         ("run", ["--policy", "remote"], None,
          {"remote_endpoint": "http://localhost:1", "policy_params": {"adopt_terms": 3}},
          "policy_params apply to archetype policies, not 'remote'"),
-        # each knob takes its default's type: an int >= its floor, or a finite number
+        # each knob takes its default's type: an int >= its floor, or a number in [-1, 1]
         ("run", _params("breadth_first", '{"fanout": "x"}'), None, {},
          "breadth_first param 'fanout' must be an int >= 1, got 'x'"),
         ("run", _params("breadth_first", '{"fanout": 1.9}'), None, {},
@@ -321,9 +321,9 @@ def _params(kind: str, params: str) -> list[str]:
         ("beam", _params("breadth_first", '{"fanout": true}'), None, {},
          "breadth_first param 'fanout' must be an int >= 1, got True"),
         ("run", _params("early_success", '{"good_sim": true}'), None, {},
-         "early_success param 'good_sim' must be a finite number, got True"),
+         "early_success param 'good_sim' must be a number in [-1, 1], got True"),
         ("grpo-collect", _params("best_first", '{"try_threshold": NaN}'), None, {},
-         "best_first param 'try_threshold' must be a finite number, got nan"),
+         "best_first param 'try_threshold' must be a number in [-1, 1], got nan"),
         ("run", ["--policy", "greedy_hill"], None, {"policy_params": {"candidates": "3"}},
          "greedy_hill param 'candidates' must be an int >= 1, got '3'"),
         ("generate", _params("random_walk", '{"neighbor_pool": 2.0}'), None, {},

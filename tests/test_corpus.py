@@ -156,7 +156,7 @@ class TestSearch:
     def test_k_larger_than_corpus(self):
         vectors = {"d1": [1.0, 0.0], "d2": [0.0, 1.0]}
         index = build_index(docs_for(vectors), vectors)
-        assert len(index.search([1.0, 1.0], k=10)) == 2
+        assert len(index.search([1.0, 1.0], k=10).entries) == 2
 
     def test_matches_brute_force_on_random_corpus(self):
         rng = random.Random(13)

@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import sys
+import threading
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orion import engine
 from orion.archetypes import KINDS, PolicyResources
 from orion.corpus import NOT_FOUND, CorpusIndex
 from orion.engine import (
@@ -29,6 +31,7 @@ from orion.engine import (
     execute_action,
     run_batch,
     run_episode,
+    run_queries,
 )
 from orion.policy import Action, ArchetypeConfig, PolicyError, ScriptedPolicy, derive_rng
 from orion.rewards import (
@@ -505,6 +508,86 @@ class TestRunBatch:
         )
         assert [(q, r.trace) for q, r in serial] == [(q, r.trace) for q, r in parallel]
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_the_first_failure_in_input_order_is_raised_once_every_query_ran(
+        self, tree_retriever, tree_resources, workers
+    ):
+        queries = [(f"q{i}", TREE_QUERY) for i in range(5)]
+        asked, q3_failed = [], threading.Event()
+
+        def policy_for(qid):
+            asked.append(qid)
+            if qid == "q1":  # on threads, q3 fails first
+                q3_failed.wait(timeout=10 if workers > 1 else 0)
+                raise ValueError("no policy for q1")
+            if qid == "q3":
+                q3_failed.set()
+                raise ValueError("no policy for q3")
+            return ScriptedPolicy(ArchetypeConfig(kind="depth_first", seed=1), tree_resources)
+
+        with pytest.raises(ValueError, match="no policy for q1"):
+            run_batch(queries, {}, policy_for, tree_retriever, EpisodeConfig(), workers=workers)
+        assert sorted(asked) == [qid for qid, _ in queries]
+
+    def test_episodes_are_run_by_the_module_functions_of_the_call(self, tree_retriever, monkeypatch):
+        # a wrapper set on `engine.run_episode` or `engine.beam_search` runs
+        calls = Counter()
+
+        def counted(name):
+            inner = getattr(engine, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in ("run_episode", "beam_search"):
+            monkeypatch.setattr(engine, name, counted(name))
+        policy_for = lambda qid: ConstantPolicy(TREE_QUERY)
+        run_batch([("q1", TREE_QUERY)], {}, policy_for, tree_retriever, EpisodeConfig(max_turns=1))
+        run_batch([("q1", TREE_QUERY)], {}, policy_for, tree_retriever, EpisodeConfig(max_turns=1), beam_size=2)
+        assert calls == {"run_episode": 1, "beam_search": 1}
+
+
+class TestRunQueries:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        order=st.permutations(range(6)),
+        n=st.integers(0, 6),
+        failing=st.sets(st.sampled_from([f"q{i}" for i in range(6)])),
+        qrels=st.dictionaries(
+            st.sampled_from([f"q{i}" for i in range(6)]),
+            st.dictionaries(st.sampled_from(["a", "b", "c"]), st.integers(-1, 3), max_size=3),
+        ),
+        workers=st.sampled_from([1, 2, 4]),
+        k=st.integers(1, 9),
+        max_turns=st.integers(1, 9),
+    )
+    def test_outcomes_are_a_serial_loops(self, order, n, failing, qrels, workers, k, max_turns):
+        queries = [(f"q{i}", f"text {i}") for i in order[:n]]
+
+        def job(qid, text, config):
+            if qid in failing:
+                raise ValueError(f"{qid} failed")
+            return qid, text, config
+
+        serial = []
+        for qid, text in queries:
+            targets = frozenset(d for d, grade in qrels.get(qid, {}).items() if grade >= 1)
+            try:
+                serial.append(job(qid, text, EpisodeConfig(k, max_turns, targets)))
+            except Exception as exc:
+                serial.append(exc)
+        # the given config's own targets are replaced by each query's
+        config = EpisodeConfig(k, max_turns, frozenset({"a"}))
+        got = run_queries(queries, qrels, config, job, workers)
+
+        def plain(outcome):
+            return (type(outcome), str(outcome)) if isinstance(outcome, Exception) else outcome
+
+        assert [plain(o) for o in got] == [plain(o) for o in serial]
+
 
 @pytest.mark.parametrize("kind", ["depth_first", "random_walk"])
 def test_episode_log_record_round_trips(tree_retriever, tree_resources, kind):
@@ -672,7 +755,7 @@ class TestRetrieverMemo:
         vector = embed.inner(TREE_QUERY)
         for (k, t), got in zip(keys, (plain, top1, targeted, other)):
             assert got == tree_retriever.index.search(vector, k, t)
-        assert len(plain) == 5 and len(top1) == 1
+        assert len(plain.entries) == 5 and len(top1.entries) == 1
         assert plain.target_rank is None and targeted.target_rank is not None
         assert (targeted.target_rank, other.target_rank) == (6, 5)
         assert retriever.retrieve(TREE_QUERY, 5, ("t2", "t2")) is targeted

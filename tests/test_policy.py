@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -108,6 +109,16 @@ class TestArchetypeConfig:
     def test_a_knob_of_another_type_is_refused(self, params, message):
         with pytest.raises(ValueError, match=message):
             ArchetypeConfig(kind="greedy_hill", params=params)
+
+    @pytest.mark.parametrize("kind, knob", [("early_success", "good_sim"), ("best_first", "try_threshold")])
+    @pytest.mark.parametrize("value", [1.5, -1.5, 1e308])
+    def test_a_float_knob_outside_the_cosine_range_is_refused(self, kind, knob, value):
+        # both knobs are compared with cosines, so only [-1, 1] means anything
+        assert ArchetypeConfig(kind=kind, params={knob: -1}).params[knob] == -1
+        assert ArchetypeConfig(kind=kind, params={knob: 1.0}).params[knob] == 1.0
+        message = f"{kind} param '{knob}' must be a number in [-1, 1], got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ArchetypeConfig(kind=kind, params={knob: value})
 
     @pytest.mark.parametrize(
         "kind, knob, floor",
@@ -596,6 +607,27 @@ class TestRemotePolicy:
         state = state_with_sims([0.5])
         with pytest.raises(CapabilityError, match="log-probabilities"):
             policy.relevance_perplexity(state)
+
+    @pytest.mark.parametrize("content", [None, 5], ids=["null", "number"])
+    def test_non_text_content_is_a_policy_error(self, content):
+        transport = FakeTransport([{"choices": [{"message": {"content": content}}]}])
+        policy = RemotePolicy("http://e", "m", post=transport, api_key="k")
+        with pytest.raises(PolicyError, match="malformed completion response: content"):
+            policy.propose(SearchState(original_query="q"), 1)
+
+    @pytest.mark.parametrize(
+        "logprobs",
+        [{"content": [{"token": "yes"}]}, [{"logprob": -0.5}], {"content": [{"logprob": "-0.5"}]},
+         {"content": [{"logprob": -0.5}, {"logprob": math.nan}]}],
+        ids=["item-without-logprob", "list", "string", "nan"],
+    )
+    def test_a_malformed_logprob_is_a_policy_error(self, logprobs):
+        # a NaN perplexity would make beam search's sort key meaningless
+        reply = {"choices": [{"message": {"content": "relevant."}, "logprobs": logprobs}]}
+        policy = RemotePolicy("http://e", "m", post=FakeTransport([reply]), api_key="k")
+        with pytest.raises(PolicyError, match="malformed completion response") as info:
+            policy.relevance_perplexity(state_with_sims([0.5]))
+        assert not isinstance(info.value, CapabilityError)
 
     def test_baseline_mode_uses_two_phase_prompts(self):
         transport = FakeTransport(
