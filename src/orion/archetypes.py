@@ -1,10 +1,12 @@
 """The ten scripted search behaviors.
 
-Each behavior is a pure function of (config, state, resources): every decision
-is recomputed from the episode history, so repeated calls agree byte-for-byte
-and beam-search forks stay consistent. The source material sketches each
-behavior in a line; the exact rules implemented here are the ones documented
-on each step function, and the tests hand-simulate those rules.
+A step is `step(cfg, state, res, variant)`, and each behavior is a pure
+function of those: every decision is recomputed from the episode history, so
+repeated calls agree byte-for-byte and beam-search forks stay consistent. The
+source material sketches each behavior in a line; the exact rules implemented
+here are the ones documented on each step function, and the tests
+hand-simulate those rules. Only random_walk draws at random, from a generator
+it derives itself (`derive_rng`) from the seed, the state and the variant.
 
 The `variant` argument shifts ranked choices (take the i-th best instead of
 the best) so that a beam expansion of width M gets M distinct continuations.
@@ -19,6 +21,7 @@ first move. A new behavior is one step function plus one row.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -39,6 +42,17 @@ class PolicyResources:
 
     vocab: TfidfTable
     probe: Callable[[str], float] | None = None
+
+
+def derive_seed(*parts: object) -> int:
+    """64-bit seed keyed on arbitrary parts (stable across processes)."""
+    digest = hashlib.sha256("\x1f".join(str(p) for p in parts).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def derive_rng(*parts: object) -> random.Random:
+    """Deterministic RNG keyed on arbitrary parts (stable across processes)."""
+    return random.Random(derive_seed(*parts))
 
 
 def _fallback(q0: str, reason: str) -> Action:
@@ -87,9 +101,7 @@ def _refinement(res: PolicyResources, state: SearchState, turn: Turn, variant: i
     return _top_term(res, [top_text], variant, _used_terms(state))
 
 
-def step_adaptive_context(
-    cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> Action:
+def step_adaptive_context(cfg, state: SearchState, res: PolicyResources, variant: int) -> Action:
     """Adopt the top tf*idf keywords of the last results into the query.
 
     Each later turn appends the `adopt_terms` best new terms of the previous
@@ -108,18 +120,19 @@ def step_adaptive_context(
     )
 
 
-def step_random_walk(
-    cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> Action:
+def step_random_walk(cfg, state: SearchState, res: PolicyResources, variant: int) -> Action:
     """Swap one random query token for a corpus-vocabulary neighbor.
 
     Each later turn rebuilds the last query from its content tokens; the
-    replaced position and the neighbor are drawn from the per-call seeded
-    generator.
+    replaced position and the neighbor are drawn from a generator seeded by
+    (seed, the query chain q0 + issued queries joined by "\x1e", the turns so
+    far, variant), so a state and variant always draw the same.
     """
     tokens = tokenize(state.history[-1].query)
     if not tokens:
         return _fallback(state.original_query, "query has no content tokens")
+    chain = "\x1e".join([state.original_query] + [t.query for t in state.history])
+    rng = derive_rng(cfg.seed, chain, len(state.history), variant)
     idx = rng.randrange(len(tokens))
     pool = cfg.params["neighbor_pool"]
     cands = res.vocab.neighbors(tokens[idx], pool, exclude=tokens)
@@ -134,9 +147,7 @@ def step_random_walk(
     )
 
 
-def step_breadth_first(
-    cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> Action:
+def step_breadth_first(cfg, state: SearchState, res: PolicyResources, variant: int) -> Action:
     """Survey sibling subtopics of the original query before deepening.
 
     Siblings are the top `fanout` expansions of q0. The turns after the
@@ -167,9 +178,7 @@ def step_breadth_first(
     )
 
 
-def step_depth_first(
-    cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> Action:
+def step_depth_first(cfg, state: SearchState, res: PolicyResources, variant: int) -> Action:
     """Drill one specialization deeper per turn; back up one level on a drop.
 
     Turn 1 issues the head phrase of q0 plus its first corpus expansion. While
@@ -217,9 +226,7 @@ def step_depth_first(
     )
 
 
-def step_wrong_direction(
-    cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> Action:
+def step_wrong_direction(cfg, state: SearchState, res: PolicyResources, variant: int) -> Action:
     """Drift onto tangents, then diagnose the failure when similarity falls.
 
     After the opening, while scores are not falling the query chases a weak
@@ -250,9 +257,7 @@ def step_wrong_direction(
     )
 
 
-def step_early_success(
-    cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> Action:
+def step_early_success(cfg, state: SearchState, res: PolicyResources, variant: int) -> Action:
     """Recognize when results already work and refine only minimally.
 
     After the opening validates q0 as-is, if the best similarity is rising
@@ -281,9 +286,7 @@ def step_early_success(
     return Action(think=think, query=f"{base_turn.query} {term}")
 
 
-def step_exploitation_heavy(
-    cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> Action:
+def step_exploitation_heavy(cfg, state: SearchState, res: PolicyResources, variant: int) -> Action:
     """Never explore: always re-optimize the best-scoring query so far.
 
     Each later turn takes the highest-similarity query from the history and
@@ -303,9 +306,7 @@ def step_exploitation_heavy(
     )
 
 
-def step_greedy_hill(
-    cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> Action:
+def step_greedy_hill(cfg, state: SearchState, res: PolicyResources, variant: int) -> Action:
     """Probe `candidates` edits against the index and keep the argmax.
 
     Candidate edits append each top expansion of the current query; each is
@@ -330,9 +331,7 @@ def step_greedy_hill(
     )
 
 
-def step_best_first(
-    cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> Action:
+def step_best_first(cfg, state: SearchState, res: PolicyResources, variant: int) -> Action:
     """Keep a pool of hypothesis queries and pursue the most promising.
 
     The pool is q0 plus its top `pool_size` expansions. When the last turn
@@ -368,9 +367,7 @@ def step_best_first(
     )
 
 
-def step_multi_beam(
-    cfg, state: SearchState, res: PolicyResources, rng: random.Random, variant: int
-) -> Action:
+def step_multi_beam(cfg, state: SearchState, res: PolicyResources, variant: int) -> Action:
     """Round-robin three fixed sub-strategies as parallel search lanes.
 
     Lane 0 reads keywords out of the last results (q0 plus the top result
@@ -477,7 +474,6 @@ def archetype_step(
     config: ArchetypeConfig,
     state: SearchState,
     resources: PolicyResources,
-    rng: random.Random,
     variant: int = 0,
 ) -> Action:
     """Run one behavior step: on turn 1 a kind with an opening issues q0 with
@@ -487,4 +483,4 @@ def archetype_step(
     if opening is not None and not state.history:
         q0 = state.original_query
         return Action(think=opening.format(q0=q0), query=q0)
-    return step(config, state, resources, rng, variant)
+    return step(config, state, resources, variant)

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import dataio
-from .archetypes import PolicyResources
+from .archetypes import PolicyResources, derive_rng
 from .config import ConfigError, RunConfig, episode_seed, field_type, flag_name, read_config_file
 from .corpus import CorpusError, CorpusIndex, Document, build_index
 from .embed import EmbeddingServiceClient, EmbeddingServiceError, HashEmbedder
@@ -42,7 +42,7 @@ from .metrics import (
     write_behavior_report,
     write_metrics_report,
 )
-from .policy import ArchetypeConfig, RemotePolicy, ScriptedPolicy, derive_rng
+from .policy import ArchetypeConfig, RemotePolicy, ScriptedPolicy
 from .rewards import GrpoConfig, collect_grouped_episode, make_training_record
 from .synth import DatasetManifest, assemble_pool, generate_trajectory, sample_sft_dataset
 from .trace import TraceError, serialize_trace

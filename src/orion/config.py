@@ -17,8 +17,8 @@ import math
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from pathlib import Path
 
-from .archetypes import KINDS
-from .policy import REMOTE_MODES, ArchetypeConfig, derive_seed
+from .archetypes import KINDS, derive_seed
+from .policy import REMOTE_MODES, ArchetypeConfig
 from .rewards import SELECTION_MODES
 
 log = logging.getLogger(__name__)

@@ -3,8 +3,9 @@
 Two backends share one interface:
 
 * `ScriptedPolicy` drives one of the ten behavioral archetypes. It is a pure
-  function of (config, state): the per-call RNG is derived from the seed and
-  the state's query chain, so repeated calls agree byte-for-byte.
+  function of (config, state): it draws no randomness of its own, and the one
+  behavior that does (random_walk) seeds its generator from the seed and the
+  state's query chain, so repeated calls agree byte-for-byte.
 * `RemotePolicy` talks to a chat-completions endpoint, eliciting the think
   span and the query in two stages (either via the structured-tag prompt or
   the two-phase plain-text baseline prompts). Relevance confidence comes from
@@ -18,14 +19,13 @@ perplexity, preserving the ordering semantics of the real signal.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
-import random
 from dataclasses import replace
 from typing import Protocol, Sequence
 
 from .archetypes import ArchetypeConfig, PolicyResources, archetype_step
+from .archetypes import derive_rng  # not used here; perfbench/workloads.py imports it from here
 from .embed import post_json
 from .trace import (
     Action,
@@ -67,27 +67,20 @@ def clip_query(query: str, max_chars: int = DEFAULT_MAX_QUERY_CHARS) -> str:
     return cut.strip() or query[:max_chars]
 
 
-def derive_seed(*parts: object) -> int:
-    """64-bit seed keyed on arbitrary parts (stable across processes)."""
-    digest = hashlib.sha256("\x1f".join(str(p) for p in parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def derive_rng(*parts: object) -> random.Random:
-    """Deterministic RNG keyed on arbitrary parts (stable across processes)."""
-    return random.Random(derive_seed(*parts))
-
-
 def pseudo_perplexity(best_sim: float) -> float:
     """Scripted confidence surrogate: exp(1 - s), s clamped to [-1, 1]."""
     return math.exp(1.0 - max(-1.0, min(1.0, best_sim)))
 
 
 def perplexity_from_logprobs(logprobs: Sequence[float]) -> float:
-    """exp of the negative mean token log-probability."""
+    """exp of the negative mean token log-probability; inf where exp
+    overflows, which ranks the candidate behind every other."""
     if not logprobs:
         raise ValueError("perplexity needs at least one token log-probability")
-    return math.exp(-sum(logprobs) / len(logprobs))
+    try:
+        return math.exp(-sum(logprobs) / len(logprobs))
+    except OverflowError:
+        return math.inf
 
 
 class Policy(Protocol):
@@ -112,18 +105,13 @@ class ScriptedPolicy:
         self.resources = resources
         self.max_query_chars = max_query_chars
 
-    def _state_key(self, state: SearchState) -> str:
-        return "\x1e".join([state.original_query] + [t.query for t in state.history])
-
     def propose(self, state: SearchState, n: int) -> list[Action]:
         if n < 1:
             raise ValueError("n must be >= 1")
-        actions = []
-        for i in range(n):
-            rng = derive_rng(self.config.seed, self._state_key(state), len(state.history), i)
-            step = archetype_step(self.config, state, self.resources, rng, variant=i)
-            actions.append(replace(step, query=clip_query(step.query, self.max_query_chars)))
-        return actions
+        return [
+            replace(step, query=clip_query(step.query, self.max_query_chars))
+            for step in (archetype_step(self.config, state, self.resources, i) for i in range(n))
+        ]
 
     def relevance_perplexity(self, state: SearchState) -> float:
         best = state.last_turn().best_score()
@@ -240,9 +228,10 @@ class RemotePolicy:
             logprobs = [item["logprob"] for item in content] if content else None
             if not isinstance(text, str):
                 raise TypeError(f"content {text!r} is not text")
-            if not all(type(v) in (int, float) and math.isfinite(v) for v in logprobs or ()):
-                raise ValueError(f"logprobs {logprobs!r} are not all finite numbers")
-        except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+            # a log-probability above 0 would make a perplexity below 1
+            if not all(type(v) in (int, float) and math.isfinite(v) and v <= 0 for v in logprobs or ()):
+                raise ValueError(f"logprobs {logprobs!r} are not all finite numbers <= 0")
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise PolicyError(f"malformed completion response: {exc}") from exc
         if want_logprobs and not logprobs:
             raise CapabilityError("endpoint returned no token log-probabilities")

@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .archetypes import PolicyResources
+from .archetypes import PolicyResources, derive_rng
 from .engine import EpisodeConfig, Retriever, run_episode
-from .policy import DEFAULT_MAX_QUERY_CHARS, ArchetypeConfig, ScriptedPolicy, derive_rng
+from .policy import DEFAULT_MAX_QUERY_CHARS, ArchetypeConfig, ScriptedPolicy
 from .rewards import GrpoConfig, TrainingRecord, clamp_cosine, make_training_record
 from .trace import TraceDocument
 

@@ -26,28 +26,31 @@ same floats to the last bit. Terms are then ranked with
 `np.lexsort((ids, -scores))`; id order is term order, so ties go to the
 smaller term. A per-table LRU memo (`RANKING_MEMO_SIZE`) keeps the full
 ranking of each token set as a read-only int32 array of term ids, whatever
-`j` and `exclude` a call asks for; each call leaves out the excluded terms
-and the key's own tokens and slices `[:j]`, so the behaviours that ask about
-one query again and again rank it once.
+`j` and `exclude` a call asks for, so the behaviours that ask about one query
+again and again rank it once.
 
 `top_terms` reads a turn's result snippets as one text, their `" ".join`: the
 space only separates tokens, so the joined text's tokens are the snippets'
-tokens in order. Two per-table LRU memos keep a turn's text work to once:
+tokens in order. A per-table LRU memo (`TERM_VECTOR_MEMO_SIZE`) keeps each
+text's term vector: the ids of its known tokens, one per occurrence, and the
+tokens the table lacks, such as a word cut at the snippet budget. Each call
+then ranks its texts afresh. A term's count comes from one `np.unique` over
+the texts' ids, and its score is `count * idf`, one float64 multiply of an
+exact integer: the multiply a `Counter` count times the Python idf does. A
+token the table lacks scores `count * unseen idf` in Python. Known terms are
+ranked with the same lexsort as above. The counts stay sparse: a dense count
+per term of the corpus would allocate a vocabulary-sized array on every
+ranking.
 
-* per text (`TERM_VECTOR_MEMO_SIZE`), its term vector: the ids of its known
-  tokens, one per occurrence, and the tokens the table lacks, such as a word
-  cut at the snippet budget;
-* per (texts, exclude) (`RANKING_MEMO_SIZE`), the full ranking; `j` only
-  slices it, so the proposals of one search state share one ranking.
-
-A term's count comes from one `np.unique` over the texts' ids, and its score
-is `count * idf`, one float64 multiply of an exact integer: the multiply a
-`Counter` count times the Python idf does. A token the table lacks scores
-`count * unseen idf` in Python. Known terms are ranked with the same lexsort
-as above, and the lacking tokens are merged in by the same (score desc, term
-asc) key, so `top_terms` returns, bit for bit, what sorting the joined
-text's `Counter` returns. The counts stay sparse: a dense count per term of
-the corpus would allocate a vocabulary-sized array on every ranking.
+All three lookups read a ranking by one rule (`_top`). A call leaves out a
+set `drop` of ids: the excluded terms, and for a co-occurrence ranking the
+key's own tokens. A ranking holds each id once, so at most `len(drop)` of
+its first `j + len(drop)` ids are left out. Only that prefix (the whole
+ranking for a negative `j`) is turned into strings; the dropped ids leave
+it, and the rest is sliced `[:j]`. The tokens `top_terms`' table lacks are
+merged into that prefix by the same (score desc, term asc) key, so
+`top_terms` returns, bit for bit, what sorting the joined text's `Counter`
+returns.
 """
 
 from __future__ import annotations
@@ -63,9 +66,8 @@ import numpy as np
 
 from .corpus import Document
 
-# Distinct texts whose term vectors, and distinct (texts, exclude) pairs whose
-# keyword rankings, a TfidfTable remembers; also the distinct token sets whose
-# co-occurrence rankings it remembers.
+# Distinct texts whose term vectors, and distinct token sets whose
+# co-occurrence rankings, a TfidfTable remembers.
 TERM_VECTOR_MEMO_SIZE = 1024
 RANKING_MEMO_SIZE = 64
 _NO_IDS = np.zeros(0, np.int32)
@@ -107,13 +109,11 @@ def head_phrase(text: str) -> list[str]:
     return head
 
 
-def _keyword_ranking(
-    ids: dict[str, int], terms: list[str], idf: np.ndarray, unseen_idf: float
-) -> Callable[[tuple[str, ...], frozenset[str]], tuple[str, ...]]:
-    """`top_terms`' memoised full ranking over one table's term ids and idfs.
+def _term_vectors(ids: dict[str, int]) -> Callable[[str], tuple[np.ndarray, tuple[str, ...]]]:
+    """`top_terms`' memoised term vectors over one table's term ids.
 
-    Closures, not bound methods, so the memos hold no reference back to the
-    table and a dropped table is freed at once.
+    A closure, not a bound method, so the memo holds no reference back to
+    the table and a dropped table is freed at once.
     """
 
     @functools.lru_cache(maxsize=TERM_VECTOR_MEMO_SIZE)
@@ -124,28 +124,7 @@ def _keyword_ranking(
         known = [i for t in tokens if (i := ids.get(t)) is not None]
         return np.array(known, np.int32), tuple(t for t in tokens if t not in ids)
 
-    @functools.lru_cache(maxsize=RANKING_MEMO_SIZE)
-    def ranking(texts: tuple[str, ...], exclude: frozenset[str]) -> tuple[str, ...]:
-        """Every term of the joined texts with a positive tf*idf, ranked."""
-        vectors = [term_vector(text) for text in texts]
-        found = np.concatenate([_NO_IDS, *(known for known, _ in vectors)])
-        term_ids, counts = np.unique(found, return_counts=True)
-        scores = counts * idf[term_ids]  # positive: an idf is at least 1 - log(2)
-        order = np.lexsort((term_ids, -scores))
-        dropped = {ids.get(t) for t in exclude}
-        scored = [
-            (-score, terms[i])
-            for score, i in zip(scores[order].tolist(), term_ids[order].tolist())
-            if i not in dropped
-        ]
-        unknown = Counter(t for _, missing in vectors for t in missing if t not in exclude)
-        if unknown and unseen_idf > 0:
-            # merged by the known terms' key, (-score, term)
-            scored += [(-c * unseen_idf, t) for t, c in unknown.items()]
-            scored.sort()
-        return tuple(t for _, t in scored)
-
-    return ranking
+    return term_vector
 
 
 def _cooccurrence_ranking(
@@ -158,8 +137,8 @@ def _cooccurrence_ranking(
 ) -> Callable[[frozenset[str]], np.ndarray]:
     """`expansions`' and `neighbors`' memoised ranking over one table's CSRs.
 
-    A closure, like `_keyword_ranking`, so the memo holds no reference back
-    to the table.
+    A closure, like `_term_vectors`, so the memo holds no reference back to
+    the table.
     """
 
     def postings(term: str) -> np.ndarray:
@@ -220,15 +199,14 @@ class TfidfTable:
         rows, self._row_terms = np.divmod(pairs, n_terms)
         self._row_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         df = np.bincount(self._row_terms, minlength=n_terms)
-        self._idf = [math.log(n / (1 + d)) + 1.0 for d in df.tolist()]
-        idf = np.array(self._idf)
-        self._row_weights = counts.astype(np.float64) * idf[self._row_terms]
+        self._idf = np.array([math.log(n / (1 + d)) + 1.0 for d in df.tolist()])
+        self._row_weights = counts.astype(np.float64) * self._idf[self._row_terms]
         # (term, row) keys are distinct, so sorting them lists each term's rows ascending
         self._post_rows = rows[np.argsort(self._row_terms * n + rows)]
         self._post_ptr = np.concatenate(([0], np.cumsum(df)))
         # 0.0 for an empty corpus, where log(0) is undefined and no term scores
         self._unseen_idf = math.log(float(n)) + 1.0 if n else 0.0
-        self._ranking = _keyword_ranking(self._ids, self._terms, idf, self._unseen_idf)
+        self._term_vector = _term_vectors(self._ids)
         self._cooccurrence = _cooccurrence_ranking(
             self._ids, self._post_ptr, self._post_rows,
             self._row_ptr, self._row_terms, self._row_weights,
@@ -238,25 +216,50 @@ class TfidfTable:
     def from_documents(cls, documents: Iterable[Document]) -> "TfidfTable":
         return cls(tokenize(f"{d.title} {d.text}") for d in documents)
 
-    def idf(self, term: str) -> float:
-        i = self._ids.get(term)
-        return self._unseen_idf if i is None else self._idf[i]
+    def _top(self, ranked: np.ndarray, j: int, drop: set[int], scores=None, unknown=()) -> list[str]:
+        """The top j of the term ids `ranked` (best first), leaving out the ids
+        in `drop`.
+
+        At most len(drop) of the first j + len(drop) ids are left out, so only
+        that prefix (all of `ranked`, for a negative j) becomes strings.
+        `unknown` holds (-score, term) pairs of tokens the table lacks; they
+        are merged into the prefix by that key, `scores[k]` being the score of
+        `ranked[k]`.
+        """
+        if j >= 0:
+            ranked = ranked[: j + len(drop)]
+        if not unknown:
+            return [self._terms[i] for i in ranked.tolist() if i not in drop][:j]
+        scored = [
+            (-score, self._terms[i])
+            for score, i in zip(scores[: len(ranked)].tolist(), ranked.tolist())
+            if i not in drop
+        ]
+        return [t for _, t in sorted([*scored, *unknown])][:j]
+
+    def _ids_of(self, terms: Iterable[str]) -> set[int]:
+        return {i for t in terms if (i := self._ids.get(t)) is not None}
 
     def top_terms(self, texts: Sequence[str], j: int, exclude: Iterable[str] = ()) -> list[str]:
         """Top-j tf*idf terms of some texts, read as one text (`" ".join`),
         highest score first, ties by term."""
         if isinstance(texts, str):
             raise TypeError("top_terms takes a sequence of texts, not one str")
-        return list(self._ranking(tuple(texts), frozenset(exclude))[:j])
+        exclude = frozenset(exclude)
+        vectors = [self._term_vector(text) for text in texts]
+        found = np.concatenate([_NO_IDS, *(known for known, _ in vectors)])
+        term_ids, counts = np.unique(found, return_counts=True)
+        scores = counts * self._idf[term_ids]  # positive: an idf is at least 1 - log(2)
+        order = np.lexsort((term_ids, -scores))
+        unknown = Counter(t for _, missing in vectors for t in missing if t not in exclude)
+        # a lacking token scores 0.0 only in an empty corpus, where no term scores
+        pairs = [(-c * self._unseen_idf, t) for t, c in unknown.items()] if self._unseen_idf > 0 else []
+        return self._top(term_ids[order], j, self._ids_of(exclude), scores[order], pairs)
 
     def _cooccurring(self, tokens: frozenset[str], j: int, exclude: Iterable[str]) -> list[str]:
         """Top-j of the co-occurrence ranking of `tokens`, leaving out the
         tokens themselves and `exclude`."""
-        drop = {i for t in tokens.union(exclude) if (i := self._ids.get(t)) is not None}
-        order = self._cooccurrence(tokens)
-        if j >= 0:
-            order = order[: j + len(drop)]  # at most len(drop) of these are left out
-        return [self._terms[i] for i in order.tolist() if i not in drop][:j]
+        return self._top(self._cooccurrence(tokens), j, self._ids_of(tokens.union(exclude)))
 
     def expansions(self, query_text: str, j: int, exclude: Iterable[str] = ()) -> list[str]:
         """Corpus terms that best extend a query.

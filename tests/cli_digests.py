@@ -1,12 +1,14 @@
 """The sha256 of every file that `orion`'s batch commands write on a small
 seeded corpus, for checking that a refactor leaves every logged byte as it was.
 
-The matrix is 93 in-process runs: for each of the ten kinds, `run`, `beam` at
-(B, M) = (2, 2) and (3, 1), `grpo-collect` with argmax selection, with
-proportional selection and with `--zscore`, and `eval`, `report` and
-`report --relaxed-stagnation` over the kind's `run` log; plus `generate` with
-and without `--sft-total`, and `index`, whose `embeddings.orne` is read back
-from the index's stored matrix. Each file is hashed whole, meta line included.
+The matrix is 100 in-process runs that write 149 files: for each of the ten
+kinds, `run`, `beam` at (B, M) = (2, 2) and (3, 1), `grpo-collect` with
+argmax selection, with proportional selection and with `--zscore`, and
+`eval`, `report` and `report --relaxed-stagnation` over the kind's `run` log;
+for each of the seven kinds with a knob, a `run` with non-default
+`--policy-params` (`KNOBS`); plus `generate` with and without `--sft-total`,
+and `index`, whose `embeddings.orne` is read back from the index's stored
+matrix. Each file is hashed whole, meta line included.
 
     PYTHONPATH=src python tests/cli_digests.py
     PYTHONPATH=src python tests/cli_digests.py --against HEAD~1
@@ -64,6 +66,20 @@ def seeded_inputs(directory: Path) -> list[str]:
             "--qrels", str(directory / "qrels.tsv"), "--embed-dim", "64", "--seed", "3"]
 
 
+# Non-default knobs for each kind that has one. best_first's try_threshold
+# lies above most turns' best scores on the seeded corpus, so it promotes its
+# next hypothesis (in 4 of the 6 episodes), a branch the default never enters.
+KNOBS = {
+    "adaptive_context": {"adopt_terms": 3},
+    "random_walk": {"neighbor_pool": 2},
+    "breadth_first": {"fanout": 2},
+    "wrong_direction": {"drift_rank": 2},
+    "early_success": {"good_sim": 0.9},
+    "greedy_hill": {"candidates": 5},
+    "best_first": {"pool_size": 2, "try_threshold": 0.95},
+}
+
+
 def matrix(kinds: tuple[str, ...], logs: Path) -> list[tuple[str, list[str]]]:
     """(run name, command and flags) for each run of the matrix; `eval` and
     `report` read the copy of the kind's `run` log in `logs`."""
@@ -82,6 +98,8 @@ def matrix(kinds: tuple[str, ...], logs: Path) -> list[tuple[str, list[str]]]:
             (f"report-{kind}", ["report", *log]),
             (f"report-relaxed-{kind}", ["report", *log, "--relaxed-stagnation"]),
         ]
+        if kind in KNOBS:
+            runs.append((f"run-knobs-{kind}", ["run", *policy, "--policy-params", json.dumps(KNOBS[kind])]))
     return runs + [
         ("generate", ["generate"]),
         ("generate-sft", ["generate", "--sft-total", "20"]),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 import struct
 import sys
 import threading
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orion import engine
-from orion.archetypes import KINDS, PolicyResources
+from orion.archetypes import KINDS, PolicyResources, derive_rng
 from orion.corpus import NOT_FOUND, CorpusIndex
 from orion.engine import (
     EMBED_MEMO_SIZE,
@@ -33,7 +34,7 @@ from orion.engine import (
     run_episode,
     run_queries,
 )
-from orion.policy import Action, ArchetypeConfig, PolicyError, ScriptedPolicy, derive_rng
+from orion.policy import Action, ArchetypeConfig, PolicyError, RemotePolicy, ScriptedPolicy
 from orion.rewards import (
     GrpoConfig,
     candidate_signals,
@@ -466,6 +467,47 @@ class TestBeamSearch:
         result = beam_search(failing, retriever, "root question", 2, 2, cfg)
         assert result.trace.terminal_reason == "policy_error"
         assert result.trace.state.history == ()
+
+    @pytest.mark.parametrize(
+        "bright_logprob, order",
+        [(-9999.0, ["q-mid", "q-lo", "q-hi"]), (800.0, ["q-mid", "q-lo"])],
+        ids=["overflow", "positive"],
+    )
+    def test_an_extreme_logprob_costs_only_its_candidate(self, bright_logprob, order):
+        # exp(9999) overflows: that candidate's perplexity is inf, so it ranks
+        # last; a logprob above 0 is a malformed reply, so it is dropped
+        dim = 6
+        docs = {f"d{i}": axis(dim, i + 1) for i in range(3)}
+        queries = {
+            "q-hi": mix(dim, (1, 0.9), (0, math.sqrt(1 - 0.81))),
+            "q-mid": mix(dim, (2, 0.6), (0, 0.8)),
+            "q-lo": mix(dim, (3, 0.2), (0, math.sqrt(1 - 0.04))),
+        }
+        logprobs = {"q-hi": [bright_logprob], "q-mid": [-1.0], "q-lo": [-2.0]}
+
+        def reply(payload):
+            query = re.search(r"search query (\S+), the", payload["messages"][0]["content"])[1]
+            content = [{"logprob": lp} for lp in logprobs[query]]
+            return {"choices": [{"message": {"content": "yes"}, "logprobs": {"content": content}}]}
+
+        judge = RemotePolicy("http://e", "m", post=reply, api_key="k")
+        proposed_from = []
+
+        class RemoteJudged(TablePolicy):
+            def propose(self, state, n):
+                if state.history:
+                    proposed_from.append(state.last_turn().query)
+                return super().propose(state, n)
+
+            def relevance_perplexity(self, state):
+                return judge.relevance_perplexity(state)
+
+        policy = RemoteJudged({(1, ""): ["q-hi", "q-mid", "q-lo"], **{(2, q): [q] for q in queries}})
+        cfg = EpisodeConfig(k=2, max_turns=2, target_ids=frozenset())
+        result = beam_search(policy, make_stub_retriever(docs, queries), "root", 3, 3, cfg)
+        assert result.trace.terminal_reason == "budget_exhausted"
+        assert proposed_from == order  # the survivors of turn 1, best first
+        assert [t.query for t in result.trace.state.history] == ["q-mid", "q-mid"]
 
     def test_tie_break_is_lexicographic_on_query(self):
         dim = 4

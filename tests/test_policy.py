@@ -5,8 +5,10 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orion.archetypes import FAILURE_MARKER, KINDS, PolicyResources
+from orion.archetypes import FAILURE_MARKER, KINDS, PolicyResources, derive_rng, derive_seed
 from orion.corpus import Document
 from orion.policy import (
     Action,
@@ -17,14 +19,13 @@ from orion.policy import (
     ScriptedPolicy,
     archetype_step,
     clip_query,
-    derive_rng,
     perplexity_from_logprobs,
     planning_phase_prompt,
     pseudo_perplexity,
     search_query_phase_prompt,
 )
 from orion.trace import RetrievedDoc, SearchState, Turn
-from orion.vocab import TfidfTable
+from orion.vocab import TfidfTable, tokenize
 
 from conftest import TREE_QUERY
 
@@ -76,6 +77,36 @@ class TestPerplexity:
 def test_derive_rng_is_pinned():
     # a changed seed derivation would change every GRPO selection and random walk
     assert derive_rng(0, "grpo-select", "q1").random() == 0.8120563804613088
+
+
+# the tree corpus's words, and one it lacks, which has no neighbors
+TREE_WORDS = ["machine", "learning", "neural", "transformers", "attention", "guide", "trees", "zz"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    queries=st.lists(
+        st.lists(st.sampled_from(TREE_WORDS), min_size=1, max_size=4).map(" ".join),
+        min_size=1, max_size=3,
+    ),
+    variant=st.integers(0, 3),
+)
+def test_random_walk_draws_from_a_generator_seeded_by_its_state(tree_resources, seed, queries, variant):
+    cfg = ArchetypeConfig(kind="random_walk", seed=seed)
+    state = state_with_sims([0.5] * len(queries), q0=TREE_QUERY, queries=dict(enumerate(queries)))
+    action = archetype_step(cfg, state, tree_resources, variant)
+    assert ScriptedPolicy(cfg, tree_resources).propose(state, variant + 1)[variant] == action
+    # the draw written out: (seed, query chain, turns so far, variant) seed the generator
+    rng = random.Random(derive_seed(seed, "\x1e".join([TREE_QUERY, *queries]), len(queries), variant))
+    tokens = tokenize(queries[-1])
+    idx = rng.randrange(len(tokens))
+    cands = tree_resources.vocab.neighbors(tokens[idx], cfg.params["neighbor_pool"], exclude=tokens)
+    if not cands:
+        assert action.query == TREE_QUERY and f"no neighbors for '{tokens[idx]}'" in action.think
+        return
+    tokens[idx] = rng.choice(cands)
+    assert action.query == " ".join(tokens)
 
 
 class TestArchetypeConfig:
@@ -292,7 +323,7 @@ class TestArchetypeSteps:
             texts={0: "carbon carbon emissions carbon climate"},
         )
         cfg = ArchetypeConfig(kind="adaptive_context")
-        action = archetype_step(cfg, state, res, random.Random(0))
+        action = archetype_step(cfg, state, res)
         assert "carbon" in action.query
         assert action.query.startswith("climate change")
 
@@ -311,20 +342,20 @@ class TestArchetypeSteps:
             }.__getitem__,
         )
         cfg = ArchetypeConfig(kind="greedy_hill")
-        action = archetype_step(cfg, SearchState(original_query="base query"), res, random.Random(0))
+        action = archetype_step(cfg, SearchState(original_query="base query"), res)
         assert action.query == "base query beta"
 
     def test_wrong_direction_diagnoses_similarity_drop(self, tree_resources):
         state = state_with_sims([0.8, 0.3], queries={0: "good query", 1: "bad tangent"})
         cfg = ArchetypeConfig(kind="wrong_direction")
-        action = archetype_step(cfg, state, tree_resources, random.Random(0))
+        action = archetype_step(cfg, state, tree_resources)
         assert FAILURE_MARKER in action.think
         assert "bad tangent" in action.think
 
     def test_early_success_turn_one_mentions_success(self, tree_resources):
         cfg = ArchetypeConfig(kind="early_success")
         action = archetype_step(
-            cfg, SearchState(original_query="anything"), tree_resources, random.Random(0)
+            cfg, SearchState(original_query="anything"), tree_resources
         )
         assert "success" in action.think.lower()
         assert action.query == "anything"
@@ -337,7 +368,7 @@ class TestArchetypeSteps:
             queries={0: "machine learning neural", 1: "machine learning neural alpha"},
         )
         cfg = ArchetypeConfig(kind="depth_first")
-        action = archetype_step(cfg, state, tree_resources, random.Random(0))
+        action = archetype_step(cfg, state, tree_resources)
         assert action.query.startswith("machine learning neural ")
         assert not action.query.endswith("alpha")
         assert "backing up" in action.think
@@ -345,8 +376,8 @@ class TestArchetypeSteps:
     def test_variants_shift_choices(self, tree_resources):
         cfg = ArchetypeConfig(kind="depth_first")
         state = SearchState(original_query=TREE_QUERY)
-        a0 = archetype_step(cfg, state, tree_resources, random.Random(0), variant=0)
-        a1 = archetype_step(cfg, state, tree_resources, random.Random(0), variant=1)
+        a0 = archetype_step(cfg, state, tree_resources, variant=0)
+        a1 = archetype_step(cfg, state, tree_resources, variant=1)
         assert a0.query != a1.query
 
     # Terms absent from the tree corpus share one idf, so a result text's
@@ -359,7 +390,7 @@ class TestArchetypeSteps:
     ):
         state = state_with_sims([0.3, 0.6], queries={1: "second try"}, texts={1: self.FRUIT})
         action = archetype_step(
-            ArchetypeConfig(kind="early_success"), state, tree_resources, random.Random(0), variant
+            ArchetypeConfig(kind="early_success"), state, tree_resources, variant
         )
         assert action.query == f"second try {term}"
         assert "already successful" in action.think
@@ -374,7 +405,7 @@ class TestArchetypeSteps:
             texts={1: self.FRUIT, 2: "papaya papaya papaya papaya"},
         )
         action = archetype_step(
-            ArchetypeConfig(kind="early_success"), state, tree_resources, random.Random(0), variant
+            ArchetypeConfig(kind="early_success"), state, tree_resources, variant
         )
         assert action.query == f"best try {term}"
         assert "detour underperformed" in action.think
@@ -385,7 +416,7 @@ class TestArchetypeSteps:
     ):
         state = state_with_sims([0.5, 0.9, 0.4], queries={1: "best try"}, texts={1: self.FRUIT})
         action = archetype_step(
-            ArchetypeConfig(kind="exploitation_heavy"), state, tree_resources, random.Random(0), variant
+            ArchetypeConfig(kind="exploitation_heavy"), state, tree_resources, variant
         )
         assert action.query == f"best try {term}"
 
@@ -399,7 +430,7 @@ class TestArchetypeSteps:
             texts={0: "machine learning neural"},
         )
         action = archetype_step(
-            ArchetypeConfig(kind="exploitation_heavy"), state, tree_resources, random.Random(0), variant
+            ArchetypeConfig(kind="exploitation_heavy"), state, tree_resources, variant
         )
         assert action.query == f"machine learning neural {term}"
 
@@ -408,7 +439,7 @@ class TestArchetypeSteps:
         # pool: q0 plus its top three expansions, neural, transformers, attention
         state = state_with_sims([0.2], q0=TREE_QUERY, queries={0: TREE_QUERY})
         action = archetype_step(
-            ArchetypeConfig(kind="best_first"), state, tree_resources, random.Random(0), variant
+            ArchetypeConfig(kind="best_first"), state, tree_resources, variant
         )
         assert action.query == f"{TREE_QUERY} {term}"
         assert "promoting the next one" in action.think
@@ -432,7 +463,7 @@ class TestArchetypeSteps:
     ):
         state = state_with_sims(sims, q0=TREE_QUERY, queries=queries, texts={1: self.FRUIT})
         action = archetype_step(
-            ArchetypeConfig(kind="best_first"), state, tree_resources, random.Random(0), variant
+            ArchetypeConfig(kind="best_first"), state, tree_resources, variant
         )
         assert action.query == f"{queries[1]} {term}"
         assert "leads the pool" in action.think
@@ -445,7 +476,7 @@ class TestArchetypeSteps:
             [0.6, 0.6, 0.3], texts={0: self.FRUIT, 1: "papaya papaya papaya papaya"}
         )
         action = archetype_step(
-            ArchetypeConfig(kind="wrong_direction"), state, tree_resources, random.Random(0), variant
+            ArchetypeConfig(kind="wrong_direction"), state, tree_resources, variant
         )
         assert action.query == f"original question {term}"
         assert FAILURE_MARKER in action.think
@@ -463,7 +494,7 @@ class TestArchetypeSteps:
         cfg = ArchetypeConfig(kind="multi_beam")
         for turns, suffix in enumerate(expected):
             state = state_with_sims([0.5] * turns, q0=TREE_QUERY, texts={2: self.FRUIT})
-            action = archetype_step(cfg, state, tree_resources, random.Random(0), variant)
+            action = archetype_step(cfg, state, tree_resources, variant)
             assert action.query == TREE_QUERY + suffix
 
     @pytest.mark.parametrize("variant, term", [(0, "extra"), (1, "guide")])
@@ -483,7 +514,7 @@ class TestArchetypeSteps:
             },
         )
         action = archetype_step(
-            ArchetypeConfig(kind="breadth_first"), state, tree_resources, random.Random(0), variant
+            ArchetypeConfig(kind="breadth_first"), state, tree_resources, variant
         )
         assert action.query == f"machine learning transformers {term}"
         assert "All branches visited" in action.think
@@ -498,7 +529,7 @@ class TestArchetypeSteps:
         res = PolicyResources(vocab=tree_vocab)
         state = state_with_sims([0.1], q0="zz qq", queries={0: "of the"})
         action = archetype_step(
-            ArchetypeConfig(kind="random_walk"), state, res, random.Random(0)
+            ArchetypeConfig(kind="random_walk"), state, res
         )
         assert action.query == "zz qq"
         assert "dead end" in action.think.lower()
@@ -618,8 +649,9 @@ class TestRemotePolicy:
     @pytest.mark.parametrize(
         "logprobs",
         [{"content": [{"token": "yes"}]}, [{"logprob": -0.5}], {"content": [{"logprob": "-0.5"}]},
-         {"content": [{"logprob": -0.5}, {"logprob": math.nan}]}],
-        ids=["item-without-logprob", "list", "string", "nan"],
+         {"content": [{"logprob": -0.5}, {"logprob": math.nan}]},
+         {"content": [{"logprob": -0.5}, {"logprob": 800.0}]}],
+        ids=["item-without-logprob", "list", "string", "nan", "positive"],
     )
     def test_a_malformed_logprob_is_a_policy_error(self, logprobs):
         # a NaN perplexity would make beam search's sort key meaningless
@@ -628,6 +660,29 @@ class TestRemotePolicy:
         with pytest.raises(PolicyError, match="malformed completion response") as info:
             policy.relevance_perplexity(state_with_sims([0.5]))
         assert not isinstance(info.value, CapabilityError)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(),
+                st.sampled_from([-1e308, 1e308, -5e-324, 5e-324, -0.0, 0.0, -9999.0, 800.0]),
+                st.integers(-(2**1100), 2**1100),
+            ),
+            max_size=5,
+        )
+    )
+    def test_relevance_perplexity_is_at_least_one_or_a_policy_error(self, logprobs):
+        # a perplexity below 1 would rank a candidate above certainty, and
+        # a NaN would make the beam's sort key meaningless
+        policy = RemotePolicy(
+            "http://e", "m", post=FakeTransport([chat_response("relevant.", logprobs)]), api_key="k"
+        )
+        try:
+            ppl = policy.relevance_perplexity(state_with_sims([0.5]))
+        except PolicyError:
+            return
+        assert type(ppl) is float and ppl >= 1.0
 
     def test_baseline_mode_uses_two_phase_prompts(self):
         transport = FakeTransport(

@@ -6,9 +6,10 @@ from collections import Counter
 
 import pytest
 
+from orion.archetypes import derive_rng
 from orion.corpus import NOT_FOUND
 from orion.engine import EpisodeConfig, execute_action
-from orion.policy import Action, ArchetypeConfig, ScriptedPolicy, derive_rng
+from orion.policy import Action, ArchetypeConfig, ScriptedPolicy
 from orion.rewards import (
     GrpoConfig,
     RewardError,
