@@ -46,6 +46,13 @@ reach an answer, in one pass:
   scores are defined by a fixed-order sum of their own, the band and the
   rule go away.
 
+`build_index` checks the embeddings a block of rows at a time: a block of
+number arrays of the first document's length costs one stack and one
+finiteness test. Only a block that fails the check is checked again one
+document at a time, so that the error still names the document whose
+embedding is missing, not a vector of numbers, of the wrong length or not
+finite. Zero norms are named from the norms the normalisation computes.
+
 The index is immutable after construction and safe for concurrent readers:
 each search screens into an array of its own.
 """
@@ -106,11 +113,21 @@ class RankedResults:
 def as_embedding(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Validate and coerce a vector to a 1-D float64 array.
 
-    Raises CorpusError for values numpy cannot convert to float64, for any
-    shape other than a non-empty vector, and for non-finite entries.
+    Raises CorpusError for values that are not numbers, for any shape other
+    than a non-empty vector, and for non-finite entries. "Not numbers" is
+    read off the dtype numpy infers: a string, bool or complex dtype is
+    refused, so a JSON vector of strings or of booleans is an error, not a
+    vector of their float values. Ints convert to the nearest float64; ints
+    beyond int64 infer an object dtype and are accepted the same way, while
+    an object dtype holding anything but Python ints and floats (None, a
+    string) is refused. An ndarray of numbers costs only the dtype check.
     """
     try:
-        vec = np.asarray(values, dtype=np.float64)
+        vec = np.asarray(values)
+        kind = vec.dtype.kind
+        if kind not in "fiuO" or (kind == "O" and not {type(x) for x in vec.flat} <= {int, float}):
+            raise TypeError(f"dtype {vec.dtype}")
+        vec = vec.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CorpusError(f"embedding is not a vector of numbers: {exc}") from exc
     if vec.ndim != 1 or vec.size == 0:
@@ -239,20 +256,19 @@ class CorpusIndex:
         n = s.shape[0]
         kk = min(k, n)
         band = 2 * self.eps
-        if kk < n:
-            # every row that may tie with or pass the k-th, so the id
-            # tie-break below picks among all of them
-            kth = s.max() if kk == 1 else np.partition(s, n - kk)[n - kk]
-            top = np.flatnonzero(s >= kth - band)
-        else:
-            top = np.arange(n)
+        # every row that may tie with or pass the k-th, so the id tie-break
+        # below picks among all of them (every row, when k covers the corpus)
+        kth = s.max() if kk == 1 else np.partition(s, n - kk)[n - kk]
+        band_rows = s >= kth - band
+        top = np.flatnonzero(band_rows)
         targets = set(target_ids)
         trows = np.array(sorted(self._row_of[t] for t in targets if t in self._row_of), dtype=int)
         rows = top
         if trows.size:
-            # the rows that may tie with or pass the best target
+            # and the rows that may tie with or pass the best target
             near = s[trows].max()
-            rows = np.union1d(top, np.flatnonzero((s >= near - band) & (s <= near + band)))
+            band_rows |= (s >= near - band) & (s <= near + band)
+            rows = np.flatnonzero(band_rows)
         # the screen is this call's own: patch both bands with exact scores; a
         # row outside them is more than eps from every answer, so it compares
         # with each the same way whether its score is exact or not
@@ -270,10 +286,40 @@ class CorpusIndex:
         return RankedResults(entries=entries, target_sim=float(b), target_rank=rank)
 
 
-def build_index(
-    documents: Iterable[Document],
-    embeddings: Mapping[str, Sequence[float] | np.ndarray],
-) -> CorpusIndex:
+Embeddings = Mapping[str, Sequence[float] | np.ndarray]
+
+
+def _checked(doc: Document, embeddings: Embeddings, dim: int | None) -> np.ndarray:
+    """`doc`'s embedding by the rules of `as_embedding`, of length `dim`
+    (None: any length), or a CorpusError that names the doc."""
+    if doc.doc_id not in embeddings:
+        raise CorpusError(f"missing embedding for doc {doc.doc_id!r}")
+    try:
+        vec = as_embedding(embeddings[doc.doc_id])
+    except CorpusError as exc:
+        raise CorpusError(f"doc {doc.doc_id!r}: {exc}") from exc
+    if dim is not None and vec.shape[0] != dim:
+        raise CorpusError(f"dimension mismatch for doc {doc.doc_id!r}: {vec.shape[0]} vs {dim}")
+    return vec
+
+
+def _stacked(docs: Sequence[Document], embeddings: Embeddings, dim: int) -> np.ndarray:
+    """The embeddings of `docs` as the float64 rows of a new array.
+
+    A block of number arrays of length `dim` is checked as a whole, by one
+    finiteness test. Any other block (one with a missing doc, a list, or a
+    row that fails) is checked one doc at a time, so that an error names the
+    first doc at fault.
+    """
+    vectors = [embeddings.get(d.doc_id) for d in docs]
+    if all(isinstance(v, np.ndarray) and v.dtype.kind in "fiu" and v.shape == (dim,) for v in vectors):
+        block = np.array(vectors, dtype=np.float64)
+        if np.isfinite(block).all():
+            return block
+    return np.array([_checked(d, embeddings, dim) for d in docs])
+
+
+def build_index(documents: Iterable[Document], embeddings: Embeddings) -> CorpusIndex:
     """Build an immutable flat index.
 
     Every document must have exactly one embedding and all embeddings must
@@ -294,35 +340,18 @@ def build_index(
             f"{len(unknown)} embeddings for docs not in the corpus, first {unknown[:3]}"
         )
 
-    vectors: list[np.ndarray] = []
-    dim: int | None = None
-    for d in docs:
-        if d.doc_id not in embeddings:
-            raise CorpusError(f"missing embedding for doc {d.doc_id!r}")
-        try:
-            vec = as_embedding(embeddings[d.doc_id])
-        except CorpusError as exc:
-            raise CorpusError(f"doc {d.doc_id!r}: {exc}") from exc
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise CorpusError(
-                f"dimension mismatch for doc {d.doc_id!r}: {vec.shape[0]} vs {dim}"
-            )
-        vectors.append(vec)
-    assert dim is not None
-
-    # filled a block of rows at a time: beside the caller's embeddings, a
-    # whole-matrix build (stack, divide, transpose) would hold a third full
-    # copy, this holds two; a row's norm and divide do not depend on the
-    # rows around it, so every unit value has the bits a whole-matrix
-    # build gives
+    # checked and normalised a block of rows at a time: beside the caller's
+    # embeddings, a whole-matrix build (stack, divide, transpose) would hold
+    # a third full copy, this holds two; a row's norm and divide do not
+    # depend on the rows around it, so every unit value has the bits a
+    # whole-matrix build gives
     n = len(docs)
+    dim = _checked(docs[0], embeddings, None).shape[0]
     ut = np.empty((dim, n))
     norms = np.empty(n)
     bad: list[str] = []
     for lo in range(0, n, BUILD_BLOCK):
-        block = np.vstack(vectors[lo : lo + BUILD_BLOCK])
+        block = _stacked(docs[lo : lo + BUILD_BLOCK], embeddings, dim)
         bnorms = np.linalg.norm(block, axis=1, keepdims=True)
         bad += [docs[lo + i].doc_id for i in np.flatnonzero(bnorms[:, 0] == 0.0)]
         if not bad:

@@ -5,6 +5,18 @@ siblings, and neighbor substitutions. Scoring is tf * idf with descending
 score and ascending-term tie-breaks, so every archetype decision is exactly
 reproducible by hand.
 
+`words(text)` is the package's one word splitter: the lowercase runs of
+`[a-z0-9]`, exactly what `re.findall(r"[a-z0-9]+", text.lower())` returns. It
+runs in C string methods: lowercase, encode as ASCII with every other code
+point (a lone surrogate included) replaced by `?`, map each byte outside
+`[a-z0-9]` to a space with one `bytes.translate`, decode and `split()`.
+Lowercasing comes first on both sides, so a character that lowercases into
+ASCII (the Kelvin sign to `k`) counts on both; every other character, `?`
+included, becomes a space, and so separates words as it fails to match the
+regex. `tokenize` drops stopwords and one-character words by one set lookup:
+a word is a non-empty `[a-z0-9]` run, so "shorter than two" is "one of the
+36 one-character words".
+
 `TfidfTable` keeps an inverted index, built once and never the documents'
 token lists:
 
@@ -57,9 +69,9 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from array import array
 from collections import Counter, defaultdict
+from itertools import filterfalse
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -73,7 +85,9 @@ RANKING_MEMO_SIZE = 64
 _NO_IDS = np.zeros(0, np.int32)
 _NO_IDS.flags.writeable = False
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_WORD_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
+# `words`' byte map: every byte but [a-z0-9] becomes a space
+_SEPARATORS = bytes(b if chr(b) in _WORD_CHARS else ord(" ") for b in range(256))
 
 STOPWORDS = frozenset(
     """a an the and or not of in on for to is are was were be been being with by
@@ -83,17 +97,19 @@ STOPWORDS = frozenset(
     than then so if but nor no yes all any both each few more most other some
     such only own same too very s t just don now""".split()
 )
+# what `tokenize` drops: the stopwords and every one-character word
+_DROPPED = STOPWORDS | frozenset(_WORD_CHARS)
 
 
 def words(text: str) -> list[str]:
     """Lowercase alphanumeric runs: the one word splitter of the package,
     shared by the term statistics and `HashEmbedder`."""
-    return _TOKEN_RE.findall(text.lower())
+    return text.lower().encode("ascii", "replace").translate(_SEPARATORS).decode("ascii").split()
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase word tokens, stopwords and single characters dropped."""
-    return [t for t in words(text) if len(t) >= 2 and t not in STOPWORDS]
+    return list(filterfalse(_DROPPED.__contains__, words(text)))
 
 
 def head_phrase(text: str) -> list[str]:
@@ -101,7 +117,7 @@ def head_phrase(text: str) -> list[str]:
     tokens = words(text)
     head: list[str] = []
     for tok in tokens:
-        if tok in STOPWORDS or len(tok) < 2:
+        if tok in _DROPPED:
             if head:
                 break
             continue
@@ -176,7 +192,7 @@ def _cooccurrence_ranking(
 class TfidfTable:
     """Term statistics over one corpus: idf, postings and per-doc tf*idf weights."""
 
-    def __init__(self, doc_tokens: Iterable[list[str]]):
+    def __init__(self, doc_tokens: Iterable[Iterable[str]]):
         first_seen: defaultdict[str, int] = defaultdict()
         first_seen.default_factory = first_seen.__len__  # a new term gets the next id
         tokens = array("q")  # every token of every doc, as first-seen ids
@@ -214,7 +230,8 @@ class TfidfTable:
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> "TfidfTable":
-        return cls(tokenize(f"{d.title} {d.text}") for d in documents)
+        # each doc's tokens go straight into the id loop, with no list between
+        return cls(filterfalse(_DROPPED.__contains__, words(f"{d.title} {d.text}")) for d in documents)
 
     def _top(self, ranked: np.ndarray, j: int, drop: set[int], scores=None, unknown=()) -> list[str]:
         """The top j of the term ids `ranked` (best first), leaving out the ids

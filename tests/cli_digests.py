@@ -1,14 +1,18 @@
 """The sha256 of every file that `orion`'s batch commands write on a small
 seeded corpus, for checking that a refactor leaves every logged byte as it was.
 
-The matrix is 100 in-process runs that write 149 files: for each of the ten
+The matrix is 104 in-process runs that write 156 files: for each of the ten
 kinds, `run`, `beam` at (B, M) = (2, 2) and (3, 1), `grpo-collect` with
 argmax selection, with proportional selection and with `--zscore`, and
 `eval`, `report` and `report --relaxed-stagnation` over the kind's `run` log;
 for each of the seven kinds with a knob, a `run` with non-default
 `--policy-params` (`KNOBS`); plus `generate` with and without `--sft-total`,
 and `index`, whose `embeddings.orne` is read back from the index's stored
-matrix. Each file is hashed whole, meta line included.
+matrix. The first corpus is lower-case ASCII words and single spaces, so a
+second one (`hard_inputs`) has titles, mixed case, punctuation, digits and
+non-ASCII letters; on it run `index`, `run --embeddings` on that index's
+`embeddings.orne` and on the same vectors as JSON Lines, and `generate`.
+Each file is hashed whole, meta line included.
 
     PYTHONPATH=src python tests/cli_digests.py
     PYTHONPATH=src python tests/cli_digests.py --against HEAD~1
@@ -18,7 +22,9 @@ exported with `git archive` into a temporary directory and run in a
 subprocess with that `src` first on PYTHONPATH. Both sides read the same
 input paths, because each meta line's config hash includes them: each `run`
 log is copied into `logs/` beside the corpus, and `eval` and `report` read
-it there. It prints each file whose bytes differ and exits 1 if any does.
+it there; the second corpus and its embeddings files are written into
+`hard/` beside it. It prints each file whose bytes differ and exits 1 if any
+does.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 import orion
+import orion.dataio
 from orion.archetypes import KINDS
 from orion.cli import main as orion_main
 
@@ -64,6 +71,65 @@ def seeded_inputs(directory: Path) -> list[str]:
     (directory / "qrels.tsv").write_text("".join(qrels))
     return ["--corpus", str(directory / "corpus.jsonl"), "--queries", str(directory / "queries.jsonl"),
             "--qrels", str(directory / "qrels.tsv"), "--embed-dim", "64", "--seed", "3"]
+
+
+def hard_inputs(directory: Path) -> list[str]:
+    """Write a second small seeded corpus, with queries and qrels, into
+    `directory`; return it as `orion` flags.
+
+    Its titles, documents and queries hold what a word splitter must get
+    right: mixed case, punctuation, digits, runs of separators, letters that
+    lowercase into ASCII (the Kelvin sign) or into two code points (U+0130),
+    and other non-ASCII letters.
+    """
+    directory.mkdir(exist_ok=True)
+    rng = np.random.default_rng(7)
+    topics = [
+        ["Café", "CRÈME", "brûlée"], ["Straße", "\u0130stanbul", "\u212aelvin"], ["GPU-42", "x86_64", "C++"]
+    ]
+    filler = [
+        "naïve", "e-mail", "U.S.A.", "ÆON", "résumé", "(draft)", "v2.0", "Ωmega", "don't", "--", "HeLLo!!"
+    ]
+    with open(directory / "corpus.jsonl", "w", encoding="utf-8") as fh:
+        for i in range(30):
+            words = topics[i % 3] + list(rng.choice(filler, size=4)) + [f"Tag-{i}!"]
+            text = " ".join(rng.permutation(words))
+            title = f"{topics[i % 3][int(rng.integers(3))].title()}: No. {i}"
+            fh.write(json.dumps({"_id": f"h{i:02d}", "title": title, "text": text}) + "\n")
+    qrels = []
+    with open(directory / "queries.jsonl", "w", encoding="utf-8") as fh:
+        for q in range(5):
+            text = f"{topics[q % 3][q % 2].upper()}?! {filler[q]}, {filler[-q]}"
+            fh.write(json.dumps({"_id": f"hq{q}", "text": text}) + "\n")
+            qrels.append(f"hq{q}\th{q * 4 % 30:02d}\t1\n")
+    (directory / "qrels.tsv").write_text("".join(qrels))
+    return ["--corpus", str(directory / "corpus.jsonl"), "--queries", str(directory / "queries.jsonl"),
+            "--qrels", str(directory / "qrels.tsv"), "--embed-dim", "32", "--seed", "4"]
+
+
+def hard_matrix(directory: Path) -> list[tuple[str, list[str]]]:
+    """(run name, command and all its flags) for each run on `hard_inputs`:
+    `index`, then `run` on the index's vectors as ORNE (`embeddings.orne`)
+    and as JSON Lines (`embeddings.jsonl`), which `share_embeddings` writes
+    into `directory`, then `generate`."""
+    inputs = hard_inputs(directory)
+    return [
+        ("hard-index", ["index", *inputs]),
+        ("hard-run-orne", ["run", *inputs, "--embeddings", str(directory / "embeddings.orne")]),
+        ("hard-run-jsonl", ["run", *inputs, "--embeddings", str(directory / "embeddings.jsonl")]),
+        ("hard-generate", ["generate", *inputs]),
+    ]
+
+
+def share_embeddings(orne: Path, directory: Path) -> None:
+    """Copy the ORNE file an `index` run wrote into `directory`, and write
+    its vectors there as JSON Lines too: a float64 widened from float32
+    prints as a decimal that reads back to the same bits."""
+    shutil.copyfile(orne, directory / "embeddings.orne")
+    vectors = orion.dataio.read_embeddings(orne)
+    with open(directory / "embeddings.jsonl", "w", encoding="utf-8") as fh:
+        for doc_id in sorted(vectors):
+            fh.write(json.dumps({"id": doc_id, "vector": vectors[doc_id].tolist()}) + "\n")
 
 
 # Non-default knobs for each kind that has one. best_first's try_threshold
@@ -111,13 +177,17 @@ def run_matrix(inputs: list[str], out: Path) -> dict:
     """Run the matrix with the `orion` on sys.path; return its exit statuses
     and the sha256 of each file written, keyed by `<run>/<file>`."""
     status, files = {}, {}
-    logs = Path(inputs[inputs.index("--corpus") + 1]).parent / "logs"
+    shared = Path(inputs[inputs.index("--corpus") + 1]).parent
+    logs = shared / "logs"
     logs.mkdir(exist_ok=True)
-    for name, argv in matrix(KINDS, logs):
+    runs = [(name, [*argv, *inputs]) for name, argv in matrix(KINDS, logs)]
+    for name, argv in runs + hard_matrix(shared / "hard"):
         with contextlib.redirect_stdout(io.StringIO()):
-            status[name] = orion_main([*argv, *inputs, "--out", str(out / name)])
+            status[name] = orion_main([*argv, "--out", str(out / name)])
         if argv[0] == "run":
             shutil.copyfile(out / name / "episodes.jsonl", logs / f"{name}.jsonl")
+        if name == "hard-index":
+            share_embeddings(out / name / "index" / "embeddings.orne", shared / "hard")
         for path in sorted((out / name).rglob("*")):
             if path.is_file():
                 files[path.relative_to(out).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()

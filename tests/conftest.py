@@ -6,6 +6,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from orion.archetypes import PolicyResources
 from orion.corpus import CorpusError, Document, RankedResults, as_embedding, build_index
@@ -31,6 +32,19 @@ TREE_DOCS = [
 ]
 
 TREE_QUERY = "machine learning for beginners"
+
+# Text a splitter must get right: case, digits, punctuation and runs of
+# separators, letters that lowercase to more than one code point (U+0130) or
+# into ASCII (the Kelvin sign U+212A), other non-ASCII letters and lone
+# surrogates, among arbitrary code points.
+HARD_PIECES = [
+    "The", "OF", "a", "X", "don", "Solar", "PANELS", "42", "b2B", "x86_64", "C++", "e-mail",
+    "U.S.A.", "  ", "--", "\t\n", "!?", "é", "ß", "Straße", "café", "\u0130", "\u0130stanbul",
+    "\u212a", "\u212aelvin", "\ud800", "\udfff", "\U0001f600",
+]
+hard_texts = st.lists(
+    st.one_of(st.sampled_from(HARD_PIECES), st.text(max_size=6)), max_size=14
+).flatmap(lambda pieces: st.sampled_from(["", " ", "-"]).map(lambda sep: sep.join(pieces)))
 
 
 @pytest.fixture(scope="session")

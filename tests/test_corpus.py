@@ -17,6 +17,7 @@ from orion.corpus import (
     NOT_FOUND,
     CorpusError,
     Document,
+    as_embedding,
     build_index,
 )
 from orion.engine import Retriever
@@ -422,6 +423,80 @@ def test_a_zero_norm_embedding_is_named_across_blocks(monkeypatch):
     vectors = {"a": [1.0, 0.0], "b": [0.0, 0.0], "c": [1.0, 1.0], "d": [0.0, 0.0]}
     with pytest.raises(CorpusError, match=r"zero-norm embedding for docs \['b', 'd'\]"):
         build_index(docs_for(vectors), vectors)
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        (None, r"missing embedding for doc 'c'"),
+        ("abc", r"doc 'c': embedding is not a vector of numbers"),
+        (["1", "2"], r"doc 'c': embedding is not a vector of numbers"),
+        ([True, False], r"doc 'c': embedding is not a vector of numbers"),
+        ([1.0, 2.0, 3.0], r"dimension mismatch for doc 'c': 3 vs 2"),
+        ([[1.0], [2.0]], r"doc 'c': embedding must be a non-empty 1-D vector"),
+        ([1.0, math.nan], r"doc 'c': embedding contains non-finite values"),
+        ([math.inf, 1.0], r"doc 'c': embedding contains non-finite values"),
+        ([0.0, 0.0], r"zero-norm embedding for docs \['c'\]"),
+    ],
+    ids=["missing", "text", "numeric-strings", "booleans", "dimension", "matrix", "nan", "inf",
+         "zero-norm"],
+)
+@pytest.mark.parametrize("as_arrays", [False, True], ids=["lists", "arrays"])
+def test_a_bad_embedding_in_a_later_block_names_its_doc(monkeypatch, vector, message, as_arrays):
+    monkeypatch.setattr(corpus, "BUILD_BLOCK", 2)
+    vectors = {"a": [1.0, 0.0], "b": [0.0, 1.0], "c": vector, "d": [1.0, 1.0], "e": [2.0, 1.0]}
+    docs = docs_for(vectors)
+    if vector is None:
+        del vectors["c"]
+    if as_arrays:  # as a reader or an embedder gives them: checked a block at a time
+        vectors = {k: np.asarray(v) for k, v in vectors.items()}
+    with pytest.raises(CorpusError, match=message):
+        build_index(docs, vectors)
+
+
+def test_the_first_embedding_sets_the_dimension(monkeypatch):
+    monkeypatch.setattr(corpus, "BUILD_BLOCK", 2)
+    for vectors, message in [
+        ({"a": [], "b": []}, r"doc 'a': embedding must be a non-empty 1-D vector"),
+        ({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0]}, r"dimension mismatch for doc 'b': 2 vs 3"),
+    ]:
+        with pytest.raises(CorpusError, match=message):
+            build_index(docs_for(vectors), vectors)
+
+
+_json_numbers = st.lists(
+    st.one_of(st.integers(-(2**200), 2**200), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_json_numbers)
+def test_a_vector_of_numbers_keeps_the_bits_of_its_float64_conversion(values):
+    want = np.asarray(values, dtype=np.float64)
+    assert as_embedding(values).tobytes() == want.tobytes()
+    # one nonzero entry more, so that no row has a zero norm; a norm of huge
+    # values may overflow to inf, alike on both sides
+    vectors = {"a": [*values, 1], "b": [1.0] * (len(values) + 1)}
+    widened = {k: np.asarray(v, dtype=np.float64) for k, v in vectors.items()}
+    with np.errstate(over="ignore"):
+        index = build_index(docs_for(vectors), vectors)
+        widened = build_index(docs_for(vectors), widened)
+    assert index._ut.tobytes() == widened._ut.tobytes()
+
+
+def test_ints_beyond_int64_become_their_nearest_float():
+    values = [2**70 + 1, -(2**64) - 3, 3]  # numpy infers an object dtype for these
+    assert np.asarray(values).dtype == object
+    assert as_embedding(values).tolist() == [float(v) for v in values]
+    vectors = {"a": values, "b": [1.0, 2.0, 3.0]}
+    index = build_index(docs_for(vectors), vectors)
+    assert index._ut.dtype == np.float64 and index._ut.shape == (3, 2)
+    with pytest.raises(CorpusError, match="not a vector of numbers: int too large"):
+        as_embedding([10**400, 1])
+    with pytest.raises(CorpusError, match="not a vector of numbers: dtype object"):
+        as_embedding([2**70, None])
 
 
 # Plain numpy under one BLAS thread: the padding rule against one full

@@ -223,14 +223,22 @@ def test_trailing_bytes_after_the_last_record_are_rejected(tmp_path, extra, coun
 @pytest.mark.parametrize(
     "vector",
     ['"abc"', '{"a": 1}', "[1, [2]]", '[1, "x"]', "[" + "9" * 400 + "]", "null", "[]", "[[1.0]]",
-     "[NaN]", "[1e999]"],
-    ids=["string", "object", "ragged", "mixed", "overflow", "null", "empty", "matrix", "nan", "inf"],
+     "[NaN]", "[1e999]", '["1", "2"]', "[true, false]", "[" + "9" * 30 + ', "1"]'],
+    ids=["string", "object", "ragged", "mixed", "overflow", "null", "empty", "matrix", "nan", "inf",
+         "numeric-strings", "booleans", "big-int-and-string"],
 )
 def test_bad_jsonl_vector_names_file_and_line(tmp_path, vector):
     path = tmp_path / "emb.jsonl"
     path.write_text('{"id": "d1", "vector": [1.0]}\n{"id": "d2", "vector": ' + vector + "}\n")
     with pytest.raises(CorpusError, match=r"emb.jsonl:2: embedding "):
         dataio.read_embeddings(path)
+
+
+def test_a_jsonl_int_beyond_int64_reads_as_its_nearest_float(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"id": "d1", "vector": [123456789012345678901234567890, -1, 0.5]}\n')
+    vec = dataio.read_embeddings(path)["d1"]
+    assert vec.tolist() == [123456789012345678901234567890.0, -1.0, 0.5]
 
 
 @pytest.mark.parametrize("line", ["[1, 2]", "7", '"text"', "null"])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import math
+import re
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -12,12 +13,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hard_texts
 from orion.corpus import Document
-from orion.vocab import RANKING_MEMO_SIZE, TERM_VECTOR_MEMO_SIZE, TfidfTable, head_phrase, tokenize
+from orion.vocab import (
+    RANKING_MEMO_SIZE,
+    STOPWORDS,
+    TERM_VECTOR_MEMO_SIZE,
+    TfidfTable,
+    head_phrase,
+    tokenize,
+    words,
+)
 
 
 def test_tokenize_drops_stopwords_and_short_tokens():
     assert tokenize("The rate of X in an engine!") == ["rate", "engine"]
+
+
+def regex_words(text: str) -> list[str]:
+    """The reference word splitter: the regex the byte-table splitter replaced."""
+    return re.findall(r"[a-z0-9]+", text.lower())
+
+
+def regex_tokenize(text: str) -> list[str]:
+    return [t for t in regex_words(text) if len(t) >= 2 and t not in STOPWORDS]
+
+
+def regex_head_phrase(text: str) -> list[str]:
+    head: list[str] = []
+    for tok in regex_words(text):
+        if tok in STOPWORDS or len(tok) < 2:
+            if head:
+                break
+            continue
+        head.append(tok)
+    return head
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=hard_texts)
+def test_the_splitter_matches_the_regex_on_any_text(text):
+    assert words(text) == regex_words(text)
+    assert tokenize(text) == regex_tokenize(text)
+    assert head_phrase(text) == regex_head_phrase(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=st.lists(st.tuples(hard_texts, hard_texts.filter(bool)), min_size=1, max_size=8))
+def test_the_table_equals_one_built_from_the_regex_tokenizer(docs):
+    documents = [Document(f"d{i}", text, title) for i, (title, text) in enumerate(docs)]
+    table = TfidfTable.from_documents(documents)
+    want = TfidfTable([regex_tokenize(f"{d.title} {d.text}") for d in documents])
+    assert (table.n_docs, table._terms, table._ids, table._unseen_idf) == (
+        want.n_docs, want._terms, want._ids, want._unseen_idf,
+    )
+    for name in ("_idf", "_row_ptr", "_row_terms", "_row_weights", "_post_ptr", "_post_rows"):
+        got, ref = getattr(table, name), getattr(want, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), name
 
 
 def test_head_phrase_stops_at_first_stopword():
