@@ -44,7 +44,7 @@ from .metrics import (
 )
 from .policy import ArchetypeConfig, RemotePolicy, ScriptedPolicy
 from .rewards import GrpoConfig, collect_grouped_episode, make_training_record
-from .synth import DatasetManifest, assemble_pool, generate_trajectory, sample_sft_dataset
+from .synth import assemble_pool, generate_trajectory, sample_sft_dataset
 from .trace import TraceError, serialize_trace
 from .vocab import TfidfTable
 
@@ -108,18 +108,17 @@ def _embed_corpus(embedder, docs: list[Document]) -> dict:
     return {d.doc_id: v for d, v in zip(docs, vectors)}
 
 
-def _load_index(cfg: RunConfig, embedder) -> tuple[CorpusIndex, TfidfTable]:
-    """The index and term table of `cfg.corpus`; documents are embedded with
-    `embedder` unless `cfg.embeddings` holds their vectors."""
+def _load_index(cfg: RunConfig, embedder) -> tuple[list[Document], CorpusIndex]:
+    """The documents of `cfg.corpus`, in file order, and their index; they are
+    embedded with `embedder` unless `cfg.embeddings` holds their vectors."""
     docs = dataio.read_corpus(cfg.corpus)
     if not cfg.embeddings:
-        return build_index(docs, _embed_corpus(embedder, docs)), TfidfTable.from_documents(docs)
+        return docs, build_index(docs, _embed_corpus(embedder, docs))
     embeddings = dataio.read_embeddings(cfg.embeddings)
     try:
-        index = build_index(docs, embeddings)
+        return docs, build_index(docs, embeddings)
     except CorpusError as exc:  # a bad vector, or an id the file lacks or adds
         raise CorpusError(f"{cfg.embeddings} for {cfg.corpus}: {exc}") from exc
-    return index, TfidfTable.from_documents(docs)
 
 
 def _embedder(cfg: RunConfig):
@@ -130,11 +129,11 @@ def _embedder(cfg: RunConfig):
 
 def _retriever(cfg: RunConfig) -> tuple[Retriever, TfidfTable]:
     embedder = _embedder(cfg)
-    index, vocab = _load_index(cfg, embedder)
+    docs, index = _load_index(cfg, embedder)
     # a mismatch would fail every query; a service's dim is known only from its replies
     if isinstance(embedder, HashEmbedder) and embedder.dim != index.dim:
         raise ConfigError(f"{cfg.embeddings}: dim {index.dim}, but embed_dim is {embedder.dim}")
-    return Retriever(index, embedder, snippet_chars=cfg.snippet_chars), vocab
+    return Retriever(index, embedder, snippet_chars=cfg.snippet_chars), TfidfTable.from_documents(docs)
 
 
 def _policy_factory(cfg: RunConfig, retriever: Retriever, vocab: TfidfTable):
@@ -184,7 +183,7 @@ def _read_episode_log(path: str) -> list[tuple[str, EpisodeResult]]:
 
 
 def cmd_index(cfg: RunConfig, command: str) -> int:
-    index, _ = _load_index(cfg, _embedder(cfg))
+    _, index = _load_index(cfg, _embedder(cfg))
     out = _out_dir(cfg) / "index"
     out.mkdir(parents=True, exist_ok=True)
     embeddings = {d.doc_id: index.embedding_of(d.doc_id) for d in index.documents}
@@ -256,8 +255,7 @@ def cmd_generate(cfg: RunConfig, command: str) -> int:
     _write_log(out / "pool.jsonl", cfg, [r.to_dict() for r in pool.records])
     print(f"pool of {len(pool)} trajectories -> {out / 'pool.jsonl'}")
     if cfg.sft_total:
-        manifest = DatasetManifest(dict.fromkeys(kinds, 1.0 / len(kinds)), cfg.sft_total)
-        sft = sample_sft_dataset(pool, manifest, seed=cfg.seed)
+        sft = sample_sft_dataset(pool.records, kinds, cfg.sft_total, seed=cfg.seed)
         _write_log(out / "sft.jsonl", cfg, [r.to_dict() for r in sft])
         print(f"sft dataset of {len(sft)} records -> {out / 'sft.jsonl'}")
     return status

@@ -120,13 +120,18 @@ def as_embedding(values: Sequence[float] | np.ndarray) -> np.ndarray:
     vector of their float values. Ints convert to the nearest float64; ints
     beyond int64 infer an object dtype and are accepted the same way, while
     an object dtype holding anything but Python ints and floats (None, a
-    string) is refused. An ndarray of numbers costs only the dtype check.
+    string) is refused. Input that is not an ndarray is also refused if any
+    element is a bool. An ndarray of numbers costs only the dtype check.
     """
     try:
         vec = np.asarray(values)
         kind = vec.dtype.kind
         if kind not in "fiuO" or (kind == "O" and not {type(x) for x in vec.flat} <= {int, float}):
             raise TypeError(f"dtype {vec.dtype}")
+        # a boolean among numbers infers a number dtype
+        if vec.ndim == 1 and not isinstance(values, np.ndarray):
+            if not {bool, np.bool_}.isdisjoint(map(type, values)):
+                raise TypeError("a boolean element")
         vec = vec.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CorpusError(f"embedding is not a vector of numbers: {exc}") from exc

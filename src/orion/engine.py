@@ -240,8 +240,8 @@ def beam_search(
     the top B of the pooled candidates by 1/relevance-perplexity go on
     (ties by query).
 
-    A lone candidate is not scored; a candidate whose relevance call fails
-    is dropped. `beam_sizes` counts each turn's survivors.
+    A lone candidate is not scored; a candidate whose relevance call raises
+    `PolicyError` is dropped. `beam_sizes` counts each turn's survivors.
     """
     if beam_size < 1 or expansion < 1:
         raise ValueError("beam_size and expansion must be >= 1")

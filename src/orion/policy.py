@@ -52,8 +52,12 @@ class PolicyError(RuntimeError):
     """The policy could not produce a usable action."""
 
 
-class CapabilityError(PolicyError):
-    """The remote endpoint lacks a required capability (e.g. logprobs)."""
+class CapabilityError(RuntimeError):
+    """The remote endpoint lacks a required capability (e.g. logprobs).
+
+    Not a PolicyError: the endpoint lacks it for every candidate, so beam
+    search does not drop candidates one by one; the query fails.
+    """
 
 
 def clip_query(query: str, max_chars: int = DEFAULT_MAX_QUERY_CHARS) -> str:

@@ -1,27 +1,26 @@
 """Archetype-driven trajectory generation and balanced SFT dataset assembly.
 
 Trajectories from the ten scripted behaviors stand in for external-model
-traces when no remote backend is configured. A pool record is a source tag
+traces. A pool record is a source tag (the archetype kind that produced it)
 plus the episode's trace, capped at five turns; the pool schema is a
 projection of that trace: original query, source tag, terminal reason, and
 per turn (think, query, result ids and texts, similarity-to-target, target
 rank). orion writes pool files and never reads them back.
 
-Dataset sampling apportions the requested total over sources by the
-largest-remainder rule (seeded tie-break among equal remainders) and emits
-masked training records.
+Dataset sampling splits the requested total evenly over the sources, one
+extra record each to the first `total % n` sources of a seeded order, and
+emits masked training records.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .archetypes import PolicyResources, derive_rng
 from .engine import EpisodeConfig, Retriever, run_episode
 from .policy import DEFAULT_MAX_QUERY_CHARS, ArchetypeConfig, ScriptedPolicy
-from .rewards import GrpoConfig, TrainingRecord, clamp_cosine, make_training_record
+from .rewards import TrainingRecord, clamp_cosine, make_training_record
 from .trace import TraceDocument
 
 MAX_POOL_TURNS = 5
@@ -33,7 +32,7 @@ class PoolError(ValueError):
 
 @dataclass(frozen=True)
 class PoolRecord:
-    """One multi-turn trace from one source (model name or archetype kind)."""
+    """One multi-turn trace from one source, the archetype kind that produced it."""
 
     source: str
     trace: TraceDocument
@@ -103,12 +102,6 @@ class Pool:
 
     records: list[PoolRecord] = field(default_factory=list)
 
-    def by_source(self) -> dict[str, list[PoolRecord]]:
-        grouped: dict[str, list[PoolRecord]] = {}
-        for rec in self.records:
-            grouped.setdefault(rec.source, []).append(rec)
-        return grouped
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -126,68 +119,41 @@ def assemble_pool(records: Iterable[PoolRecord]) -> Pool:
     return Pool(records=kept)
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Requested dataset composition: per-source proportions and a total."""
-
-    proportions: Mapping[str, float]
-    total: int
-
-    def __post_init__(self) -> None:
-        if self.total < 1:
-            raise PoolError(f"total must be >= 1, got {self.total}")
-        if not self.proportions:
-            raise PoolError("manifest needs at least one source")
-        s = sum(self.proportions.values())
-        if abs(s - 1.0) > 1e-9:
-            raise PoolError(f"proportions must sum to 1, got {s}")
-        if any(p < 0 for p in self.proportions.values()):
-            raise PoolError("proportions must be non-negative")
-
-
-def apportion(
-    proportions: Mapping[str, float], total: int, rng: random.Random
-) -> dict[str, int]:
-    """Largest-remainder apportionment with a seeded tie-break.
-
-    Sources get the floor of their exact quota; leftover units go to the
-    largest fractional remainders, equal remainders ordered by the rng.
-    """
-    keys = sorted(proportions)
-    exact = {k: proportions[k] * total for k in keys}
-    counts = {k: int(exact[k]) for k in keys}
-    leftover = total - sum(counts.values())
-    jitter = {k: rng.random() for k in keys}
-    order = sorted(keys, key=lambda k: (-(exact[k] - counts[k]), jitter[k]))
-    for k in order[:leftover]:
-        counts[k] += 1
-    return counts
-
-
 def sample_sft_dataset(
-    pool: Pool,
-    manifest: DatasetManifest,
-    seed: int = 0,
-    grpo: GrpoConfig | None = None,
+    records: Iterable[PoolRecord], sources: Iterable[str], total: int, seed: int = 0
 ) -> list[TrainingRecord]:
-    """Draw a dataset matching the manifest and emit masked training records.
+    """Draw `total` pool records spread evenly over `sources` and emit them as
+    masked training records.
 
-    Per-source sampling is without replacement over the pool records of that
-    source (sorted for determinism, then shuffled by the seeded rng). Raises
-    when any quota exceeds the available records.
+    Each source gets `total // n` records, and the `total % n` sources that
+    come first by a seeded jitter (one draw per source, in sorted order) get
+    one more. Each source then samples without replacement, in sorted order,
+    from its records sorted by `dedup_key`. Raises PoolError for a total
+    below 1, no sources, a repeated source, or a source with too few records.
     """
+    keys = sorted(sources)
+    if total < 1:
+        raise PoolError(f"total must be >= 1, got {total}")
+    if not keys:
+        raise PoolError("sampling needs at least one source")
+    if len(set(keys)) < len(keys):
+        raise PoolError(f"sources repeat: {keys}")
     rng = derive_rng(seed, "sft-sample")
-    quotas = apportion(manifest.proportions, manifest.total, rng)
-    by_source = pool.by_source()
-    records: list[TrainingRecord] = []
-    for source in sorted(quotas):
+    jitter = {k: rng.random() for k in keys}
+    quotas = dict.fromkeys(keys, total // len(keys))
+    for k in sorted(keys, key=jitter.__getitem__)[: total % len(keys)]:
+        quotas[k] += 1
+    by_source: dict[str, list[PoolRecord]] = {k: [] for k in keys}
+    for rec in records:
+        if rec.source in by_source:
+            by_source[rec.source].append(rec)
+    sampled: list[TrainingRecord] = []
+    for source in keys:
         want = quotas[source]
-        have = sorted(by_source.get(source, []), key=lambda r: r.dedup_key())
+        have = sorted(by_source[source], key=PoolRecord.dedup_key)
         if want > len(have):
             raise PoolError(
                 f"insufficient pool for source {source!r}: need {want}, have {len(have)}"
             )
-        picked = rng.sample(have, want)
-        for rec in picked:
-            records.append(make_training_record(rec.trace, (), grpo))
-    return records
+        sampled += [make_training_record(rec.trace) for rec in rng.sample(have, want)]
+    return sampled

@@ -1,15 +1,25 @@
 """The sha256 of every file that `orion`'s batch commands write on a small
 seeded corpus, for checking that a refactor leaves every logged byte as it was.
 
-The matrix is 104 in-process runs that write 156 files: for each of the ten
+The matrix is 114 in-process runs that write 174 files: for each of the ten
 kinds, `run`, `beam` at (B, M) = (2, 2) and (3, 1), `grpo-collect` with
 argmax selection, with proportional selection and with `--zscore`, and
 `eval`, `report` and `report --relaxed-stagnation` over the kind's `run` log;
 for each of the seven kinds with a knob, a `run` with non-default
-`--policy-params` (`KNOBS`); plus `generate` with and without `--sft-total`,
-and `index`, whose `embeddings.orne` is read back from the index's stored
-matrix. The first corpus is lower-case ASCII words and single spaces, so a
-second one (`hard_inputs`) has titles, mixed case, punctuation, digits and
+`--policy-params` (`KNOBS`); plus `generate` without `--sft-total`, with 20
+over all ten kinds and with 7 over three (an uneven split), and `index`,
+whose `embeddings.orne` is read back from the index's stored matrix.
+
+Remote endpoints are answered in process by `FakeEndpoints`, which stands in
+for `requests.post`: `run` and `beam` (2, 2) under `--policy remote` in both
+remote modes, and `run --embed-backend service`. One `grpo-collect` setting
+is given three ways, as flags and as JSON and YAML `--config` files, and the
+three must write the same bytes (`SETTINGS`). `failing-query` runs one good
+query and one that holds a reserved tag; its stderr error record and its
+exit status of 1 are part of the matrix.
+
+The first corpus is lower-case ASCII words and single spaces, so a second
+one (`hard_inputs`) has titles, mixed case, punctuation, digits and
 non-ASCII letters; on it run `index`, `run --embeddings` on that index's
 `embeddings.orne` and on the same vectors as JSON Lines, and `generate`.
 Each file is hashed whole, meta line included.
@@ -22,9 +32,9 @@ exported with `git archive` into a temporary directory and run in a
 subprocess with that `src` first on PYTHONPATH. Both sides read the same
 input paths, because each meta line's config hash includes them: each `run`
 log is copied into `logs/` beside the corpus, and `eval` and `report` read
-it there; the second corpus and its embeddings files are written into
-`hard/` beside it. It prints each file whose bytes differ and exits 1 if any
-does.
+it there; the config and queries files of `input_runs` are written beside
+the corpus, and the second corpus and its embeddings files into `hard/`. It
+prints each file or exit status that differs and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -35,11 +45,13 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -47,6 +59,7 @@ import orion
 import orion.dataio
 from orion.archetypes import KINDS
 from orion.cli import main as orion_main
+from orion.embed import HashEmbedder
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -132,6 +145,104 @@ def share_embeddings(orne: Path, directory: Path) -> None:
             fh.write(json.dumps({"id": doc_id, "vector": vectors[doc_id].tolist()}) + "\n")
 
 
+REMOTE = ["--policy", "remote", "--remote-endpoint", "http://localhost:1/chat"]
+SERVICE = ["--embed-backend", "service", "--embed-endpoint", "http://localhost:2/embed"]
+SERVICE_DIM = 40
+
+
+class _Reply:
+    """What `orion.embed.post_json` reads of a `requests` response."""
+
+    def __init__(self, body: dict):
+        self.body = body
+
+    def raise_for_status(self) -> None:
+        pass
+
+    def json(self) -> dict:
+        return self.body
+
+
+class FakeEndpoints:
+    """A deterministic in-process stand-in for `requests.post`, fresh for each run.
+
+    An embeddings request gets a `HashEmbedder` vector of each of its texts.
+    A chat request gets two to four words of its prompt, picked by the sha256
+    of the prompt and of how often the run has sent that prompt before, so a
+    repeated prompt gets another sample, as a model at a temperature above 0
+    gives. When it asks for logprobs, it gets one per word from the same
+    digest: finite and at most 0.
+    """
+
+    def __init__(self):
+        self.sent: dict[str, int] = {}
+
+    def post(self, url: str, **request) -> _Reply:
+        if not url.startswith("http://localhost:"):
+            raise RuntimeError(f"the matrix posts only to localhost, not to {url}")
+        payload = request["json"]
+        if "input" in payload:
+            embed = HashEmbedder(SERVICE_DIM)
+            return _Reply({"data": [{"embedding": embed(text).tolist()} for text in payload["input"]]})
+        prompt = payload["messages"][-1]["content"]
+        draw = self.sent[prompt] = self.sent.get(prompt, -1) + 1
+        digest = hashlib.sha256(f"{draw}:{prompt}".encode("utf-8")).digest()
+        words = re.findall("[a-z]+", prompt)
+        picked = [words[int.from_bytes(digest[2 * i : 2 * i + 2], "little") % len(words)]
+                  for i in range(2 + digest[31] % 3)]
+        choice: dict = {"message": {"content": " ".join(picked)}}
+        if payload.get("logprobs"):
+            choice["logprobs"] = {
+                "content": [{"token": w, "logprob": -digest[16 + i] / 64} for i, w in enumerate(picked)]
+            }
+        return _Reply({"choices": [choice]})
+
+
+# One grpo-collect run's settings, given as flags (`settings-flags`), as a
+# JSON config file (`settings-json`, beta given as an int) and as a YAML one
+# (`settings-yaml`); all three must write the same bytes.
+SETTINGS = {
+    "policy": "greedy_hill", "policy_params": {"candidates": 5}, "group_size": 3,
+    "selection": "proportional", "zscore": True, "beta": 1, "k": 3, "max_turns": 4,
+}
+SETTINGS_FLAGS = [
+    "--policy", "greedy_hill", "--policy-params", '{"candidates": 5}', "--group-size", "3",
+    "--selection", "proportional", "--zscore", "--beta", "1", "--top-k", "3", "--max-turns", "4",
+]
+SETTINGS_YAML = """\
+policy: greedy_hill
+policy_params: {candidates: 5}
+group_size: 3
+selection: proportional
+zscore: true
+beta: 1.0
+k: 3
+max_turns: 4
+"""
+EXIT_STATUS = {"failing-query": 1}  # the other runs exit 0
+
+
+def input_runs(inputs: list[str], directory: Path) -> list[tuple[str, list[str]]]:
+    """(run name, command and all its flags) for each run that reads an input
+    file of its own, written into `directory`: the `SETTINGS` runs, and
+    `failing-query`, a `run` over one good query and one whose text holds a
+    reserved tag; its stderr error record is digested too."""
+    (directory / "settings.json").write_text(json.dumps(SETTINGS))
+    (directory / "settings.yaml").write_text(SETTINGS_YAML)
+    queries = directory / "failing-queries.jsonl"
+    queries.write_text(
+        json.dumps({"_id": "good", "text": "ocean alpha"}) + "\n"
+        + json.dumps({"_id": "tagged", "text": "coral <think> reef"}) + "\n"
+    )
+    at = inputs.index("--queries") + 1
+    return [
+        ("settings-flags", ["grpo-collect", *inputs, *SETTINGS_FLAGS]),
+        ("settings-json", ["grpo-collect", *inputs, "--config", str(directory / "settings.json")]),
+        ("settings-yaml", ["grpo-collect", *inputs, "--config", str(directory / "settings.yaml")]),
+        ("failing-query", ["run", *inputs[:at], str(queries), *inputs[at + 1 :]]),
+    ]
+
+
 # Non-default knobs for each kind that has one. best_first's try_threshold
 # lies above most turns' best scores on the seeded corpus, so it promotes its
 # next hypothesis (in 4 of the 6 episodes), a branch the default never enters.
@@ -169,7 +280,15 @@ def matrix(kinds: tuple[str, ...], logs: Path) -> list[tuple[str, list[str]]]:
     return runs + [
         ("generate", ["generate"]),
         ("generate-sft", ["generate", "--sft-total", "20"]),
+        ("generate-sft-uneven", ["generate", "--archetypes", "adaptive_context,greedy_hill,best_first",
+                                 "--sft-total", "7"]),
         ("index", ["index"]),
+        ("remote-run-structured", ["run", *REMOTE]),
+        ("remote-run-baseline", ["run", *REMOTE, "--remote-mode", "baseline"]),
+        ("remote-beam-structured", ["beam", *REMOTE, "--beam-size", "2", "--expansion", "2"]),
+        ("remote-beam-baseline", ["beam", *REMOTE, "--remote-mode", "baseline", "--beam-size", "2",
+                                  "--expansion", "2"]),
+        ("service-run", ["run", *SERVICE]),
     ]
 
 
@@ -181,9 +300,15 @@ def run_matrix(inputs: list[str], out: Path) -> dict:
     logs = shared / "logs"
     logs.mkdir(exist_ok=True)
     runs = [(name, [*argv, *inputs]) for name, argv in matrix(KINDS, logs)]
-    for name, argv in runs + hard_matrix(shared / "hard"):
-        with contextlib.redirect_stdout(io.StringIO()):
+    runs += input_runs(inputs, shared) + hard_matrix(shared / "hard")
+    for name, argv in runs:
+        # only a failing run's stderr is digested: the error records
+        stderr = contextlib.redirect_stderr(io.StringIO()) if name in EXIT_STATUS else contextlib.nullcontext()
+        post = mock.patch("requests.post", FakeEndpoints().post)
+        with contextlib.redirect_stdout(io.StringIO()), stderr as err, post:
             status[name] = orion_main([*argv, "--out", str(out / name)])
+        if err:
+            (out / name / "stderr.txt").write_text(err.getvalue())
         if argv[0] == "run":
             shutil.copyfile(out / name / "episodes.jsonl", logs / f"{name}.jsonl")
         if name == "hard-index":
@@ -192,6 +317,20 @@ def run_matrix(inputs: list[str], out: Path) -> dict:
             if path.is_file():
                 files[path.relative_to(out).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
     return {"orion": orion.__file__, "status": status, "files": files}
+
+
+def run_files(result: dict, run: str) -> dict:
+    """The digests of the files that `run` wrote, keyed by path within it."""
+    return {key[len(run) + 1 :]: digest for key, digest in result["files"].items() if key.startswith(f"{run}/")}
+
+
+def failed_runs(result: dict) -> list[str]:
+    """The runs whose exit status is not the one `EXIT_STATUS` expects, and the
+    config-file `SETTINGS` runs whose files differ from `settings-flags`'."""
+    flags = run_files(result, "settings-flags")
+    failed = [name for name, code in result["status"].items() if code != EXIT_STATUS.get(name, 0)]
+    failed += [name for name in ("settings-json", "settings-yaml") if run_files(result, name) != flags]
+    return sorted(failed)
 
 
 def run_revision(rev: str, inputs: list[str], scratch: Path) -> dict:
@@ -228,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         for name, digest in mine["files"].items():
             print(f"{digest}  {name}")
-        failed = sorted(name for name, code in mine["status"].items() if code)
+        failed = failed_runs(mine)
         print(f"{len(mine['status'])} runs, {len(mine['files'])} files; failed runs: {failed or 'none'}")
         if not args.against:
             return int(bool(failed))

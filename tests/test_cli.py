@@ -15,6 +15,7 @@ from orion.corpus import Document
 from orion.embed import EmbeddingServiceClient, EmbeddingServiceError, HashEmbedder
 from orion.engine import EpisodeResult, episode_to_dict
 from orion.metrics import analyze_behavior, evaluate_episodes
+from orion.policy import RemotePolicy
 from orion.trace import TERMINAL_POLICY_ERROR, SearchState, TraceDocument
 
 from cli_digests import seeded_inputs
@@ -192,6 +193,32 @@ def test_a_failing_query_leaves_the_rest_of_the_batch_logged(
         "error": "embedding service unavailable", "type": "ConnectionError",
         "command": command, "query_id": "q-bad",
     }]
+
+
+@pytest.mark.parametrize("command, status", [("beam", 1), ("run", 0)])
+def test_an_endpoint_without_logprobs_fails_each_beam_query_once(
+    tmp_path, monkeypatch, capsys, caplog, command, status
+):
+    # beam scores candidates by logprobs; a greedy run never asks for them
+    inputs = seeded_inputs(tmp_path)
+    reply = {"choices": [{"message": {"content": "coral reef"}}]}
+    monkeypatch.setattr(RemotePolicy, "_requests_post", lambda self, payload: reply)
+    argv = [command, *inputs, "--policy", "remote", "--remote-endpoint", "http://localhost:1/chat",
+            "--beam-size", "2", "--expansion", "2", "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == status
+    records = _records_after_meta(tmp_path / "out" / "episodes.jsonl")
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert "candidate dropped" not in caplog.text
+    if command == "run":
+        assert records.count(b"\n") == 6 and errors == []
+        return
+    assert records == b""
+    assert errors == [
+        {"error": "endpoint returned no token log-probabilities", "type": "CapabilityError",
+         "command": "beam", "query_id": f"q{q}"}
+        for q in range(6)
+    ]
 
 
 def test_generate_clips_queries_to_the_configured_length(tmp_path):

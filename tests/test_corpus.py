@@ -540,3 +540,23 @@ def test_the_padding_rule_gives_each_row_the_full_matvecs_bits():
         "the block, so logged scores would no longer match a full scan "
         f"(mismatched rows, first as (n, dim, row)): {done.stdout}{done.stderr}"
     )
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.0, True], [True, 1], (0.5, False), [np.True_, 2.0]],
+    ids=["float-bool", "bool-int", "tuple", "numpy-bool"],
+)
+def test_a_boolean_among_numbers_is_not_a_number(values):
+    # numpy infers a number dtype for these, so the dtype alone lets them pass
+    with pytest.raises(CorpusError, match="not a vector of numbers: a boolean element"):
+        as_embedding(values)
+    vectors = {"a": [1.0, 2.0], "b": list(values)}
+    with pytest.raises(CorpusError, match="doc 'b': embedding is not a vector of numbers"):
+        build_index(docs_for(vectors), vectors)
+
+
+def test_an_ndarray_is_read_by_its_dtype_alone():
+    # a reader or an embedder gives ndarrays; their elements are not visited
+    vec = np.array([1.0, True])
+    assert as_embedding(vec) is vec

@@ -223,9 +223,9 @@ def test_trailing_bytes_after_the_last_record_are_rejected(tmp_path, extra, coun
 @pytest.mark.parametrize(
     "vector",
     ['"abc"', '{"a": 1}', "[1, [2]]", '[1, "x"]', "[" + "9" * 400 + "]", "null", "[]", "[[1.0]]",
-     "[NaN]", "[1e999]", '["1", "2"]', "[true, false]", "[" + "9" * 30 + ', "1"]'],
+     "[NaN]", "[1e999]", '["1", "2"]', "[true, false]", "[" + "9" * 30 + ', "1"]', "[0.5, true]"],
     ids=["string", "object", "ragged", "mixed", "overflow", "null", "empty", "matrix", "nan", "inf",
-         "numeric-strings", "booleans", "big-int-and-string"],
+         "numeric-strings", "booleans", "big-int-and-string", "number-and-boolean"],
 )
 def test_bad_jsonl_vector_names_file_and_line(tmp_path, vector):
     path = tmp_path / "emb.jsonl"

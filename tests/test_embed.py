@@ -92,11 +92,13 @@ def test_hash_embeddings_equal_the_inline_loop_cold_warm_and_batched(texts):
         (["1", "2"], "embedding is not a vector of numbers: dtype <U1"),
         ([True, False, True], "embedding is not a vector of numbers: dtype bool"),
         ([2**70, "1"], "embedding is not a vector of numbers: dtype object"),
+        ([0.5, True], "embedding is not a vector of numbers: a boolean element"),
         ([1.0, math.nan], "embedding contains non-finite values"),
         ([[1.0], [2.0]], "got shape (2, 1)"),
         ([], "got shape (0,)"),
     ],
-    ids=["text", "numeric-strings", "booleans", "big-int-and-string", "nan", "matrix", "empty"],
+    ids=["text", "numeric-strings", "booleans", "big-int-and-string", "number-and-boolean", "nan",
+         "matrix", "empty"],
 )
 def test_a_bad_service_vector_is_a_service_error_naming_its_item(vector, cause):
     reply = {"data": [{"embedding": [0.6, 0.8]}, {"embedding": vector}]}

@@ -636,8 +636,10 @@ class TestRemotePolicy:
         transport = FakeTransport([chat_response("relevant.")])
         policy = RemotePolicy("http://e", "m", post=transport, api_key="k")
         state = state_with_sims([0.5])
-        with pytest.raises(CapabilityError, match="log-probabilities"):
+        with pytest.raises(CapabilityError, match="log-probabilities") as info:
             policy.relevance_perplexity(state)
+        # beam search drops a candidate for a PolicyError; this one fails the query
+        assert not isinstance(info.value, PolicyError)
 
     @pytest.mark.parametrize("content", [None, 5], ids=["null", "number"])
     def test_non_text_content_is_a_policy_error(self, content):
@@ -680,6 +682,9 @@ class TestRemotePolicy:
         )
         try:
             ppl = policy.relevance_perplexity(state_with_sims([0.5]))
+        except CapabilityError:  # not a PolicyError: it fails the query, not the candidate
+            assert logprobs == []
+            return
         except PolicyError:
             return
         assert type(ppl) is float and ppl >= 1.0

@@ -2,19 +2,18 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from orion.archetypes import FAILURE_MARKER, PolicyResources
+from orion.archetypes import FAILURE_MARKER, PolicyResources, derive_rng
 from orion.corpus import Document, build_index
 from orion.embed import HashEmbedder
 from orion.engine import Retriever
 from orion.policy import ArchetypeConfig
 from orion.synth import (
-    DatasetManifest,
     PoolError,
     PoolRecord,
-    apportion,
     assemble_pool,
     generate_trajectory,
     sample_sft_dataset,
@@ -178,96 +177,124 @@ class TestAssemblePool:
         assert len(assemble_pool([a, b])) == 2
 
 
+def sft_pool(sources, per_source):
+    """`per_source` records of each source; a record's first query names its source."""
+    return [
+        make_record(q0=f"query {i}", source=source, first_query=f"{source} q{i}")
+        for source in sources
+        for i in range(per_source)
+    ]
+
+
+def counts_by_source(records, sources):
+    return Counter(next(s for s in sources if f"{s} q" in r.text) for r in records)
+
+
 class TestApportion:
+    """How `sample_sft_dataset` splits its total over its sources."""
+
     def test_exact_quarters(self):
-        props = {f"s{i}": 0.25 for i in range(4)}
-        counts = apportion(props, 100, random.Random(0))
-        assert all(c == 25 for c in counts.values())
+        sources = [f"s{i}" for i in range(4)]
+        records = sample_sft_dataset(sft_pool(sources, 30), sources, 100)
+        assert counts_by_source(records, sources) == dict.fromkeys(sources, 25)
 
     def test_ten_sources_ten_percent(self):
-        props = {f"arch{i}": 0.1 for i in range(10)}
-        counts = apportion(props, 100, random.Random(0))
-        assert all(c == 10 for c in counts.values())
+        sources = [f"arch{i}" for i in range(10)]
+        records = sample_sft_dataset(sft_pool(sources, 12), sources, 100)
+        assert counts_by_source(records, sources) == dict.fromkeys(sources, 10)
 
     def test_largest_remainder_with_tie_break(self):
-        props = {"a": 0.5, "b": 0.5}
-        counts = apportion(props, 7, random.Random(3))
-        assert sorted(counts.values()) == [3, 4]
-        again = apportion(props, 7, random.Random(3))
-        assert counts == again
+        # 7 over 3 sources: 2 each, and the seed alone picks who gets the 3rd
+        sources = ["a", "b", "c"]
+        pool = sft_pool(sources, 5)
+        winners = set()
+        for seed in range(12):
+            counts = counts_by_source(sample_sft_dataset(pool, sources, 7, seed=seed), sources)
+            assert sorted(counts.values()) == [2, 2, 3]
+            # the first draw of the seeded rng, one per sorted source, orders them
+            rng = derive_rng(seed, "sft-sample")
+            jitter = {s: rng.random() for s in sources}
+            assert counts[min(sources, key=jitter.__getitem__)] == 3
+            shuffled = sample_sft_dataset(pool[::-1], ["c", "a", "b"], 7, seed=seed)
+            assert counts_by_source(shuffled, sources) == counts
+            winners |= {s for s, c in counts.items() if c == 3}
+        assert winners == set(sources)
 
     def test_matches_enumeration_oracle(self):
-        # every valid largest-remainder allocation, enumerated independently
+        # every valid even split, enumerated independently: each source gets
+        # the floor, and some `total % n` of them get one more
         rng = random.Random(5)
-        for _ in range(200):
-            n = rng.randint(2, 5)
-            weights = [rng.randint(1, 9) for _ in range(n)]
-            total_w = sum(weights)
-            props = {f"s{i}": w / total_w for i, w in enumerate(weights)}
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            sources = [f"s{i}" for i in range(n)]
             total = rng.randint(1, 40)
-            exact = {k: props[k] * total for k in props}
-            floors = {k: int(exact[k]) for k in exact}
-            leftover = total - sum(floors.values())
-            remainders = {k: exact[k] - floors[k] for k in exact}
-            valid = set()
-            for extra in itertools.combinations(sorted(props), leftover):
-                lowest_in = min((remainders[k] for k in extra), default=1.0)
-                highest_out = max(
-                    (remainders[k] for k in props if k not in extra), default=0.0
-                )
-                if lowest_in >= highest_out - 1e-12:
-                    counts = dict(floors)
-                    for k in extra:
-                        counts[k] += 1
-                    valid.add(tuple(sorted(counts.items())))
-            got = apportion(props, total, random.Random(rng.randint(0, 999)))
-            assert sum(got.values()) == total
-            assert tuple(sorted(got.items())) in valid
+            floor, leftover = divmod(total, n)
+            valid = [
+                {s: floor + (s in extra) for s in sources}
+                for extra in itertools.combinations(sources, leftover)
+            ]
+            pool = sft_pool(sources, floor + 1)
+            records = sample_sft_dataset(pool, sources, total, seed=rng.randint(0, 999))
+            counts = counts_by_source(records, sources)
+            assert len(records) == total
+            assert {s: counts[s] for s in sources} in valid
 
 
 class TestSampleSftDataset:
-    def make_pool(self, sources, per_source):
-        records = []
-        for source in sources:
-            for i in range(per_source):
-                records.append(
-                    make_record(q0=f"query {i}", source=source, first_query=f"{source} q{i}")
-                )
-        return assemble_pool(records)
-
     def test_exact_quotas_over_four_sources(self):
-        pool = self.make_pool([f"set{i}" for i in range(4)], 30)
-        manifest = DatasetManifest({f"set{i}": 0.25 for i in range(4)}, 100)
-        records = sample_sft_dataset(pool, manifest, seed=7)
+        sources = [f"set{i}" for i in range(4)]
+        records = sample_sft_dataset(sft_pool(sources, 30), sources, 100, seed=7)
         assert len(records) == 100
+        assert len({r.text for r in records}) == 100
 
     def test_insufficient_pool(self):
-        pool = self.make_pool(["only"], 3)
-        manifest = DatasetManifest({"only": 1.0}, 10)
-        with pytest.raises(PoolError, match="insufficient pool"):
-            sample_sft_dataset(pool, manifest, seed=0)
+        with pytest.raises(PoolError, match=r"insufficient pool for source 'only': need 10, have 3"):
+            sample_sft_dataset(sft_pool(["only"], 3), ["only"], 10, seed=0)
+
+    def test_a_source_without_records_is_short_only_when_it_gets_a_record(self):
+        pool = sft_pool(["a"], 3)
+        outcomes = set()
+        for seed in range(12):
+            try:
+                records = sample_sft_dataset(pool, ["a", "b"], 1, seed=seed)
+            except PoolError as exc:
+                assert "insufficient pool for source 'b': need 1, have 0" in str(exc)
+                outcomes.add("b")
+            else:
+                assert counts_by_source(records, ["a"]) == {"a": 1}
+                outcomes.add("a")
+        assert outcomes == {"a", "b"}
+
+    def test_records_of_other_sources_are_ignored(self):
+        mine = sft_pool(["a", "b"], 4)
+        others = sft_pool(["c", "zz"], 4)
+        want = [r.text for r in sample_sft_dataset(mine, ["a", "b"], 5, seed=2)]
+        assert [r.text for r in sample_sft_dataset(others + mine, ["a", "b"], 5, seed=2)] == want
+
+    @pytest.mark.parametrize(
+        "sources, total, message",
+        [(["a"], 0, "total must be >= 1, got 0"), (["a"], -3, "total must be >= 1, got -3"),
+         ([], 4, "at least one source"), (["a", "b", "a"], 4, "sources repeat")],
+        ids=["zero", "negative", "no-sources", "repeated"],
+    )
+    def test_an_unsatisfiable_request_is_refused(self, sources, total, message):
+        with pytest.raises(PoolError, match=message):
+            sample_sft_dataset(sft_pool(["a", "b"], 5), sources, total)
 
     def test_records_carry_masked_spans(self):
-        pool = self.make_pool(["src"], 4)
-        manifest = DatasetManifest({"src": 1.0}, 2)
-        for record in sample_sft_dataset(pool, manifest, seed=1):
+        for record in sample_sft_dataset(sft_pool(["src"], 4), ["src"], 2, seed=1):
             assert record.spans[0][0] == 0
             assert record.spans[-1][1] == len(record.text)
             assert any(flag for _, _, flag in record.spans)
 
     def test_deterministic_for_seed(self):
-        pool = self.make_pool(["a", "b"], 5)
-        manifest = DatasetManifest({"a": 0.5, "b": 0.5}, 6)
-        first = [r.text for r in sample_sft_dataset(pool, manifest, seed=3)]
-        second = [r.text for r in sample_sft_dataset(pool, manifest, seed=3)]
+        pool = sft_pool(["a", "b"], 5)
+        first = [r.text for r in sample_sft_dataset(pool, ["a", "b"], 6, seed=3)]
+        second = [r.text for r in sample_sft_dataset(pool, ["a", "b"], 6, seed=3)]
         assert first == second
 
 
 class TestManifestValidation:
-    def test_proportions_must_sum_to_one(self):
-        with pytest.raises(PoolError, match="sum to 1"):
-            DatasetManifest({"a": 0.7, "b": 0.2}, 10)
-
     def test_pool_record_turn_cap(self):
         with pytest.raises(PoolError, match="at most 5"):
             make_record(n_turns=6)
