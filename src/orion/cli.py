@@ -127,17 +127,24 @@ def _embedder(cfg: RunConfig):
     return HashEmbedder(cfg.embed_dim)
 
 
-def _retriever(cfg: RunConfig) -> tuple[Retriever, TfidfTable]:
+def _retriever(cfg: RunConfig) -> tuple[Retriever, list[Document]]:
+    """The retriever over `cfg.corpus`, and its documents in file order."""
     embedder = _embedder(cfg)
     docs, index = _load_index(cfg, embedder)
     # a mismatch would fail every query; a service's dim is known only from its replies
     if isinstance(embedder, HashEmbedder) and embedder.dim != index.dim:
         raise ConfigError(f"{cfg.embeddings}: dim {index.dim}, but embed_dim is {embedder.dim}")
-    return Retriever(index, embedder, snippet_chars=cfg.snippet_chars), TfidfTable.from_documents(docs)
+    return Retriever(index, embedder, snippet_chars=cfg.snippet_chars), docs
 
 
-def _policy_factory(cfg: RunConfig, retriever: Retriever, vocab: TfidfTable):
-    resources = PolicyResources(vocab=vocab, probe=retriever.best_similarity)
+def _resources(retriever: Retriever, docs: list[Document]) -> PolicyResources:
+    """What scripted steps read: the term table of `docs`, and the probe."""
+    return PolicyResources(vocab=TfidfTable.from_documents(docs), probe=retriever.best_similarity)
+
+
+def _policy_factory(cfg: RunConfig, retriever: Retriever, docs: list[Document]):
+    """qid -> policy. A remote policy reads no term table, so only the
+    scripted path builds `_resources`."""
     if cfg.policy == "remote":
         shared = RemotePolicy(
             cfg.remote_endpoint,
@@ -147,6 +154,7 @@ def _policy_factory(cfg: RunConfig, retriever: Retriever, vocab: TfidfTable):
             max_query_chars=cfg.max_query_chars,
         )
         return lambda qid: shared
+    resources = _resources(retriever, docs)
 
     def make(qid: str) -> ScriptedPolicy:
         arch = ArchetypeConfig(kind=cfg.policy, seed=episode_seed(cfg.seed, qid), params=cfg.policy_params)
@@ -213,9 +221,9 @@ def _each_query(cfg: RunConfig, command: str, job) -> tuple[list, int]:
 
 def cmd_run(cfg: RunConfig, command: str) -> int:
     """`run` (greedy) and `beam`: one episode per query, logged to episodes.jsonl."""
-    retriever, vocab = _retriever(cfg)
+    retriever, docs = _retriever(cfg)
     beam_size = cfg.beam_size if command == "beam" else None
-    job = episode_job(_policy_factory(cfg, retriever, vocab), retriever, beam_size, cfg.expansion)
+    job = episode_job(_policy_factory(cfg, retriever, docs), retriever, beam_size, cfg.expansion)
     results, status = _each_query(cfg, command, job)
     out = _out_dir(cfg)
     _write_log(out / "episodes.jsonl", cfg, [episode_to_dict(q, r) for q, r in results])
@@ -232,8 +240,8 @@ def cmd_run(cfg: RunConfig, command: str) -> int:
 def cmd_generate(cfg: RunConfig, command: str) -> int:
     """Pool trajectories of each archetype; `policy_params` go to `policy`'s kind only."""
     kinds = cfg.kinds()
-    retriever, vocab = _retriever(cfg)
-    resources = PolicyResources(vocab=vocab, probe=retriever.best_similarity)
+    retriever, docs = _retriever(cfg)
+    resources = _resources(retriever, docs)
 
     def job(qid: str, text: str, episode_cfg: EpisodeConfig):
         return [
@@ -262,14 +270,14 @@ def cmd_generate(cfg: RunConfig, command: str) -> int:
 
 
 def cmd_grpo_collect(cfg: RunConfig, command: str) -> int:
-    retriever, vocab = _retriever(cfg)
+    retriever, docs = _retriever(cfg)
     grpo = GrpoConfig(
         group_size=cfg.group_size,
         selection=cfg.selection,
         advantage_mode="z_score" if cfg.zscore else "mean_center",
         beta=cfg.beta,
     )
-    policy_for = _policy_factory(cfg, retriever, vocab)
+    policy_for = _policy_factory(cfg, retriever, docs)
 
     def job(qid: str, text: str, episode_cfg: EpisodeConfig):
         trace, groups = collect_grouped_episode(

@@ -194,7 +194,8 @@ class CorpusIndex:
 
         That is within about one ulp of the vector given to `build_index`, and
         equal to it after a float32 cast (as `dataio.write_embeddings` does)
-        when the input was float32 widened to float64, as ORNE vectors are.
+        when the input was float32, as ORNE vectors are: `build_index` widens
+        them to float64 when it stacks them, and keeps no float32 copy.
         """
         row = self._row_of[doc_id]
         return self._ut[:, row] * self._norms[row]
@@ -309,7 +310,8 @@ def _checked(doc: Document, embeddings: Embeddings, dim: int | None) -> np.ndarr
 
 
 def _stacked(docs: Sequence[Document], embeddings: Embeddings, dim: int) -> np.ndarray:
-    """The embeddings of `docs` as the float64 rows of a new array.
+    """The embeddings of `docs` as the float64 rows of a new array; float32
+    vectors (ORNE views) widen exactly.
 
     A block of number arrays of length `dim` is checked as a whole, by one
     finiteness test. Any other block (one with a missing doc, a list, or a

@@ -7,13 +7,16 @@ Embedding files come in two flavors:
   (u32 id-length, UTF-8 id bytes, dim x f32 values);
 * JSON Lines fallback: one object per line, ``{"id": ..., "vector": [...]}``.
 
-Readers auto-detect the flavor from the magic bytes.
+Readers auto-detect the flavor from the magic bytes. The two give vectors of
+different dtypes. An ORNE file is read with one read, and each of its vectors
+is a read-only float32 view into that one buffer, so the file's vectors cost
+their file size once. A JSON Lines file gives float64 arrays. `build_index`
+widens either to float64 a block at a time; widening float32 is exact.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -144,47 +147,50 @@ def write_embeddings(embeddings: Mapping[str, np.ndarray], path: str | Path) -> 
 
 def _read_embeddings_binary(path: Path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise CorpusError(f"{path}: bad magic {magic!r}")
-        header = fh.read(16)
-        if len(header) != 16:
-            raise CorpusError(f"{path}: truncated header")
-        version, dim, count = struct.unpack("<IIQ", header)
-        if version != VERSION:
-            raise CorpusError(f"{path}: unsupported version {version}")
-        # checked before reading, so a bad count, dim or id length never
-        # makes a read larger than the file
-        need, left = count * (4 + 4 * dim), size - fh.tell()
-        if need > left:
-            raise CorpusError(
-                f"{path}: truncated: header claims {count} records of dim {dim}, "
-                f"at least {need} bytes, but {left} bytes follow it"
-            )
-        out: dict[str, np.ndarray] = {}
-        for i in range(count):
-            head = fh.read(4)
-            if len(head) != 4:
-                raise CorpusError(f"{path}: truncated record {i} (id length)")
-            (id_len,) = struct.unpack("<I", head)
-            if id_len > size - fh.tell():
-                raise CorpusError(f"{path}: truncated record {i} (id)")
-            raw_id = fh.read(id_len)
-            try:
-                doc_id = raw_id.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"{path}: record {i}: id is not UTF-8: {exc}") from exc
-            raw = fh.read(4 * dim)
-            if len(raw) != 4 * dim:
-                raise CorpusError(f"{path}: truncated record {i} ({doc_id!r})")
-            if doc_id in out:
-                raise CorpusError(f"{path}: record {i}: duplicate id {doc_id!r}")
-            out[doc_id] = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        trailing = size - fh.tell()
-        if trailing:
-            raise CorpusError(f"{path}: {trailing} trailing bytes after {count} records")
-        return out
+        data = fh.read()
+    size = len(data)
+    if data[:4] != MAGIC:
+        raise CorpusError(f"{path}: bad magic {data[:4]!r}")
+    if size < 20:
+        raise CorpusError(f"{path}: truncated header")
+    version, dim, count = struct.unpack_from("<IIQ", data, 4)
+    if version != VERSION:
+        raise CorpusError(f"{path}: unsupported version {version}")
+    if dim == 0:
+        raise CorpusError(f"{path}: header claims dim 0")
+    # checked before the records are parsed, so a bad count, dim or id length
+    # never makes the parse reach past the file
+    need, left = count * (4 + 4 * dim), size - 20
+    if need > left:
+        raise CorpusError(
+            f"{path}: truncated: header claims {count} records of dim {dim}, "
+            f"at least {need} bytes, but {left} bytes follow it"
+        )
+    out: dict[str, np.ndarray] = {}
+    at = 20
+    for i in range(count):
+        if size - at < 4:
+            raise CorpusError(f"{path}: truncated record {i} (id length)")
+        (id_len,) = struct.unpack_from("<I", data, at)
+        at += 4
+        if id_len > size - at:
+            raise CorpusError(f"{path}: truncated record {i} (id)")
+        try:
+            doc_id = data[at : at + id_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: record {i}: id is not UTF-8: {exc}") from exc
+        at += id_len
+        if 4 * dim > size - at:
+            raise CorpusError(f"{path}: truncated record {i} ({doc_id!r})")
+        if doc_id in out:
+            raise CorpusError(f"{path}: record {i}: duplicate id {doc_id!r}")
+        # a read-only view into `data`: the file's float32 bytes, never copied
+        out[doc_id] = np.frombuffer(data, "<f4", dim, at)
+        at += 4 * dim
+    trailing = size - at
+    if trailing:
+        raise CorpusError(f"{path}: {trailing} trailing bytes after {count} records")
+    return out
 
 
 def _read_embeddings_jsonl(path: Path) -> dict[str, np.ndarray]:
@@ -203,7 +209,11 @@ def _read_embeddings_jsonl(path: Path) -> dict[str, np.ndarray]:
 
 
 def read_embeddings(path: str | Path) -> dict[str, np.ndarray]:
-    """Read either embedding flavor, auto-detected by the magic bytes."""
+    """Read either embedding flavor, auto-detected by the magic bytes.
+
+    ORNE vectors are read-only float32 views over one buffer holding the
+    whole file; JSON Lines vectors are float64 arrays (`as_embedding`).
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(4)

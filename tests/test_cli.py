@@ -17,8 +17,9 @@ from orion.engine import EpisodeResult, episode_to_dict
 from orion.metrics import analyze_behavior, evaluate_episodes
 from orion.policy import RemotePolicy
 from orion.trace import TERMINAL_POLICY_ERROR, SearchState, TraceDocument
+from orion.vocab import TfidfTable
 
-from cli_digests import seeded_inputs
+from cli_digests import REMOTE, FakeEndpoints, seeded_inputs
 from conftest import write_corpus
 
 
@@ -219,6 +220,31 @@ def test_an_endpoint_without_logprobs_fails_each_beam_query_once(
          "command": "beam", "query_id": f"q{q}"}
         for q in range(6)
     ]
+
+
+def _no_term_table(docs):
+    raise AssertionError("a term table was built")
+
+
+@pytest.mark.parametrize("command", ["run", "beam", "grpo-collect"])
+def test_a_remote_run_builds_no_term_table(tmp_path, monkeypatch, command):
+    # only scripted steps read the table; a remote policy never does
+    inputs = seeded_inputs(tmp_path)
+    monkeypatch.setattr("requests.post", FakeEndpoints().post)
+    monkeypatch.setattr(TfidfTable, "from_documents", _no_term_table)
+    argv = [command, *inputs, *REMOTE, "--beam-size", "2", "--expansion", "2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert _records_after_meta(tmp_path / "out" / LOGS[command]).count(b"\n") == 6
+
+
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_a_scripted_run_builds_its_term_table(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(TfidfTable, "from_documents", _no_term_table)
+    inputs = seeded_inputs(tmp_path)
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", str(tmp_path / "out")]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "a term table was built", "type": "AssertionError", "command": command}
 
 
 def test_generate_clips_queries_to_the_configured_length(tmp_path):

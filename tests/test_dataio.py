@@ -83,7 +83,8 @@ def test_binary_embeddings_round_trip(tmp_path):
     loaded = dataio.read_embeddings(path)
     assert set(loaded) == set(embeddings)
     for key, vec in embeddings.items():
-        # stored as f32, read back widened
+        # stored and read back as float32
+        assert loaded[key].dtype == np.float32
         np.testing.assert_allclose(loaded[key], vec, atol=1e-6)
 
 
@@ -288,6 +289,88 @@ def test_missing_or_null_title_reads_as_empty(tmp_path):
     assert [d.title for d in dataio.read_corpus(path)] == ["", ""]
 
 
+def test_a_header_with_dim_0_names_the_file(tmp_path):
+    path = tmp_path / "emb.orne"
+    path.write_bytes(_orne([(b"a", []), (b"b", [])], dim=0))
+    with pytest.raises(CorpusError, match=r"emb.orne: header claims dim 0"):
+        dataio.read_embeddings(path)
+
+
+def test_binary_vectors_are_read_only_float32_views(tmp_path):
+    path = tmp_path / "emb.orne"
+    path.write_bytes(_orne([(b"a", [1.0, 2.0]), (b"bc", [3.0, 4.0])]))
+    loaded = dataio.read_embeddings(path)
+    assert [vec.dtype for vec in loaded.values()] == [np.dtype("<f4")] * 2
+    assert not any(vec.flags.writeable for vec in loaded.values())
+    # both views share the one buffer the file was read into
+    assert loaded["a"].base is loaded["bc"].base
+    with pytest.raises(ValueError, match="read-only"):
+        loaded["a"][0] = 5.0
+
+
+def test_reading_a_binary_file_allocates_about_its_size(tmp_path):
+    n, dim = 400, 64
+    rng = np.random.default_rng(0)
+    path = tmp_path / "emb.orne"
+    dataio.write_embeddings({f"doc{i}": rng.normal(size=dim) for i in range(n)}, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = dataio.read_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == n
+    # the file once, plus an id, a dict slot and an array header per record;
+    # a float64 copy per record alone would add 8 * dim = 512 bytes a record
+    assert peak <= size + 400 * n
+
+
+_f32_values = st.sampled_from([-0.0, 0.0, 1e-45, -1e-45, 1.1754942e-38, 3.4e38, -3.4e38]) | st.floats(
+    width=32, allow_nan=False, allow_infinity=False
+)
+
+
+def _widened_per_record(records) -> dict[str, np.ndarray]:
+    """The embeddings as a reader that copies each float32 record into its
+    own float64 array reads them."""
+    return {doc_id: np.asarray(vec, dtype="<f4").astype(np.float64) for doc_id, vec in records}
+
+
+def _index_bits(docs, embeddings):
+    """Every bit `build_index` keeps and every search over it logs, or its error."""
+    try:
+        index = build_index(docs, embeddings)
+    except CorpusError as exc:
+        return str(exc)
+    ids = [d.doc_id for d in docs]
+    searches = []
+    for doc_id in ids:
+        for k, targets in ((1, ()), (len(ids), ids[-1:]), (2, ids[::2])):
+            results = index.search(embeddings[doc_id], k, targets)
+            sim = None if results.target_sim is None else results.target_sim.hex()
+            searches.append(([(e.doc_id, e.score.hex()) for e in results.entries], sim, results.target_rank))
+    return [float(x).hex() for x in index._ut.ravel()], [float(x).hex() for x in index._norms], searches
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.integers(1, 5),
+    ids=st.lists(st.text("abcdefgh", min_size=1, max_size=8), min_size=1, max_size=5, unique=True),
+    data=st.data(),
+)
+def test_an_index_over_the_float32_views_has_the_bits_of_one_over_float64_copies(
+    tmp_path_factory, dim, ids, data
+):
+    # id byte lengths 1-8 put the vectors at every offset mod 4
+    records = [(doc_id, data.draw(st.lists(_f32_values, min_size=dim, max_size=dim))) for doc_id in ids]
+    path = tmp_path_factory.mktemp("views") / "emb.orne"
+    path.write_bytes(_orne([(doc_id.encode(), vec) for doc_id, vec in records], dim=dim))
+    docs = [Document(doc_id, "text") for doc_id in ids]
+    views = dataio.read_embeddings(path)
+    assert _index_bits(docs, views) == _index_bits(docs, _widened_per_record(records))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_orne_vector_names_the_doc(tmp_path, bad):
     path = tmp_path / "emb.orne"
@@ -298,14 +381,26 @@ def test_non_finite_orne_vector_names_the_doc(tmp_path, bad):
 
 
 def _assert_read_back_or_typed_error(path) -> None:
-    """The reader either returns 1-D float64 vectors of one length or raises CorpusError."""
+    """The reader either returns 1-D vectors of one length or raises CorpusError.
+
+    An ORNE file gives float32 vectors holding the file's bytes: its header
+    and its vectors, in file order, write the file again. A JSON Lines file
+    gives float64 vectors.
+    """
     try:
         loaded = dataio.read_embeddings(path)
     except CorpusError:
         return
     assert all(isinstance(doc_id, str) for doc_id in loaded)
-    assert all(vec.dtype == np.float64 and vec.ndim == 1 for vec in loaded.values())
+    assert all(vec.ndim == 1 for vec in loaded.values())
     assert len({vec.shape[0] for vec in loaded.values()}) <= 1
+    raw = path.read_bytes()
+    if raw[:4] != dataio.MAGIC:
+        assert all(vec.dtype == np.float64 for vec in loaded.values())
+        return
+    assert all(vec.dtype == np.dtype("<f4") for vec in loaded.values())
+    records = (struct.pack("<I", len(k.encode())) + k.encode() + v.tobytes() for k, v in loaded.items())
+    assert raw[:20] + b"".join(records) == raw
 
 
 _orne_records = st.lists(
