@@ -63,7 +63,7 @@ def _fallback(q0: str, reason: str) -> Action:
 
 
 def _best_sims(state: SearchState) -> list[float]:
-    return [t.best_score() or 0.0 for t in state.history]
+    return [t.best_score() for t in state.history]
 
 
 def _used_terms(state: SearchState) -> set[str]:

@@ -4,13 +4,16 @@
 search state proposes actions, each action is retrieved once, and each
 candidate is a state ending with its new turn; every fact about a candidate
 is read off that turn. A run's `keep` rule picks the states that go on: the
-greedy runner keeps its one candidate, beam search the top B by relevance
-confidence (1/perplexity, asked only when a turn has several candidates, so
-a greedy run never asks it), and grouped collection (`rewards`) the one
-candidate it selects by reward. The loop alone ends an episode: success when
-a survivor's turn puts a target in its top-k, policy_error (keeping the
-previous best state) when none survives, and budget_exhausted (keeping the
-best survivor) when the turns run out.
+greedy runner keeps its one candidate, beam search the top B distinct ones
+by relevance confidence (1/perplexity, asked only when a turn has several
+distinct candidates, so a greedy run never asks it), and grouped collection
+(`rewards`) the one candidate it selects by reward. The loop alone ends an
+episode: success when a survivor's turn puts a target in its top-k,
+policy_error (keeping the previous best state) when none survives, and
+budget_exhausted (keeping the best survivor) when the turns run out.
+
+The trace an episode returns is that state with its terminal reason set: one
+`SearchState` type serves the policies mid-episode and the logs after it.
 
 Only the `<search_query>` content is embedded for retrieval; think spans never
 reach the retriever. Each action costs one retrieval, logged in its turn, and
@@ -54,7 +57,6 @@ from .trace import (
     TERMINAL_POLICY_ERROR,
     TERMINAL_SUCCESS,
     Action,
-    TraceDocument,
     TraceError,
     Turn,
     append_turn,
@@ -150,7 +152,7 @@ class EpisodeResult:
     so they cannot disagree with it.
     """
 
-    trace: TraceDocument
+    trace: SearchState
     beam_sizes: tuple[int, ...] = ()  # per-turn survivor counts (beam runs only)
 
     @property
@@ -160,11 +162,11 @@ class EpisodeResult:
     @property
     def success_turn(self) -> int | None:
         """1-based turn of the success (the trace's last), None without one."""
-        return len(self.trace.state.history) if self.succeeded else None
+        return len(self.trace.history) if self.succeeded else None
 
     @property
     def per_turn_ranks(self) -> tuple[int | None, ...]:
-        return tuple(t.target_rank for t in self.trace.state.history)
+        return tuple(t.target_rank for t in self.trace.history)
 
 
 def check_success(turn: Turn, k: int) -> bool:
@@ -193,7 +195,7 @@ def run_turns(
     n: int,
     config: EpisodeConfig,
     keep: Callable[[int, list[SearchState]], list[SearchState]],
-) -> TraceDocument:
+) -> SearchState:
     """The episode loop (see the module docstring). `keep(turn, candidates)`
     gets the turn's candidates in state order, then action order, and
     returns the states that go on, best first. A state whose `propose`
@@ -213,12 +215,12 @@ def run_turns(
                 candidates.append(append_turn(state, turn, config.max_turns))
         survivors = keep(t, candidates)
         if not survivors:
-            return TraceDocument(states[0], TERMINAL_POLICY_ERROR)
+            return replace(states[0], terminal_reason=TERMINAL_POLICY_ERROR)
         states = survivors
         for state in states:
             if check_success(state.last_turn(), config.k):
-                return TraceDocument(state, TERMINAL_SUCCESS)
-    return TraceDocument(states[0], TERMINAL_BUDGET)
+                return replace(state, terminal_reason=TERMINAL_SUCCESS)
+    return replace(states[0], terminal_reason=TERMINAL_BUDGET)
 
 
 def run_episode(
@@ -237,17 +239,20 @@ def beam_search(
     config: EpisodeConfig,
 ) -> EpisodeResult:
     """Beam search: each of the B beams proposes M candidates per turn, and
-    the top B of the pooled candidates by 1/relevance-perplexity go on
-    (ties by query).
+    the top B of the distinct pooled candidates by 1/relevance-perplexity go
+    on (ties by query).
 
-    A lone candidate is not scored; a candidate whose relevance call raises
-    `PolicyError` is dropped. `beam_sizes` counts each turn's survivors.
+    A candidate equal to an earlier one is dropped before any is scored, so
+    the beams hold distinct states. A lone candidate is not scored; a
+    candidate whose relevance call raises `PolicyError` is dropped.
+    `beam_sizes` counts each turn's survivors.
     """
     if beam_size < 1 or expansion < 1:
         raise ValueError("beam_size and expansion must be >= 1")
     sizes: list[int] = []
 
     def keep(t: int, candidates: list[SearchState]) -> list[SearchState]:
+        candidates = list(dict.fromkeys(candidates))
         if len(candidates) > 1:
             scored = []
             for c in candidates:

@@ -93,7 +93,7 @@ class MetricsReport:
 
 def final_ranking(result: EpisodeResult) -> list[str]:
     """Doc ids of the episode's final turn (the success turn when it won)."""
-    last = result.trace.state.last_turn()
+    last = result.trace.last_turn()
     if last is None:
         return []
     return [d.doc_id for d in last.results if d.doc_id is not None]
@@ -180,11 +180,7 @@ class QuantileSummary:
 
 def query_length_stats(episodes: Sequence[tuple[str, EpisodeResult]]) -> QuantileSummary:
     """Quantiles (midpoint interpolation) of issued-query character counts."""
-    lengths = [
-        len(turn.query)
-        for _, result in episodes
-        for turn in result.trace.state.history
-    ]
+    lengths = [len(turn.query) for _, result in episodes for turn in result.trace.history]
     if not lengths:
         raise ValueError("no queries in the episode log")
     arr = np.asarray(lengths, dtype=np.float64)
@@ -238,7 +234,7 @@ def analyze_behavior(
             stagnant += 1
     hist = turnwise_success_distribution(episodes)
     successes = sum(1 for _, r in episodes if r.succeeded)
-    issued_queries = any(r.trace.state.history for _, r in episodes)
+    issued_queries = any(r.trace.history for _, r in episodes)
     return BehaviorReport(
         backtrack_rate=backtracked / with_ranks if with_ranks else 0.0,
         stagnation_rate=stagnant / with_ranks if with_ranks else 0.0,

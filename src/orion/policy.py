@@ -33,7 +33,7 @@ from .trace import (
     numbered_results,
     render_prompt,
     reserved_literal,
-    serialize_state,
+    serialize_trace,
 )
 
 API_KEY_ENV = "ORION_API_KEY"
@@ -118,8 +118,7 @@ class ScriptedPolicy:
         ]
 
     def relevance_perplexity(self, state: SearchState) -> float:
-        best = state.last_turn().best_score()
-        return pseudo_perplexity(best if best is not None else 0.0)
+        return pseudo_perplexity(state.last_turn().best_score())
 
 
 # --- two-phase baseline prompts ------------------------------------------------
@@ -274,7 +273,7 @@ class RemotePolicy:
 
     def relevance_perplexity(self, state: SearchState) -> float:
         prompt = (
-            serialize_state(state)
+            serialize_trace(state)
             + "\n\n"
             + RELEVANCE_PROMPT.format(
                 t=len(state.history), query=state.last_turn().query, q0=state.original_query

@@ -37,7 +37,6 @@ from .engine import execute_action  # not called here; perfbench/tracer.py patch
 from .policy import Policy
 from .trace import (
     SearchState,
-    TraceDocument,
     Turn,
     append_turn,  # not called here; perfbench/tracer.py patches it
     serialize_spans,
@@ -216,12 +215,12 @@ class GrpoConfig:
 def candidate_signals(turn: Turn) -> tuple[float, int]:
     """(similarity, rank) feeding the reward for one candidate's turn.
 
-    Similarity is the best retrieved document's score. Rank is the best
-    ground-truth target's corpus rank when the retrieval was given targets;
-    otherwise the rank of the best-similarity document, which is 0 under this
-    exact retriever by definition.
+    Similarity is the best retrieved document's score (`Turn.best_score`, 0.0
+    without results). Rank is the best ground-truth target's corpus rank when
+    the retrieval was given targets; otherwise the rank of the best-similarity
+    document, which is 0 under this exact retriever by definition.
     """
-    sim = turn.results[0].score if turn.results else 0.0
+    sim = turn.best_score()
     rank = turn.target_rank if turn.target_rank is not None else 0
     return sim, rank
 
@@ -233,7 +232,7 @@ def collect_grouped_episode(
     config: EpisodeConfig,
     grpo: GrpoConfig,
     rng: random.Random,
-) -> tuple[TraceDocument, list[GroupSample]]:
+) -> tuple[SearchState, list[GroupSample]]:
     """Grouped sampling: per turn, reward G candidates and advance one.
 
     The episode loop is `engine.run_turns`; each turn's group is recorded
@@ -260,7 +259,7 @@ def collect_grouped_episode(
 # --- masked training-record export ----------------------------------------------
 
 
-def mask_spans(trace: TraceDocument) -> list[tuple[int, int, bool]]:
+def mask_spans(trace: SearchState) -> list[tuple[int, int, bool]]:
     """Character-offset (start, end, trainable) spans partitioning the text."""
     spans = []
     offset = 0
@@ -288,7 +287,7 @@ class TrainingRecord:
 
 
 def make_training_record(
-    trace: TraceDocument,
+    trace: SearchState,
     groups: Sequence[GroupSample] = (),
     grpo: GrpoConfig | None = None,
 ) -> TrainingRecord:

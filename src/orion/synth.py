@@ -21,7 +21,7 @@ from .archetypes import PolicyResources, derive_rng
 from .engine import EpisodeConfig, Retriever, run_episode
 from .policy import DEFAULT_MAX_QUERY_CHARS, ArchetypeConfig, ScriptedPolicy
 from .rewards import TrainingRecord, clamp_cosine, make_training_record
-from .trace import TraceDocument
+from .trace import SearchState
 
 MAX_POOL_TURNS = 5
 
@@ -35,10 +35,10 @@ class PoolRecord:
     """One multi-turn trace from one source, the archetype kind that produced it."""
 
     source: str
-    trace: TraceDocument
+    trace: SearchState
 
     def __post_init__(self) -> None:
-        turns = self.trace.state.history
+        turns = self.trace.history
         if len(turns) > MAX_POOL_TURNS:
             raise PoolError(f"pool records hold at most {MAX_POOL_TURNS} turns")
         for t in turns:
@@ -47,14 +47,14 @@ class PoolRecord:
 
     @property
     def q0(self) -> str:
-        return self.trace.state.original_query
+        return self.trace.original_query
 
     @property
     def terminal_reason(self) -> str | None:
         return self.trace.terminal_reason
 
     def dedup_key(self) -> tuple[str, str, str]:
-        first = self.trace.state.history[:1]
+        first = self.trace.history[:1]
         return (self.q0, self.source, first[0].query if first else "")
 
     def to_dict(self) -> dict:
@@ -73,7 +73,7 @@ class PoolRecord:
                     "cos": None if t.sim_to_target is None else clamp_cosine(t.sim_to_target, PoolError),
                     "rank": t.target_rank,
                 }
-                for t in self.trace.state.history
+                for t in self.trace.history
             ],
         }
 

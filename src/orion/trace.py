@@ -19,6 +19,10 @@ numbered list of document texts (scores and ids are kept internally but never
 rendered). Tag contents are stored verbatim; content containing a literal tag
 string is rejected at construction so the grammar stays unambiguous.
 
+A trace is a `SearchState`: the user query, its completed turns, and a
+terminal reason that is None while the episode runs and is set when it ends.
+A state that has one takes no more turns.
+
 The text format is intentionally lossy (it is what a model sees); the JSON
 codec (`trace_to_dict` / `trace_from_dict`) is the lossless log format.
 """
@@ -123,9 +127,9 @@ class Turn:
         if self.target_rank is not None and self.target_rank < NOT_FOUND:
             raise TraceError(f"invalid target rank {self.target_rank}")
 
-    def best_score(self) -> float | None:
-        scores = [d.score for d in self.results if d.score is not None]
-        return max(scores) if scores else None
+    def best_score(self) -> float:
+        """The highest result score, 0.0 when no result is scored."""
+        return max((d.score for d in self.results if d.score is not None), default=0.0)
 
 
 def snapshot_results(
@@ -141,40 +145,34 @@ def snapshot_results(
 
 @dataclass(frozen=True)
 class SearchState:
-    """Original query plus the ordered history of completed turns."""
+    """Original query, the ordered history of completed turns, and the
+    episode's terminal outcome (None until the episode ends)."""
 
     original_query: str
     history: tuple[Turn, ...] = ()
+    terminal_reason: str | None = None
 
     def __post_init__(self) -> None:
         if not self.original_query:
             raise TraceError("original query must be non-empty")
         _check_content("user query", self.original_query)
+        if self.terminal_reason is not None and self.terminal_reason not in _TERMINAL_REASONS:
+            raise TraceError(f"unknown terminal reason {self.terminal_reason!r}")
 
     def last_turn(self) -> Turn | None:
         return self.history[-1] if self.history else None
 
 
 def append_turn(state: SearchState, turn: Turn, max_turns: int = DEFAULT_MAX_TURNS) -> SearchState:
-    """Return a new state with the turn appended; prior turns are untouched."""
+    """Return a new state with the turn appended; prior turns are untouched.
+    An ended state (one with a terminal reason) takes no turn."""
+    if state.terminal_reason is not None:
+        raise TraceError(f"the episode has ended ({state.terminal_reason})")
     if len(state.history) >= max_turns:
         raise BudgetExceededError(
             f"turn budget exhausted ({len(state.history)}/{max_turns})"
         )
     return replace(state, history=state.history + (turn,))
-
-
-@dataclass(frozen=True)
-class TraceDocument:
-    """A search state with its terminal outcome (None when not known, e.g.
-    for a state rendered mid-episode)."""
-
-    state: SearchState
-    terminal_reason: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.terminal_reason is not None and self.terminal_reason not in _TERMINAL_REASONS:
-            raise TraceError(f"unknown terminal reason {self.terminal_reason!r}")
 
 
 # --- serialization -----------------------------------------------------------
@@ -191,7 +189,7 @@ def numbered_results(turn: Turn) -> str:
     return "".join(f"{i}. {doc.text}\n" for i, doc in enumerate(turn.results, 1))
 
 
-def serialize_spans(trace: TraceDocument) -> list[TraceSpan]:
+def serialize_spans(trace: SearchState) -> list[TraceSpan]:
     """The serialized text as labeled spans (trainable vs masked).
 
     Trainable: think contents, query contents, and the two closing tags
@@ -199,9 +197,9 @@ def serialize_spans(trace: TraceDocument) -> list[TraceSpan]:
     top_k_response spans including their tags, the opening `<think>` and
     `<search_query>` tags, and inter-span separators — is masked.
     """
-    q0 = trace.state.original_query
+    q0 = trace.original_query
     spans = [TraceSpan(f"<{TAG_USER}>{q0}</{TAG_USER}>", False)]
-    for turn in trace.state.history:
+    for turn in trace.history:
         spans.extend(
             [
                 TraceSpan(SEP, False),
@@ -219,13 +217,9 @@ def serialize_spans(trace: TraceDocument) -> list[TraceSpan]:
     return spans
 
 
-def serialize_trace(trace: TraceDocument) -> str:
-    """Render the canonical text form of a trace."""
+def serialize_trace(trace: SearchState) -> str:
+    """Render the canonical text form of a trace (its terminal reason is not shown)."""
     return "".join(span.text for span in serialize_spans(trace))
-
-
-def serialize_state(state: SearchState) -> str:
-    return serialize_trace(TraceDocument(state=state))
 
 
 def render_prompt(
@@ -239,7 +233,7 @@ def render_prompt(
     requires the already-generated think text and appends the closed think
     span followed by an opening `<search_query>`.
     """
-    base = serialize_state(state)
+    base = serialize_trace(state)
     if elicit == "think":
         return f"{base}{SEP}<{TAG_THINK}>"
     if elicit == "search_query":
@@ -253,9 +247,9 @@ def render_prompt(
 # --- JSON codec (lossless log form) ------------------------------------------
 
 
-def trace_to_dict(trace: TraceDocument) -> dict:
+def trace_to_dict(trace: SearchState) -> dict:
     return {
-        "original_query": trace.state.original_query,
+        "original_query": trace.original_query,
         "terminal_reason": trace.terminal_reason,
         "turns": [
             {
@@ -267,12 +261,12 @@ def trace_to_dict(trace: TraceDocument) -> dict:
                 "sim_to_target": t.sim_to_target,
                 "target_rank": t.target_rank,
             }
-            for t in trace.state.history
+            for t in trace.history
         ],
     }
 
 
-def trace_from_dict(obj: dict) -> TraceDocument:
+def trace_from_dict(obj: dict) -> SearchState:
     turns = tuple(
         Turn(
             think=t["think"],
@@ -286,7 +280,8 @@ def trace_from_dict(obj: dict) -> TraceDocument:
         )
         for t in obj["turns"]
     )
-    return TraceDocument(
-        state=SearchState(original_query=obj["original_query"], history=turns),
+    return SearchState(
+        original_query=obj["original_query"],
+        history=turns,
         terminal_reason=obj.get("terminal_reason"),
     )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -16,7 +17,7 @@ from orion.embed import EmbeddingServiceClient, EmbeddingServiceError, HashEmbed
 from orion.engine import EpisodeResult, episode_to_dict
 from orion.metrics import analyze_behavior, evaluate_episodes
 from orion.policy import RemotePolicy
-from orion.trace import TERMINAL_POLICY_ERROR, SearchState, TraceDocument
+from orion.trace import TERMINAL_POLICY_ERROR, SearchState
 from orion.vocab import TfidfTable
 
 from cli_digests import REMOTE, FakeEndpoints, seeded_inputs
@@ -200,10 +201,16 @@ def test_a_failing_query_leaves_the_rest_of_the_batch_logged(
 def test_an_endpoint_without_logprobs_fails_each_beam_query_once(
     tmp_path, monkeypatch, capsys, caplog, command, status
 ):
-    # beam scores candidates by logprobs; a greedy run never asks for them
+    # beam scores candidates by logprobs; a greedy run never asks for them.
+    # Every reply differs, so a beam turn's candidates are distinct states and
+    # are scored (equal ones would collapse to one, which needs no score)
     inputs = seeded_inputs(tmp_path)
-    reply = {"choices": [{"message": {"content": "coral reef"}}]}
-    monkeypatch.setattr(RemotePolicy, "_requests_post", lambda self, payload: reply)
+    calls = itertools.count()
+
+    def reply(self, payload):
+        return {"choices": [{"message": {"content": f"coral reef {next(calls)}"}}]}
+
+    monkeypatch.setattr(RemotePolicy, "_requests_post", reply)
     argv = [command, *inputs, "--policy", "remote", "--remote-endpoint", "http://localhost:1/chat",
             "--beam-size", "2", "--expansion", "2", "--out", str(tmp_path / "out")]
     capsys.readouterr()
@@ -539,7 +546,7 @@ def test_a_bad_vector_in_the_embeddings_file_names_the_file(tmp_path, capsys):
 
 
 def _policy_error_record() -> dict:
-    trace = TraceDocument(SearchState(original_query="coral"), terminal_reason=TERMINAL_POLICY_ERROR)
+    trace = SearchState(original_query="coral", terminal_reason=TERMINAL_POLICY_ERROR)
     return episode_to_dict("q0", EpisodeResult(trace))
 
 

@@ -8,15 +8,16 @@ import struct
 import sys
 import threading
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orion import engine
-from orion.archetypes import KINDS, PolicyResources, derive_rng
+from orion.archetypes import BEHAVIORS, KINDS, PolicyResources, derive_rng
 from orion.corpus import NOT_FOUND, CorpusIndex
 from orion.engine import (
     EMBED_MEMO_SIZE,
@@ -45,7 +46,6 @@ from orion.rewards import (
 )
 from orion.trace import (
     SearchState,
-    TraceDocument,
     TraceError,
     Turn,
     append_turn,
@@ -66,8 +66,7 @@ class ConstantPolicy:
         return [Action(think="staying the course", query=self.query)] * n
 
     def relevance_perplexity(self, state):
-        best = state.last_turn().best_score() or 0.0
-        return math.exp(1.0 - best)
+        return math.exp(1.0 - state.last_turn().best_score())
 
 
 class TablePolicy:
@@ -84,8 +83,7 @@ class TablePolicy:
         return [Action(think=f"considering {q}", query=q) for q in queries[:n]]
 
     def relevance_perplexity(self, state):
-        best = state.last_turn().best_score() or 0.0
-        return math.exp(1.0 - best)
+        return math.exp(1.0 - state.last_turn().best_score())
 
 
 class FailAtTurnPolicy:
@@ -142,7 +140,7 @@ def reference_greedy(policy, retriever, q0, config):
             reason, success_turn = "success", t
             break
     ranks = tuple(t.target_rank for t in state.history)
-    return TraceDocument(state=state, terminal_reason=reason), success_turn, ranks
+    return replace(state, terminal_reason=reason), success_turn, ranks
 
 
 def hit(turn, config):
@@ -151,7 +149,8 @@ def hit(turn, config):
 
 
 def reference_beam(policy, retriever, q0, beam_size, expansion, config):
-    """The beam loop written out: an `EpisodeResult` with its beam sizes."""
+    """The beam loop written out: an `EpisodeResult` with its beam sizes.
+    A candidate equal to an earlier one of its turn is dropped before scoring."""
     beams = [SearchState(original_query=q0)]
     sizes = []
     for _t in range(1, config.max_turns + 1):
@@ -164,6 +163,7 @@ def reference_beam(policy, retriever, q0, beam_size, expansion, config):
             for action in actions:
                 turn = execute_action(retriever, action, config)
                 candidates.append(append_turn(state, turn, config.max_turns))
+        candidates = [c for i, c in enumerate(candidates) if c not in candidates[:i]]
         if len(candidates) > 1:
             scored = []
             for c in candidates:
@@ -174,13 +174,13 @@ def reference_beam(policy, retriever, q0, beam_size, expansion, config):
                 scored.append(((-1.0 / ppl, c.last_turn().query), c))
             candidates = [c for _, c in sorted(scored, key=lambda kc: kc[0])]
         if not candidates:
-            return EpisodeResult(TraceDocument(beams[0], "policy_error"), tuple(sizes))
+            return EpisodeResult(replace(beams[0], terminal_reason="policy_error"), tuple(sizes))
         beams = candidates[:beam_size]
         sizes.append(len(beams))
         for state in beams:
             if hit(state.last_turn(), config):
-                return EpisodeResult(TraceDocument(state, "success"), tuple(sizes))
-    return EpisodeResult(TraceDocument(beams[0], "budget_exhausted"), tuple(sizes))
+                return EpisodeResult(replace(state, terminal_reason="success"), tuple(sizes))
+    return EpisodeResult(replace(beams[0], terminal_reason="budget_exhausted"), tuple(sizes))
 
 
 def reference_grouped(policy, retriever, q0, config, grpo, rng):
@@ -217,7 +217,7 @@ def reference_grouped(policy, retriever, q0, config, grpo, rng):
         if hit(turns[selected], config):
             reason = "success"
             break
-    return TraceDocument(state=state, terminal_reason=reason), groups
+    return replace(state, terminal_reason=reason), groups
 
 
 # target sets: none, one, several, an absent id alone and beside a present one
@@ -297,13 +297,13 @@ class TestRunEpisode:
         cfg = EpisodeConfig(k=1, max_turns=5, target_ids=frozenset({"miss1"}))
         result = run_episode(policy, retriever, "find it", cfg)
         assert result.trace.terminal_reason == "policy_error"
-        assert len(result.trace.state.history) == 1
+        assert len(result.trace.history) == 1
 
     def test_success_short_circuits(self, tree_retriever, tree_resources):
         policy = ScriptedPolicy(ArchetypeConfig(kind="depth_first", seed=1), tree_resources)
         cfg = EpisodeConfig(k=5, max_turns=5, target_ids=frozenset({"t2"}))
         result = run_episode(policy, tree_retriever, TREE_QUERY, cfg)
-        assert len(result.trace.state.history) == result.success_turn
+        assert len(result.trace.history) == result.success_turn
 
 
 # --- beam search ------------------------------------------------------------------
@@ -366,7 +366,7 @@ class TestBeamSearch:
         result = beam_search(policy, retriever, "root question", 2, 2, cfg)
         assert result.trace.terminal_reason == "success"
         assert result.success_turn == 3
-        assert [t.query for t in result.trace.state.history] == [
+        assert [t.query for t in result.trace.history] == [
             "dim start", "dim deeper", "dim target",
         ]
 
@@ -375,7 +375,7 @@ class TestBeamSearch:
         result = beam_search(policy, retriever, "root question", 1, 2, cfg)
         assert result.trace.terminal_reason == "budget_exhausted"
         assert result.success_turn is None
-        assert result.trace.state.history[0].query == "bright start"
+        assert result.trace.history[0].query == "bright start"
 
     def test_beam_count_bounded_by_b(self):
         retriever, policy, cfg = two_branch_fixture()
@@ -398,7 +398,7 @@ class TestBeamSearch:
         result = beam_search(policy, retriever, "root", 2, 4, cfg)
         # the returned beam is the best survivor; sizes confirm pruning to B
         assert result.beam_sizes == (2,)
-        assert result.trace.state.history[0].query == "q-hi"
+        assert result.trace.history[0].query == "q-hi"
 
     def test_degenerate_beam_equals_greedy_runner(self, tree_retriever, tree_resources):
         cfg = EpisodeConfig(k=5, max_turns=5, target_ids=frozenset({"t3b"}))
@@ -459,14 +459,14 @@ class TestBeamSearch:
         result = beam_search(flaky, retriever, "root question", 2, 2, cfg)
         # bright branch died at turn 1, dim branch still wins
         assert result.trace.terminal_reason == "success"
-        assert result.trace.state.history[0].query == "dim start"
+        assert result.trace.history[0].query == "dim start"
 
     def test_all_candidates_failing_ends_policy_error(self):
         retriever, _, cfg = two_branch_fixture()
         failing = FailAtTurnPolicy(ConstantPolicy("bright start"), fail_turn=1)
         result = beam_search(failing, retriever, "root question", 2, 2, cfg)
         assert result.trace.terminal_reason == "policy_error"
-        assert result.trace.state.history == ()
+        assert result.trace.history == ()
 
     @pytest.mark.parametrize(
         "bright_logprob, order",
@@ -507,7 +507,7 @@ class TestBeamSearch:
         result = beam_search(policy, make_stub_retriever(docs, queries), "root", 3, 3, cfg)
         assert result.trace.terminal_reason == "budget_exhausted"
         assert proposed_from == order  # the survivors of turn 1, best first
-        assert [t.query for t in result.trace.state.history] == ["q-mid", "q-mid"]
+        assert [t.query for t in result.trace.history] == ["q-mid", "q-mid"]
 
     def test_tie_break_is_lexicographic_on_query(self):
         dim = 4
@@ -520,7 +520,26 @@ class TestBeamSearch:
         policy = TablePolicy({(1, ""): ["zeta", "alpha"]})
         cfg = EpisodeConfig(k=1, max_turns=1, target_ids=frozenset())
         result = beam_search(policy, retriever, "root", 1, 2, cfg)
-        assert result.trace.state.history[0].query == "alpha"
+        assert result.trace.history[0].query == "alpha"
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS if BEHAVIORS[k][2] is not None])
+    def test_beams_hold_distinct_states(self, tree_retriever, tree_resources, kind):
+        # a kind with an opening issues q0 for each turn-1 candidate: the
+        # copies go on as one beam, and from turn 2 on the B beams differ
+        proposing = defaultdict(list)  # turn -> the states proposing at it
+
+        class Recording(ScriptedPolicy):
+            def propose(self, state, n):
+                proposing[len(state.history) + 1].append(state)
+                return super().propose(state, n)
+
+        policy = Recording(ArchetypeConfig(kind=kind, seed=4), tree_resources)
+        cfg = EpisodeConfig(k=1, max_turns=4, target_ids=frozenset({"ghost"}))
+        result = beam_search(policy, tree_retriever, TREE_QUERY, 2, 2, cfg)
+        assert len(proposing[2]) == 1
+        for t in (3, 4):
+            assert len(set(proposing[t])) == len(proposing[t]) == 2
+        assert result.beam_sizes == (1, 2, 2, 2)
 
 
 class TestRunBatch:
@@ -638,7 +657,7 @@ def test_episode_log_record_round_trips(tree_retriever, tree_resources, kind):
     result = beam_search(policy, tree_retriever, TREE_QUERY, 2, 2, cfg)
     record = episode_to_dict("q1", result)
     assert record["success_turn"] == result.success_turn
-    assert record["per_turn_ranks"] == [t.target_rank for t in result.trace.state.history]
+    assert record["per_turn_ranks"] == [t.target_rank for t in result.trace.history]
     assert episode_from_dict(json.loads(json.dumps(record))) == ("q1", result)
 
 
@@ -673,7 +692,7 @@ def test_grouped_collection_ends_as_policy_error_when_propose_fails(tree_retriev
         GrpoConfig(group_size=3), derive_rng(0, "fail"),
     )
     assert trace.terminal_reason == "policy_error"
-    assert len(groups) == len(trace.state.history) == fail_turn - 1
+    assert len(groups) == len(trace.history) == fail_turn - 1
 
 
 class TestTheWrittenOutLoops:
@@ -851,7 +870,7 @@ class TestRetrieverMemo:
         policy = ScriptedPolicy(ArchetypeConfig(kind="greedy_hill", seed=0), resources)
         cfg = EpisodeConfig(k=3, max_turns=2, target_ids=frozenset({"ghost"}))
         trace = run_episode(policy, retriever, TREE_QUERY, cfg).trace
-        issued = [t.query for t in trace.state.history]
+        issued = [t.query for t in trace.history]
         assert len(issued) == 2 and len(probed) == 6
         assert set(issued) <= set(probed)
         assert embed.calls == Counter(probed) == Counter(set(probed))

@@ -19,7 +19,7 @@ from orion.metrics import (
     success_at_k,
     turnwise_success_distribution,
 )
-from orion.trace import RetrievedDoc, SearchState, TraceDocument, Turn
+from orion.trace import RetrievedDoc, SearchState, Turn
 
 # grade 2 for c, grade 1 for a and x (x is never retrieved), grade 0 for z
 GRADES = {"a": 1, "c": 2, "x": 1, "z": 0}
@@ -40,8 +40,9 @@ def episode(ranks, reason="budget_exhausted", queries=None, last_ids=()):
         )
         for i, (r, q) in enumerate(zip(ranks, queries))
     )
-    state = SearchState(original_query="question", history=turns)
-    return EpisodeResult(TraceDocument(state=state, terminal_reason=reason))
+    return EpisodeResult(
+        SearchState(original_query="question", history=turns, terminal_reason=reason)
+    )
 
 
 class TestRankingMetrics:

@@ -23,7 +23,7 @@ from orion.rewards import (
     turn_reward,
     candidate_signals,
 )
-from orion.trace import RetrievedDoc, SearchState, TraceDocument, Turn, serialize_trace
+from orion.trace import RetrievedDoc, SearchState, Turn, serialize_trace
 
 from conftest import TREE_QUERY, axis, make_stub_retriever
 
@@ -161,9 +161,8 @@ def one_turn_trace():
         query="refined query",
         results=(RetrievedDoc(text="first doc"), RetrievedDoc(text="second doc")),
     )
-    return TraceDocument(
-        state=SearchState(original_query="the question", history=(turn,)),
-        terminal_reason="budget_exhausted",
+    return SearchState(
+        original_query="the question", history=(turn,), terminal_reason="budget_exhausted"
     )
 
 
@@ -176,7 +175,7 @@ class TestMaskSpans:
         assert trainable == ["reasoned here", "</think>", "refined query", "</search_query>"]
 
     def test_empty_history_has_no_trainable_spans(self):
-        trace = TraceDocument(state=SearchState(original_query="q"))
+        trace = SearchState(original_query="q")
         assert all(not flag for _, _, flag in mask_spans(trace))
 
     def test_spans_partition_text(self):
@@ -224,8 +223,8 @@ class TestCollectGrouped:
             policy, tree_retriever, TREE_QUERY, cfg, grpo, derive_rng(0, "t")
         )
         assert 1 <= len(groups) <= 2
-        assert len(trace.state.history) == len(groups)
-        for turn, group in zip(trace.state.history, groups):
+        assert len(trace.history) == len(groups)
+        for turn, group in zip(trace.history, groups):
             assert len(group.turns) == len(group.breakdowns) == 4
             assert sum(group.advantages) == pytest.approx(0.0, abs=1e-9)
             rewards = [b.reward for b in group.breakdowns]

@@ -18,7 +18,7 @@ from orion.synth import (
     generate_trajectory,
     sample_sft_dataset,
 )
-from orion.trace import RetrievedDoc, SearchState, TraceDocument, Turn, serialize_trace
+from orion.trace import RetrievedDoc, SearchState, Turn, serialize_trace
 from orion.vocab import TfidfTable
 
 from conftest import TREE_DOCS, cosine_similarity, tree_retriever  # noqa: F401  (fixture re-export)
@@ -36,8 +36,8 @@ def make_record(q0="question", source="model-a", first_query="q1", n_turns=1, co
         )
         for i in range(n_turns)
     )
-    state = SearchState(original_query=q0, history=turns)
-    return PoolRecord(source, TraceDocument(state=state, terminal_reason="budget_exhausted"))
+    state = SearchState(original_query=q0, history=turns, terminal_reason="budget_exhausted")
+    return PoolRecord(source, state)
 
 
 @pytest.fixture(scope="module")
@@ -109,9 +109,9 @@ class TestGenerateTrajectory:
         record = generate_trajectory(arch, "machine learning", tree_retriever, tree_resources, {"t3a"})
         parsed = parse_trace(serialize_trace(record.trace))
         pool_turns = record.to_dict()["turns"]
-        assert parsed.state.original_query == record.q0
-        assert len(parsed.state.history) == len(pool_turns)
-        for parsed_turn, pool_turn in zip(parsed.state.history, pool_turns):
+        assert parsed.original_query == record.q0
+        assert len(parsed.history) == len(pool_turns)
+        for parsed_turn, pool_turn in zip(parsed.history, pool_turns):
             assert parsed_turn.think == pool_turn["think"]
             assert parsed_turn.query == pool_turn["query"]
             assert [d.text for d in parsed_turn.results] == pool_turn["result_texts"]
@@ -122,7 +122,7 @@ class TestGenerateTrajectory:
         arch = ArchetypeConfig(kind="adaptive_context", seed=0)
         text = next(d.text for d in TREE_DOCS if d.doc_id == "t2")
         record = generate_trajectory(arch, text, tree_retriever, tree_resources, {"t2"})
-        assert record.trace.state.history[0].sim_to_target > 1.0
+        assert record.trace.history[0].sim_to_target > 1.0
         assert record.terminal_reason == "success"
         assert record.to_dict()["turns"][0]["cos"] == 1.0
 
@@ -131,7 +131,7 @@ class TestPoolSchema:
     def test_to_dict_projects_the_trace(self):
         docs = (RetrievedDoc("text of d1", "d1", 0.7), RetrievedDoc("parsed back", None, None))
         turn = Turn("think", "query", docs, sim_to_target=-0.25, target_rank=-1)
-        trace = TraceDocument(SearchState("question", (turn,)), terminal_reason="budget_exhausted")
+        trace = SearchState("question", (turn,), terminal_reason="budget_exhausted")
         assert PoolRecord("model-a", trace).to_dict() == {
             "q0": "question",
             "source": "model-a",
@@ -151,7 +151,7 @@ class TestPoolSchema:
         assert make_record(cos=-1.0 - 2**-52).to_dict()["turns"][0]["cos"] == -1.0
 
     def test_record_without_turns(self):
-        record = PoolRecord("model-a", TraceDocument(SearchState("question")))
+        record = PoolRecord("model-a", SearchState("question"))
         assert record.dedup_key() == ("question", "model-a", "")
         assert record.to_dict()["turns"] == []
 

@@ -10,7 +10,6 @@ from orion.trace import (
     BudgetExceededError,
     RetrievedDoc,
     SearchState,
-    TraceDocument,
     TraceError,
     Turn,
     append_turn,
@@ -35,9 +34,7 @@ def make_trace(n_turns=1, q0="what is adaptive search", reason=None):
     turns = tuple(
         make_turn(think=f"thinking step {i}", query=f"query {i}") for i in range(n_turns)
     )
-    return TraceDocument(
-        state=SearchState(original_query=q0, history=turns), terminal_reason=reason
-    )
+    return SearchState(original_query=q0, history=turns, terminal_reason=reason)
 
 
 class TestSerialize:
@@ -46,17 +43,15 @@ class TestSerialize:
         assert text == "<user_query>what is adaptive search</user_query>"
 
     def test_one_turn_layout(self):
-        trace = TraceDocument(
-            state=SearchState(
-                original_query="Q",
-                history=(
-                    Turn(
-                        think="T",
-                        query="S",
-                        results=(RetrievedDoc(text="aaa"), RetrievedDoc(text="bbb")),
-                    ),
+        trace = SearchState(
+            original_query="Q",
+            history=(
+                Turn(
+                    think="T",
+                    query="S",
+                    results=(RetrievedDoc(text="aaa"), RetrievedDoc(text="bbb")),
                 ),
-            )
+            ),
         )
         assert serialize_trace(trace) == (
             "<user_query>Q</user_query>\n\n"
@@ -134,15 +129,13 @@ class TestParse:
             parse_trace(text)
 
     def test_whitespace_inside_spans_is_verbatim(self):
-        trace = TraceDocument(
-            state=SearchState(
-                original_query="Q",
-                history=(Turn(think="  padded\nthink  ", query=" q ", results=()),),
-            )
+        trace = SearchState(
+            original_query="Q",
+            history=(Turn(think="  padded\nthink  ", query=" q ", results=()),),
         )
         parsed = parse_trace(serialize_trace(trace))
-        assert parsed.state.history[0].think == "  padded\nthink  "
-        assert parsed.state.history[0].query == " q "
+        assert parsed.history[0].think == "  padded\nthink  "
+        assert parsed.history[0].query == " q "
 
 
 class BaselineEndpoint:
@@ -221,7 +214,7 @@ class TestContentValidation:
 
     def test_unknown_terminal_reason_rejected(self):
         with pytest.raises(TraceError, match="terminal"):
-            TraceDocument(state=SearchState(original_query="q"), terminal_reason="gave_up")
+            SearchState(original_query="q", terminal_reason="gave_up")
 
 
 class TestAppendTurn:
@@ -243,6 +236,22 @@ class TestAppendTurn:
         state = append_turn(SearchState(original_query="q"), turn)
         assert state.last_turn() == turn
 
+    @pytest.mark.parametrize("reason", ["success", "budget_exhausted", "policy_error"])
+    def test_an_ended_state_takes_no_turn(self, reason):
+        ended = SearchState(original_query="q", history=(make_turn(),), terminal_reason=reason)
+        with pytest.raises(TraceError, match="ended"):
+            append_turn(ended, make_turn())
+
+
+class TestBestScore:
+    def test_highest_score_of_the_scored_results(self):
+        docs = (RetrievedDoc("a", "d1", 0.25), RetrievedDoc("b", None, None), RetrievedDoc("c", "d3", 0.5))
+        assert Turn("t", "q", docs).best_score() == 0.5
+
+    @pytest.mark.parametrize("docs", [(), (RetrievedDoc("a"),)], ids=["no-results", "unscored"])
+    def test_zero_without_a_scored_result(self, docs):
+        assert Turn("t", "q", docs).best_score() == 0.0
+
 
 class TestRenderPrompt:
     def test_fresh_state_elicits_think(self):
@@ -252,7 +261,7 @@ class TestRenderPrompt:
     def test_after_turn_elicits_think(self):
         state = append_turn(SearchState(original_query="Q"), make_turn())
         prompt = render_prompt(state, "think")
-        assert prompt == serialize_trace(TraceDocument(state=state)) + "\n\n<think>"
+        assert prompt == serialize_trace(state) + "\n\n<think>"
 
     def test_eliciting_query_embeds_closed_think(self):
         state = SearchState(original_query="Q")
@@ -263,7 +272,7 @@ class TestRenderPrompt:
         state = SearchState(original_query="Q")
         think_prompt = render_prompt(state, "think")
         completed = append_turn(state, make_turn(think="PHI", query="S"))
-        full = serialize_trace(TraceDocument(state=completed))
+        full = serialize_trace(completed)
         assert full.startswith(think_prompt) and full != think_prompt
         query_prompt = render_prompt(state, "search_query", think="PHI")
         assert full.startswith(query_prompt) and full != query_prompt
@@ -290,12 +299,9 @@ turns = st.builds(
 )
 
 text_traces = st.builds(
-    TraceDocument,
-    state=st.builds(
-        SearchState,
-        original_query=content,
-        history=st.lists(turns, min_size=0, max_size=4).map(tuple),
-    ),
+    SearchState,
+    original_query=content,
+    history=st.lists(turns, min_size=0, max_size=4).map(tuple),
 )
 
 
@@ -332,13 +338,10 @@ def test_json_codec_keeps_metadata():
         sim_to_target=0.5,
         target_rank=3,
     )
-    trace = TraceDocument(
-        state=SearchState(original_query="Q", history=(turn,)),
-        terminal_reason="success",
-    )
+    trace = SearchState(original_query="Q", history=(turn,), terminal_reason="success")
     back = trace_from_dict(trace_to_dict(trace))
     assert back == trace
-    assert back.state.history[0].results[0].score == 0.75
+    assert back.history[0].results[0].score == 0.75
 
 
 # --- parser fuzzing: any text either parses or raises TraceError ------------------

@@ -12,7 +12,6 @@ from orion.trace import (
     TAG_USER,
     RetrievedDoc,
     SearchState,
-    TraceDocument,
     TraceError,
     Turn,
 )
@@ -91,7 +90,7 @@ def _parse_results(content: str) -> tuple[RetrievedDoc, ...]:
     return tuple(docs)
 
 
-def parse_trace(text: str) -> TraceDocument:
+def parse_trace(text: str) -> SearchState:
     """Parse the canonical text form back into a trace.
 
     Contents are recovered verbatim (including inner whitespace). Because the
@@ -111,4 +110,4 @@ def parse_trace(text: str) -> TraceDocument:
         results = _parse_results(stream.take_span(TAG_TOPK))
         turns.append(Turn(think=think, query=query, results=results))
     stream.finish()
-    return TraceDocument(state=SearchState(original_query=q0, history=tuple(turns)))
+    return SearchState(original_query=q0, history=tuple(turns))
