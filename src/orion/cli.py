@@ -3,9 +3,14 @@
 Subcommands: index, run, beam, generate, grpo-collect, eval, report. Every
 subcommand takes the same flags, `--config` and one per `RunConfig` field;
 the file provides defaults, flags override it, and `main` validates the
-merged settings once and hands them to the command's handler. Every output
-file starts with a meta record carrying the config hash and engine version.
+merged settings once and hands them to the command's handler. Each input
+path given must be a regular file, and `out_dir` must not be a file.
 Failures exit nonzero with a machine-readable error record on stderr.
+
+The meta keys (config hash and engine version) open each JSON Lines log as a
+meta record, and are merged into each JSON summary: metrics.json,
+behavior.json and index/meta.json. per_query.tsv, episodes.txt and
+index/embeddings.orne carry no meta.
 
 run, beam, generate and grpo-collect hand one job per query to the batch
 driver, `engine.run_queries` (`--workers` threads, input order). A query whose
@@ -36,12 +41,7 @@ from .engine import (
     episode_to_dict,
     run_queries,
 )
-from .metrics import (
-    analyze_behavior,
-    evaluate_episodes,
-    write_behavior_report,
-    write_metrics_report,
-)
+from .metrics import analyze_behavior, evaluate_episodes
 from .policy import ArchetypeConfig, RemotePolicy, ScriptedPolicy
 from .rewards import GrpoConfig, collect_grouped_episode, make_training_record
 from .synth import assemble_pool, generate_trajectory, sample_sft_dataset
@@ -71,9 +71,7 @@ def _add_settings(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag_name(f), dest=f.name, help=f.metadata["help"], **options)
 
 
-def _build_config(
-    args: argparse.Namespace, check_paths: bool = True, needs: tuple[str, ...] = ()
-) -> RunConfig:
+def _build_config(args: argparse.Namespace, needs: tuple[str, ...] = ()) -> RunConfig:
     """The config file overridden by flags, then validated; each field in
     `needs` must be set (`ConfigError("<command> needs --<field>")`)."""
     settings = read_config_file(args.config) if args.config else {}
@@ -82,7 +80,7 @@ def _build_config(
         if value is not None:
             settings[f.name] = value
     cfg = RunConfig(**settings)
-    cfg.validate(check_paths=check_paths)
+    cfg.validate()
     for name in needs:
         if not getattr(cfg, name):
             raise ConfigError(f"{args.command} needs --{name}")
@@ -169,6 +167,11 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    """`obj` as indented JSON with sorted keys and a trailing newline."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _write_log(path: Path, cfg: RunConfig, records: list[dict]) -> None:
     meta = {"record": "meta", **cfg.meta()}
     dataio.write_jsonl([meta] + records, path)
@@ -197,7 +200,7 @@ def cmd_index(cfg: RunConfig, command: str) -> int:
     embeddings = {d.doc_id: index.embedding_of(d.doc_id) for d in index.documents}
     dataio.write_embeddings(embeddings, out / "embeddings.orne")
     meta = {**cfg.meta(), "dim": index.dim, "count": len(index), "corpus": cfg.corpus}
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "meta.json", meta)
     print(f"indexed {len(index)} docs (dim {index.dim}) -> {out}")
     return 0
 
@@ -294,29 +297,37 @@ def cmd_grpo_collect(cfg: RunConfig, command: str) -> int:
 
 
 def cmd_eval(cfg: RunConfig, command: str) -> int:
-    report = evaluate_episodes(_read_episode_log(cfg.episodes), dataio.read_qrels(cfg.qrels), cfg.k)
-    write_metrics_report(report, _out_dir(cfg), meta=cfg.meta())
-    print(json.dumps(report.summary(), sort_keys=True))
+    """metrics.json, the summary; per_query.tsv, one row of metrics per episode."""
+    summary, rows = evaluate_episodes(
+        _read_episode_log(cfg.episodes), dataio.read_qrels(cfg.qrels), cfg.k
+    )
+    out = _out_dir(cfg)
+    _write_json(out / "metrics.json", {**cfg.meta(), **summary})
+    lines = ["query-id\tndcg\trecall\tsuccess\tmrr"]
+    for qid, ndcg, recall, success, rr in rows:
+        lines.append(f"{qid}\t{ndcg:.6f}\t{recall:.6f}\t{success:.0f}\t{rr:.6f}")
+    (out / "per_query.tsv").write_text("\n".join(lines) + "\n")
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 
 def cmd_report(cfg: RunConfig, command: str) -> int:
     episodes = _read_episode_log(cfg.episodes)
-    report = analyze_behavior(episodes, relaxed_stagnation=cfg.relaxed_stagnation)
-    write_behavior_report(report, _out_dir(cfg), meta=cfg.meta())
-    print(json.dumps(report.summary(), sort_keys=True))
+    summary = analyze_behavior(episodes, relaxed_stagnation=cfg.relaxed_stagnation)
+    _write_json(_out_dir(cfg) / "behavior.json", {**cfg.meta(), **summary})
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 
-# name: (handler(cfg, name), help, the fields it needs, whether its input paths must exist)
+# name: (handler(cfg, name), help, the fields it needs)
 COMMANDS = {
-    "index": (cmd_index, "build and persist an index", ("corpus",), True),
-    "run": (cmd_run, "run greedy multi-turn episodes", ("corpus", "queries"), True),
-    "beam": (cmd_run, "run beam-search episodes", ("corpus", "queries"), True),
-    "generate": (cmd_generate, "generate synthetic trajectory pool / SFT data", ("corpus", "queries"), True),
-    "grpo-collect": (cmd_grpo_collect, "collect grouped samples with rewards", ("corpus", "queries"), True),
-    "eval": (cmd_eval, "IR metrics over an episode log", ("episodes", "qrels"), False),
-    "report": (cmd_report, "behavior analytics over an episode log", ("episodes",), False),
+    "index": (cmd_index, "build and persist an index", ("corpus",)),
+    "run": (cmd_run, "run greedy multi-turn episodes", ("corpus", "queries")),
+    "beam": (cmd_run, "run beam-search episodes", ("corpus", "queries")),
+    "generate": (cmd_generate, "generate synthetic trajectory pool / SFT data", ("corpus", "queries")),
+    "grpo-collect": (cmd_grpo_collect, "collect grouped samples with rewards", ("corpus", "queries")),
+    "eval": (cmd_eval, "IR metrics over an episode log", ("episodes", "qrels")),
+    "report": (cmd_report, "behavior analytics over an episode log", ("episodes",)),
 }
 
 
@@ -325,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orion", description="Adaptive multi-turn retrieval engine"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _, _) in COMMANDS.items():
+    for name, (_, help_text, _) in COMMANDS.items():
         _add_settings(sub.add_parser(name, help=help_text))
     return parser
 
@@ -333,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    handler, _, needs, check_paths = COMMANDS[args.command]
+    handler, _, needs = COMMANDS[args.command]
     try:
-        return handler(_build_config(args, check_paths, needs), args.command)
+        return handler(_build_config(args, needs), args.command)
     except Exception as exc:
         print(_error_record(exc, args.command), file=sys.stderr)
         return 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from pathlib import Path
@@ -20,8 +19,6 @@ from pathlib import Path
 from .archetypes import KINDS, derive_seed
 from .policy import REMOTE_MODES, ArchetypeConfig
 from .rewards import SELECTION_MODES
-
-log = logging.getLogger(__name__)
 
 ENGINE_VERSION = "0.1.0"
 
@@ -78,7 +75,7 @@ class RunConfig:
     workers: int = _setting(1, "query worker threads (every batch command)", at_least=1)
     out_dir: str = _setting("out", "output directory", flag="--out")
 
-    def validate(self, check_paths: bool = True) -> None:
+    def validate(self) -> None:
         for f in fields(self):
             lo, value = f.metadata["at_least"], getattr(self, f.name)
             if lo is not None and value < lo:
@@ -111,11 +108,15 @@ class RunConfig:
                 ArchetypeConfig(kind=self.policy, params=self.policy_params)
             except ValueError as exc:
                 raise ConfigError(f"policy: {exc}") from exc
-        if check_paths:
-            for name in ("corpus", "qrels", "queries", "embeddings", "episodes"):
-                value = getattr(self, name)
-                if value and not Path(value).exists():
-                    raise ConfigError(f"{name} path does not exist: {value}")
+        for name in ("corpus", "qrels", "queries", "embeddings", "episodes"):
+            value = getattr(self, name)
+            if value and not Path(value).is_file():
+                raise ConfigError(f"{name} is not a file: {value}")
+        # `out_dir` is made if missing, so its nearest existing path must be a directory
+        out = Path(self.out_dir)
+        nearest = next((p for p in (out, *out.parents) if p.exists()), out)
+        if not nearest.is_dir():
+            raise ConfigError(f"out_dir is not a directory: {self.out_dir}")
 
     def kinds(self) -> list[str]:
         """The kinds `generate` pools: `archetypes` split at commas, or all."""
@@ -158,11 +159,14 @@ def fits(f: Field, value: object) -> bool:
 def read_config_file(path: str | Path) -> dict:
     """The settings of a config file, each checked against its field's type;
     an int given for a float field becomes a float, as its flag parses it, so
-    both give one `config_hash`. Unknown fields are dropped with a warning."""
+    both give one `config_hash`. A key that names no field is a ConfigError."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    if not path.is_file():
+        raise ConfigError(f"config is not a file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if path.suffix in (".yaml", ".yml"):
         import yaml
 
@@ -178,17 +182,16 @@ def read_config_file(path: str | Path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     known = {f.name: f for f in fields(RunConfig)}
-    unknown = sorted(raw.keys() - known.keys())
+    unknown = sorted(str(name) for name in raw.keys() - known.keys())
     if unknown:
-        log.warning("ignoring unknown config fields: %s", ", ".join(unknown))
-    settings = {name: value for name, value in raw.items() if name in known}
-    for name, value in settings.items():
+        raise ConfigError(f"{path}: unknown config fields: {', '.join(unknown)}")
+    for name, value in raw.items():
         if not fits(known[name], value):
             kind = field_type(known[name]).__name__
             raise ConfigError(f"{path}: {name} must be {kind}, got {value!r}")
         if field_type(known[name]) is float:
-            settings[name] = float(value)
-    return settings
+            raw[name] = float(value)
+    return raw
 
 
 def episode_seed(root_seed: int, query_id: str) -> int:

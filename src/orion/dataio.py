@@ -60,9 +60,18 @@ def _text(path: str | Path, lineno: int, key: str, value: object) -> str:
     return value
 
 
+def _id_text(path: str | Path, lineno: int, key: str, value: object) -> str:
+    """An id field as a string; only a str or an int (not a bool) is an id,
+    and anything else is a CorpusError."""
+    if type(value) not in (str, int):
+        kind = type(value).__name__
+        raise CorpusError(f"{path}:{lineno}: `{key}` must be a string or an int, got {kind}")
+    return str(value)
+
+
 def _unique_id(path: str | Path, lineno: int, value: object, seen: dict[str, int]) -> str:
     """`_id` as a string, refused (CorpusError) when an earlier line of the file had it."""
-    key = str(value)
+    key = _id_text(path, lineno, "_id", value)
     if key in seen:
         raise CorpusError(f"{path}:{lineno}: duplicate `_id` {key!r} (first on line {seen[key]})")
     seen[key] = lineno
@@ -115,7 +124,7 @@ def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
 
 def read_queries(path: str | Path) -> list[tuple[str, str]]:
     """Read a JSON Lines queries file of `{"_id": ..., "text": ...}` pairs; a
-    repeated `_id` is a CorpusError."""
+    repeated `_id`, or a file without queries, is a CorpusError."""
     out: list[tuple[str, str]] = []
     seen: dict[str, int] = {}
     for lineno, obj in _json_lines(path):
@@ -123,6 +132,8 @@ def read_queries(path: str | Path) -> list[tuple[str, str]]:
             raise CorpusError(f"{path}:{lineno}: query line needs `_id` and `text`")
         qid = _unique_id(path, lineno, obj["_id"], seen)
         out.append((qid, _text(path, lineno, "text", obj["text"])))
+    if not out:
+        raise CorpusError(f"{path}: no queries")
     return out
 
 
@@ -198,7 +209,7 @@ def _read_embeddings_jsonl(path: Path) -> dict[str, np.ndarray]:
     for lineno, obj in _json_lines(path):
         if "id" not in obj or "vector" not in obj:
             raise CorpusError(f"{path}:{lineno}: embedding line needs `id` and `vector`")
-        doc_id = str(obj["id"])
+        doc_id = _id_text(path, lineno, "id", obj["id"])
         if doc_id in out:
             raise CorpusError(f"{path}:{lineno}: duplicate id {doc_id!r}")
         try:

@@ -9,14 +9,14 @@ is a dip in *goodness* (negative rank; absence maps to the worst value): a
 turn whose goodness falls below both neighbors marks deterioration followed
 by recovery. Stagnation is an episode whose rank never changes across two or
 more turns (a relaxed any-consecutive-repeat variant sits behind a flag).
+
+This module does no I/O: `evaluate_episodes` and `analyze_behavior` return
+plain dicts and tuples, and the CLI writes them to files.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -61,36 +61,6 @@ def mrr(ranking: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
     return 0.0
 
 
-@dataclass(frozen=True)
-class QueryMetrics:
-    query_id: str
-    ndcg: float
-    recall: float
-    success: float
-    mrr: float
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    k: int
-    per_query: tuple[QueryMetrics, ...]
-
-    def _mean(self, name: str) -> float:
-        if not self.per_query:
-            return 0.0
-        return sum(getattr(row, name) for row in self.per_query) / len(self.per_query)
-
-    def summary(self) -> dict:
-        return {
-            "k": self.k,
-            "queries": len(self.per_query),
-            f"ndcg@{self.k}": self._mean("ndcg"),
-            f"recall@{self.k}": self._mean("recall"),
-            f"success@{self.k}": self._mean("success"),
-            "mrr": self._mean("mrr"),
-        }
-
-
 def final_ranking(result: EpisodeResult) -> list[str]:
     """Doc ids of the episode's final turn (the success turn when it won)."""
     last = result.trace.last_turn()
@@ -103,21 +73,34 @@ def evaluate_episodes(
     episodes: Sequence[tuple[str, EpisodeResult]],
     qrels: Mapping[str, Mapping[str, int]],
     k: int,
-) -> MetricsReport:
+) -> tuple[dict, list[tuple[str, float, float, float, float]]]:
+    """The `metrics.json` summary of an episode log at depth `k` (each
+    metric's mean over the episodes, 0.0 for an empty log), and one
+    (query_id, ndcg, recall, success, mrr) row per episode in log order."""
     rows = []
     for qid, result in episodes:
         ranking = final_ranking(result)
         grades = qrels.get(qid, {})
-        rows.append(
-            QueryMetrics(
-                query_id=qid,
-                ndcg=ndcg_at_k(ranking, grades, k),
-                recall=recall_at_k(ranking, grades, k),
-                success=success_at_k(ranking, grades, k),
-                mrr=mrr(ranking, grades, k),
-            )
-        )
-    return MetricsReport(k=k, per_query=tuple(rows))
+        rows.append((
+            qid,
+            ndcg_at_k(ranking, grades, k),
+            recall_at_k(ranking, grades, k),
+            success_at_k(ranking, grades, k),
+            mrr(ranking, grades, k),
+        ))
+
+    def mean(column: int) -> float:
+        return sum(row[column] for row in rows) / len(rows) if rows else 0.0
+
+    summary = {
+        "k": k,
+        "queries": len(rows),
+        f"ndcg@{k}": mean(1),
+        f"recall@{k}": mean(2),
+        f"success@{k}": mean(3),
+        "mrr": mean(4),
+    }
+    return summary, rows
 
 
 # --- behavioral analytics -------------------------------------------------------
@@ -167,54 +150,23 @@ def turnwise_success_distribution(
     return hist
 
 
-@dataclass(frozen=True)
-class QuantileSummary:
-    p25: float
-    p50: float
-    p75: float
-    max: float
-
-    def to_dict(self) -> dict:
-        return {"p25": self.p25, "p50": self.p50, "p75": self.p75, "max": self.max}
-
-
-def query_length_stats(episodes: Sequence[tuple[str, EpisodeResult]]) -> QuantileSummary:
-    """Quantiles (midpoint interpolation) of issued-query character counts."""
+def query_length_stats(episodes: Sequence[tuple[str, EpisodeResult]]) -> dict[str, float]:
+    """Quantiles (midpoint interpolation) of issued-query character counts:
+    `p25`, `p50`, `p75` and `max`."""
     lengths = [len(turn.query) for _, result in episodes for turn in result.trace.history]
     if not lengths:
         raise ValueError("no queries in the episode log")
     arr = np.asarray(lengths, dtype=np.float64)
     p25, p50, p75 = np.quantile(arr, [0.25, 0.5, 0.75], method="midpoint")
-    return QuantileSummary(p25=float(p25), p50=float(p50), p75=float(p75), max=float(arr.max()))
-
-
-@dataclass(frozen=True)
-class BehaviorReport:
-    backtrack_rate: float
-    stagnation_rate: float
-    turnwise_success: dict[int, float]
-    successful_episodes: int
-    query_length: QuantileSummary | None  # None when the log issued no query
-    episodes: int
-
-    def summary(self) -> dict:
-        return {
-            "episodes": self.episodes,
-            "backtrack_rate": self.backtrack_rate,
-            "stagnation_rate": self.stagnation_rate,
-            "turnwise_success": {str(k): v for k, v in sorted(self.turnwise_success.items())},
-            "successful_episodes": self.successful_episodes,
-            "no_successes": self.successful_episodes == 0,
-            "query_length": None if self.query_length is None else self.query_length.to_dict(),
-        }
+    return {"p25": float(p25), "p50": float(p50), "p75": float(p75), "max": float(arr.max())}
 
 
 def analyze_behavior(
     episodes: Sequence[tuple[str, EpisodeResult]],
     *,
     relaxed_stagnation: bool = False,
-) -> BehaviorReport:
-    """Aggregate the behavior measures over an episode log.
+) -> dict:
+    """The `behavior.json` summary of an episode log.
 
     Episodes without target ranks (no qrels) are skipped for backtracking and
     stagnation; they still contribute query lengths. A log that issued no
@@ -235,38 +187,12 @@ def analyze_behavior(
     hist = turnwise_success_distribution(episodes)
     successes = sum(1 for _, r in episodes if r.succeeded)
     issued_queries = any(r.trace.history for _, r in episodes)
-    return BehaviorReport(
-        backtrack_rate=backtracked / with_ranks if with_ranks else 0.0,
-        stagnation_rate=stagnant / with_ranks if with_ranks else 0.0,
-        turnwise_success=hist,
-        successful_episodes=successes,
-        query_length=query_length_stats(episodes) if issued_queries else None,
-        episodes=len(episodes),
-    )
-
-
-# --- report output --------------------------------------------------------------
-
-
-def _write_summary(out_dir: str | Path, name: str, summary: dict, meta: dict | None) -> Path:
-    """Write `meta` plus `summary` as the JSON file `name`; return the directory."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {**(meta or {}), **summary}
-    (out / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return out
-
-
-def write_metrics_report(report: MetricsReport, out_dir: str | Path, meta: dict | None = None) -> None:
-    out = _write_summary(out_dir, "metrics.json", report.summary(), meta)
-    lines = ["query-id\tndcg\trecall\tsuccess\tmrr"]
-    for row in report.per_query:
-        lines.append(
-            f"{row.query_id}\t{row.ndcg:.6f}\t{row.recall:.6f}\t{row.success:.0f}\t{row.mrr:.6f}"
-        )
-    (out / "per_query.tsv").write_text("\n".join(lines) + "\n")
-
-
-def write_behavior_report(report: BehaviorReport, out_dir: str | Path, meta: dict | None = None) -> None:
-    """Write the behavior summary to behavior.json."""
-    _write_summary(out_dir, "behavior.json", report.summary(), meta)
+    return {
+        "episodes": len(episodes),
+        "backtrack_rate": backtracked / with_ranks if with_ranks else 0.0,
+        "stagnation_rate": stagnant / with_ranks if with_ranks else 0.0,
+        "turnwise_success": {str(turn): share for turn, share in hist.items()},
+        "successful_episodes": successes,
+        "no_successes": successes == 0,
+        "query_length": query_length_stats(episodes) if issued_queries else None,
+    }

@@ -24,29 +24,36 @@ from cli_digests import REMOTE, FakeEndpoints, seeded_inputs
 from conftest import write_corpus
 
 
-def test_common_flags_land_on_their_config_fields():
+def test_common_flags_land_on_their_config_fields(tmp_path):
+    # each input path must name a file, so these are real (empty) ones
+    names = ("c.jsonl", "q.tsv", "qs.jsonl", "e.orne", "ep.jsonl")
+    paths = {name: str(tmp_path / name) for name in names}
+    for path in paths.values():
+        open(path, "w").close()
+    out = str(tmp_path / "o")
     argv = [
-        "run", "--corpus", "c.jsonl", "--qrels", "q.tsv", "--queries", "qs.jsonl",
-        "--embeddings", "e.orne", "--embed-backend", "service", "--embed-dim", "16",
+        "run", "--corpus", paths["c.jsonl"], "--qrels", paths["q.tsv"], "--queries", paths["qs.jsonl"],
+        "--embeddings", paths["e.orne"], "--embed-backend", "service", "--embed-dim", "16",
         "--embed-endpoint", "http://localhost:1/embed", "--embed-model", "em",
         "--policy", "breadth_first", "--policy-params", '{"fanout": 2}',
         "--remote-endpoint", "http://localhost:2/chat", "--remote-model", "rm",
         "--remote-mode", "baseline", "--top-k", "3", "--max-turns", "4", "--beam-size", "5",
         "--expansion", "6", "--group-size", "7", "--selection", "proportional", "--zscore",
         "--beta", "0.25", "--max-query-chars", "40", "--snippet-chars", "50", "--seed", "8",
-        "--workers", "2", "--out", "o", "--episodes", "ep.jsonl", "--archetypes", "depth_first",
+        "--workers", "2", "--out", out, "--episodes", paths["ep.jsonl"], "--archetypes", "depth_first",
         "--sft-total", "9", "--relaxed-stagnation",
     ]
-    cfg = _build_config(build_parser().parse_args(argv), check_paths=False)
+    cfg = _build_config(build_parser().parse_args(argv))
     set_by_flags = {
-        "corpus": "c.jsonl", "qrels": "q.tsv", "queries": "qs.jsonl", "embeddings": "e.orne",
+        "corpus": paths["c.jsonl"], "qrels": paths["q.tsv"], "queries": paths["qs.jsonl"],
+        "embeddings": paths["e.orne"],
         "embed_backend": "service", "embed_dim": 16, "embed_endpoint": "http://localhost:1/embed",
         "embed_model": "em", "policy": "breadth_first", "policy_params": {"fanout": 2},
         "remote_endpoint": "http://localhost:2/chat", "remote_model": "rm",
         "remote_mode": "baseline", "k": 3, "max_turns": 4, "beam_size": 5, "expansion": 6,
         "group_size": 7, "selection": "proportional", "zscore": True, "beta": 0.25,
-        "max_query_chars": 40, "snippet_chars": 50, "seed": 8, "workers": 2, "out_dir": "o",
-        "episodes": "ep.jsonl", "archetypes": "depth_first", "sft_total": 9, "relaxed_stagnation": True,
+        "max_query_chars": 40, "snippet_chars": 50, "seed": 8, "workers": 2, "out_dir": out,
+        "episodes": paths["ep.jsonl"], "archetypes": "depth_first", "sft_total": 9, "relaxed_stagnation": True,
     }
     defaults = dataclasses.asdict(RunConfig())
     assert set_by_flags.keys() == {f.name for f in dataclasses.fields(RunConfig)}
@@ -58,14 +65,14 @@ def test_common_flags_land_on_their_config_fields():
 def test_an_int_in_the_config_file_hashes_as_its_flag_does(tmp_path, value):
     (tmp_path / "c.json").write_text(json.dumps({"beta": value}))
     parse = build_parser().parse_args
-    from_file = _build_config(parse(["run", "--config", str(tmp_path / "c.json")]), check_paths=False)
-    from_flag = _build_config(parse(["run", "--beta", str(value)]), check_paths=False)
+    from_file = _build_config(parse(["run", "--config", str(tmp_path / "c.json")]))
+    from_flag = _build_config(parse(["run", "--beta", str(value)]))
     assert from_file.config_hash() == from_flag.config_hash()
     assert repr(from_file.beta) == repr(from_flag.beta) == repr(float(value))
 
 
 def test_absent_flags_keep_defaults():
-    cfg = _build_config(build_parser().parse_args(["run"]), check_paths=False)
+    cfg = _build_config(build_parser().parse_args(["run"]))
     assert cfg == RunConfig()
 
 
@@ -81,7 +88,7 @@ def test_every_command_has_one_flag_per_config_field(command):
 def test_zscore_flags_override_the_config_file(tmp_path, flags, want):
     (tmp_path / "c.json").write_text(json.dumps({"zscore": True}))
     args = build_parser().parse_args(["grpo-collect", "--config", str(tmp_path / "c.json"), *flags])
-    assert _build_config(args, check_paths=False).zscore is want
+    assert _build_config(args).zscore is want
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "{bad json"])
@@ -282,13 +289,21 @@ def test_eval_and_report_of_a_beam_log_match_the_in_memory_episodes(tmp_path, mo
     assert main(argv) == 0
 
     qrels = dataio.read_qrels(tmp_path / "qrels.tsv")
-    want_metrics = evaluate_episodes(logged, qrels, RunConfig().k).summary()
-    want_behavior = analyze_behavior(logged).summary()
+    want_metrics, want_rows = evaluate_episodes(logged, qrels, RunConfig().k)
+    want_behavior = analyze_behavior(logged)
     metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
     behavior = json.loads((tmp_path / "report" / "behavior.json").read_text())
     assert len(logged) == 6 and want_behavior["successful_episodes"] > 0
-    assert {k: metrics[k] for k in want_metrics} == want_metrics
-    assert {k: behavior[k] for k in want_behavior} == want_behavior
+    meta = {"config_hash", "engine_version"}
+    assert metrics == {**want_metrics, **{k: metrics[k] for k in meta}}
+    assert behavior == {**want_behavior, **{k: behavior[k] for k in meta}}
+    header, *lines = (tmp_path / "eval" / "per_query.tsv").read_text().splitlines()
+    assert header == "query-id\tndcg\trecall\tsuccess\tmrr"
+    assert len(lines) == len(want_rows)
+    for line, (qid, *values) in zip(lines, want_rows):
+        logged_qid, *logged_values = line.split("\t")
+        assert logged_qid == qid
+        assert [float(v) for v in logged_values] == pytest.approx(values, abs=5e-7)
 
 
 def _no_corpus(path):
@@ -412,6 +427,8 @@ def _params(kind: str, params: str) -> list[str]:
         ("eval", [], None, {}, "eval needs --episodes"),
         ("report", [], None, {}, "report needs --episodes"),
         ("generate", [], None, {"archetypes": "depth_first,nope"}, "unknown archetypes ['nope']"),
+        # a misspelt key would leave `k` at its default unnoticed
+        ("run", [], None, {"top_k": 1}, "config.json: unknown config fields: top_k"),
     ],
 )
 def test_bad_settings_fail_before_any_work(
@@ -430,6 +447,46 @@ def test_bad_settings_fail_before_any_work(
     [error] = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
     assert error["type"] == "ConfigError"
     assert message in error["error"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, name, message",
+    [
+        # else an OS error escapes: FileNotFoundError, IsADirectoryError (twice),
+        # and a FileExistsError once every episode has run
+        ("eval", "--episodes", "nope.jsonl", "episodes is not a file"),
+        ("report", "--episodes", ".", "episodes is not a file"),
+        ("run", "--corpus", ".", "corpus is not a file"),
+        ("run", "--out", "queries.jsonl", "out_dir is not a directory"),
+    ],
+)
+def test_an_input_that_is_no_file_or_an_out_dir_that_is_one_fails_before_any_work(
+    tmp_path, monkeypatch, capsys, command, flag, name, message
+):
+    inputs = seeded_inputs(tmp_path)
+    log = tmp_path / "run" / "episodes.jsonl"
+    assert main(["run", *inputs, "--out", str(log.parent)]) == 0
+    monkeypatch.setattr(cli, "_load_index", _no_index)
+    monkeypatch.setattr(cli, "_read_episode_log", _no_index)
+    capsys.readouterr()
+    # the last of a repeated flag wins
+    argv = [command, *inputs, "--episodes", str(log), "--out", str(tmp_path / "out")]
+    assert main([*argv, flag, str(tmp_path / name)]) == 1
+    [error] = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert error == {"error": f"{message}: {tmp_path / name}", "type": "ConfigError", "command": command}
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_queries_file_without_queries_fails_the_run(tmp_path, capsys):
+    # else it writes a log of no episodes and exits 0
+    inputs = seeded_inputs(tmp_path)
+    (tmp_path / "queries.jsonl").write_text("")
+    capsys.readouterr()
+    assert main(["run", *inputs, "--out", str(tmp_path / "out")]) == 1
+    [error] = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert error["type"] == "CorpusError"
+    assert error["error"] == f"{tmp_path / 'queries.jsonl'}: no queries"
     assert not (tmp_path / "out").exists()
 
 

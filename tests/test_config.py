@@ -44,7 +44,7 @@ def test_every_field_but_out_dir_and_workers_moves_the_config_hash(f):
 )
 def test_policy_and_its_params_are_validated(fields, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
-        RunConfig(**fields).validate(check_paths=False)
+        RunConfig(**fields).validate()
 
 
 @pytest.mark.parametrize(
@@ -56,7 +56,7 @@ def test_policy_and_its_params_are_validated(fields, message):
     ],
 )
 def test_valid_policies_pass(fields):
-    RunConfig(**fields).validate(check_paths=False)
+    RunConfig(**fields).validate()
 
 
 def test_episode_seed_is_pinned():
@@ -67,7 +67,7 @@ def test_episode_seed_is_pinned():
 def config_from_file(path) -> RunConfig:
     """A config file's settings as the CLI takes them: read, then validated."""
     cfg = RunConfig(**read_config_file(path))
-    cfg.validate(check_paths=False)
+    cfg.validate()
     return cfg
 
 
@@ -117,3 +117,48 @@ def test_yaml_config_values_are_checked_too(tmp_path):
     path.write_text("k: 3\nzscore: 'yes'\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}: zscore must be bool")):
         config_from_file(path)
+
+
+@pytest.mark.parametrize(
+    "suffix, text", [(".json", '{"top_k": 1, "k": 2, "zz": 0}'), (".yaml", "top_k: 1\nk: 2\nzz: 0\n")]
+)
+def test_an_unknown_config_key_is_an_error(tmp_path, suffix, text):
+    # a misspelt key would leave its field at the default unnoticed
+    path = tmp_path / f"c{suffix}"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown config fields: top_k, zz")):
+        read_config_file(path)
+
+
+@pytest.mark.parametrize("name", ["corpus", "qrels", "queries", "embeddings", "episodes"])
+@pytest.mark.parametrize("where", ["missing", "a directory"])
+def test_an_input_path_must_be_a_file(tmp_path, name, where):
+    path = tmp_path / "missing.jsonl" if where == "missing" else tmp_path
+    with pytest.raises(ConfigError, match=re.escape(f"{name} is not a file: {path}")):
+        RunConfig(**{name: str(path)}).validate()
+
+
+def test_out_dir_must_not_be_a_file(tmp_path):
+    path = tmp_path / "out"
+    RunConfig(out_dir=str(path / "sub")).validate()
+    path.mkdir()
+    RunConfig(out_dir=str(path)).validate()
+    path.rmdir()
+    path.write_text("")
+    # mkdir would raise FileExistsError, or NotADirectoryError below the file
+    for out in (path, path / "sub"):
+        with pytest.raises(ConfigError, match=re.escape(f"out_dir is not a directory: {out}")):
+            RunConfig(out_dir=str(out)).validate()
+
+
+def test_a_config_path_must_be_a_file(tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(ConfigError, match=re.escape(f"config is not a file: {path}")):
+            read_config_file(path)
+
+
+def test_a_config_file_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_bytes(b'{"k": "\xff"}')
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: not UTF-8 text")):
+        read_config_file(path)

@@ -283,6 +283,31 @@ def test_non_string_text_or_title_names_file_and_line(tmp_path, reader, line, ke
         reader(path)
 
 
+@pytest.mark.parametrize("value", [None, [1], {"a": 1}, True, 1.5])
+@pytest.mark.parametrize(
+    "reader, key, rest",
+    [
+        (dataio.read_corpus, "_id", {"text": "body"}),
+        (dataio.read_queries, "_id", {"text": "query"}),
+        (dataio.read_embeddings, "id", {"vector": [1.0]}),
+    ],
+)
+def test_an_id_that_is_not_a_string_or_an_int_names_file_and_line(tmp_path, reader, key, rest, value):
+    # str() would make null the id "None" and [1] the id "[1]"
+    path = tmp_path / "lines.jsonl"
+    path.write_text(json.dumps({key: 7, **rest}) + "\n" + json.dumps({key: value, **rest}) + "\n")
+    with pytest.raises(CorpusError, match=rf"lines.jsonl:2: `{key}` must be a string or an int"):
+        reader(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_a_queries_file_without_queries_names_the_file(tmp_path, text):
+    path = tmp_path / "queries.jsonl"
+    path.write_text(text)
+    with pytest.raises(CorpusError, match=r"queries.jsonl: no queries"):
+        dataio.read_queries(path)
+
+
 def test_missing_or_null_title_reads_as_empty(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"_id": "a", "text": "x"}\n{"_id": "b", "text": "y", "title": null}\n')

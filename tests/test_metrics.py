@@ -85,10 +85,18 @@ class TestRankingMetrics:
     def test_evaluate_reads_the_final_turn(self):
         won = episode([3, 0], "success", last_ids=("c", "a"))
         lost = episode([5], last_ids=("b", "d"))
-        report = evaluate_episodes([("q1", won), ("q2", lost)], {"q1": GRADES, "q2": GRADES}, 2)
-        assert [row.success for row in report.per_query] == [1.0, 0.0]
-        assert report.summary()["mrr"] == pytest.approx(0.5)
-        assert report.summary()["queries"] == 2
+        summary, rows = evaluate_episodes([("q1", won), ("q2", lost)], {"q1": GRADES, "q2": GRADES}, 2)
+        # c then a: both relevant, and the ideal top 2 is c, a
+        assert rows == [("q1", 1.0, 2 / 3, 1.0, 1.0), ("q2", 0.0, 0.0, 0.0, 0.0)]
+        assert summary == {
+            "k": 2, "queries": 2, "ndcg@2": 0.5, "recall@2": 1 / 3, "success@2": 0.5, "mrr": 0.5,
+        }
+
+    def test_evaluate_an_empty_log(self):
+        assert evaluate_episodes([], {}, 3) == (
+            {"k": 3, "queries": 0, "ndcg@3": 0.0, "recall@3": 0.0, "success@3": 0.0, "mrr": 0.0},
+            [],
+        )
 
 
 class TestBacktracking:
@@ -158,7 +166,7 @@ class TestEpisodeStatistics:
         stats = query_length_stats([("a", episode([1, 1], queries=queries[:2])),
                                     ("b", episode([1, 1], queries=queries[2:]))])
         # midpoint interpolation over [2, 4, 6, 8]
-        assert stats.to_dict() == {"p25": 3.0, "p50": 5.0, "p75": 7.0, "max": 8.0}
+        assert stats == {"p25": 3.0, "p50": 5.0, "p75": 7.0, "max": 8.0}
 
     def test_query_length_needs_queries(self):
         with pytest.raises(ValueError):
@@ -174,28 +182,27 @@ class TestAnalyzeBehavior:
             ("partly ranked", episode([None, 3])),
             ("won", episode([0], "success")),
         ]
-        report = analyze_behavior(episodes)
-        assert report.episodes == 5
-        assert report.backtrack_rate == pytest.approx(1 / 3)
-        assert report.stagnation_rate == pytest.approx(1 / 3)
-        assert report.successful_episodes == 1
-        assert report.turnwise_success == {1: 1.0}
+        summary = analyze_behavior(episodes)
+        assert summary["episodes"] == 5
+        assert summary["backtrack_rate"] == pytest.approx(1 / 3)
+        assert summary["stagnation_rate"] == pytest.approx(1 / 3)
+        assert summary["successful_episodes"] == 1
+        assert summary["turnwise_success"] == {"1": 1.0}
         # unranked episodes still count toward the query lengths
-        assert report.query_length.max == len("a much longer query")
+        assert summary["query_length"]["max"] == len("a much longer query")
 
     def test_relaxed_stagnation(self):
         episodes = [("a", episode([4, 4, 5])), ("b", episode([1, 2]))]
-        assert analyze_behavior(episodes).stagnation_rate == 0.0
-        assert analyze_behavior(episodes, relaxed_stagnation=True).stagnation_rate == 0.5
+        assert analyze_behavior(episodes)["stagnation_rate"] == 0.0
+        assert analyze_behavior(episodes, relaxed_stagnation=True)["stagnation_rate"] == 0.5
 
     @pytest.mark.parametrize("episodes", [[], [("a", episode([], "policy_error"))]])
     def test_a_log_without_queries_has_no_query_lengths(self, episodes):
-        report = analyze_behavior(episodes)
-        assert report.query_length is None
-        assert report.summary()["query_length"] is None
-        assert report.episodes == len(episodes)
+        summary = analyze_behavior(episodes)
+        assert summary["query_length"] is None
+        assert summary["episodes"] == len(episodes)
 
     def test_summary_flags_no_successes(self):
-        summary = analyze_behavior([("a", episode([1, 2]))]).summary()
+        summary = analyze_behavior([("a", episode([1, 2]))])
         assert summary["no_successes"] is True
         assert summary["turnwise_success"] == {}
